@@ -243,6 +243,28 @@ cmp target/repro/shards/live.report target/repro/shards/spill.report \
 cmp target/repro/shards/live.report target/repro/shards/replayed.report \
     || { echo "ci: offline shard replay differs from the in-memory report" >&2; exit 1; }
 
+# Corrupt shard: invert one byte in the middle of the spilled shard-0.bin.
+# The frame checksum must catch it, so replay-shards still exits 0, warns
+# that the shard is torn, and writes audited metrics (it refuses to
+# export a registry that fails its audit) that count the lost frames.
+rm -rf target/repro/shards/corrupt
+cp -r target/repro/shards/spill target/repro/shards/corrupt
+victim=target/repro/shards/corrupt/shard-0.bin
+mid=$(( $(wc -c < "$victim") / 2 ))
+byte=$(od -An -tu1 -j "$mid" -N1 "$victim" | tr -d ' ')
+printf "\\$(printf '%03o' $(( 255 - byte )))" \
+    | dd of="$victim" bs=1 seek="$mid" conv=notrunc status=none
+"$repro" replay-shards target/repro/shards/corrupt --jobs 2 \
+    --metrics target/repro/shards/corrupt.metrics.json \
+    > /dev/null 2> target/repro/shards/corrupt.err \
+    || { echo "ci: replaying a corrupt shard failed instead of salvaging" >&2; exit 1; }
+grep -q '\[salvage\] .* torn' target/repro/shards/corrupt.err \
+    || { echo "ci: the corrupt shard was not reported torn" >&2; exit 1; }
+corrupt_dropped=$(sed -n 's/.*"trace\.shard\.dropped": \([0-9]*\).*/\1/p' \
+    target/repro/shards/corrupt.metrics.json)
+[ "${corrupt_dropped:-0}" -gt 0 ] \
+    || { echo "ci: the corrupt shard's lost frames were not counted" >&2; exit 1; }
+
 # ENOSPC mid-shard: the run must fail typed (nonzero exit, the injected
 # fault attributed on stderr), and the flushed shard prefix must stay
 # salvageable — replay-shards loads it, accounts the loss under the

@@ -1264,6 +1264,9 @@ pub fn serve(daemon: Arc<Daemon>, listener: TcpListener) -> std::io::Result<()> 
         }
         match listener.accept() {
             Ok((mut stream, _)) => {
+                // Replies are written whole (`http::write_response`), so
+                // Nagle's algorithm only adds a delayed-ACK stall.
+                let _ = stream.set_nodelay(true);
                 // Reserve a slot before queueing; the guard travels
                 // with the stream and frees it wherever the connection
                 // ends (drained, handled, or handler panic).

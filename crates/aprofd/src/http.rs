@@ -280,12 +280,16 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, RequestError>
 /// the `Connection` header: the server passes `false` when the client
 /// asked to close, the per-connection request cap is reached, the
 /// daemon is draining, or the brownout ladder has disabled keep-alive.
-pub fn write_response(
-    stream: &mut TcpStream,
+///
+/// Head and body go out in one `write`: with a second, small `write`
+/// the kernel holds it back until the peer ACKs the first, and the
+/// peer delays that ACK, stalling every keep-alive reply.
+pub fn write_response<W: Write>(
+    stream: &mut W,
     resp: &Response,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut message = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: {}\r\nConnection: {}\r\n",
         resp.status,
         reason(resp.status),
@@ -293,12 +297,12 @@ pub fn write_response(
         if keep_alive { "keep-alive" } else { "close" },
     );
     if let Some(ms) = resp.retry_after_ms {
-        head.push_str(&format!("Retry-After: {}\r\n", ms.div_ceil(1000)));
-        head.push_str(&format!("X-Retry-After-Ms: {ms}\r\n"));
+        message.push_str(&format!("Retry-After: {}\r\n", ms.div_ceil(1000)));
+        message.push_str(&format!("X-Retry-After-Ms: {ms}\r\n"));
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(resp.body.as_bytes())?;
+    message.push_str("\r\n");
+    message.push_str(&resp.body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
@@ -335,6 +339,7 @@ pub fn roundtrip(
     timeout: Duration,
 ) -> std::io::Result<Reply> {
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     let mut writer = stream.try_clone()?;
@@ -344,8 +349,9 @@ pub fn roundtrip(
     Ok(reply)
 }
 
-/// Writes one serialized request. `close` adds `Connection: close`;
-/// otherwise the HTTP/1.1 default (persistent) applies.
+/// Writes one serialized request, head and body in one `write` (see
+/// [`write_response`]). `close` adds `Connection: close`; otherwise the
+/// HTTP/1.1 default (persistent) applies.
 fn write_request<W: Write>(
     writer: &mut W,
     addr: &str,
@@ -355,14 +361,11 @@ fn write_request<W: Write>(
     close: bool,
 ) -> std::io::Result<()> {
     let connection = if close { "Connection: close\r\n" } else { "" };
-    writer.write_all(
-        format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{connection}\r\n",
-            body.len()
-        )
-        .as_bytes(),
-    )?;
-    writer.write_all(body.as_bytes())?;
+    let message = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{connection}\r\n{body}",
+        body.len()
+    );
+    writer.write_all(message.as_bytes())?;
     writer.flush()
 }
 
@@ -453,6 +456,7 @@ impl Conn {
 
     fn connect(&mut self) -> std::io::Result<()> {
         let stream = TcpStream::connect(&self.addr)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.timeout))?;
         stream.set_write_timeout(Some(self.timeout))?;
         self.stream = Some(BufReader::new(stream));
@@ -598,6 +602,53 @@ mod tests {
         raw.push_str("\r\n");
         let err = read_request(&mut Cursor::new(raw.as_bytes())).unwrap_err();
         assert!(matches!(err, RequestError::TooLarge(_)), "{err}");
+    }
+
+    /// Counts the `write` calls a message takes.
+    #[derive(Default)]
+    struct Writes {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_exactly_one_write() {
+        for resp in [
+            Response::ok("done\n"),
+            Response::shed(429, 1500, "queue full\n"),
+            Response::text(404, ""),
+        ] {
+            let mut w = Writes::default();
+            write_response(&mut w, &resp, true).unwrap();
+            assert_eq!(w.calls, 1, "response {}", resp.status);
+            let (reply, close) = read_reply(&mut Cursor::new(&w.bytes[..])).unwrap();
+            assert_eq!(
+                (reply.status, reply.body, close),
+                (resp.status, resp.body, false)
+            );
+        }
+        for body in ["", "family minidb\nsizes 16\n"] {
+            let mut w = Writes::default();
+            write_request(&mut w, "127.0.0.1:1", "POST", "/jobs", body, true).unwrap();
+            assert_eq!(w.calls, 1, "request with body {body:?}");
+            let req = read_request(&mut Cursor::new(&w.bytes[..])).unwrap();
+            assert_eq!(
+                (req.path.as_str(), req.body.as_str(), req.close),
+                ("/jobs", body, true)
+            );
+        }
     }
 
     #[test]

@@ -380,8 +380,10 @@ fn live_jobs_serve_snapshot_and_delta_reports_from_the_journal() {
 fn a_high_priority_job_preempts_and_the_yielded_job_resumes_identically() {
     let dir = state_dir("preempt");
     // Enough cells that the low job is still mid-grid when the high
-    // one arrives: 5 sizes x 4 seeds = 20 cell boundaries to yield at.
-    let low_spec = "tenant alice\nfamily stream\nsizes 256,384,512,640,768\n\
+    // one arrives: 5 sizes x 4 seeds = 20 cell boundaries to yield at,
+    // and cells big enough that the sweep outlasts the high job's
+    // admission (smaller ones finish the whole grid in milliseconds).
+    let low_spec = "tenant alice\nfamily stream\nsizes 4096,6144,8192,10240,12288\n\
                     seeds 1,2,3,4\njobs 1\npriority 0\n";
     let high_spec = "tenant bob\nfamily stream\nsizes 4\nseeds 1\njobs 1\npriority 9\n";
 

@@ -59,8 +59,8 @@ pub use obs::{Histogram, MergeError, Metrics};
 pub use replay::{replay, EventSink};
 pub use sched::{PreemptCause, SalvagedSchedule, SchedDecision, Schedule};
 pub use shard::{
-    SalvagedShard, ShardBatchKind, ShardEvent, ShardFrame, ShardPayload, ShardSet, ShardSummary,
-    ShardWriter,
+    SalvagedShard, ShardBatch, ShardBatchKind, ShardEvent, ShardFrame, ShardPayload, ShardSet,
+    ShardSummary, ShardWriter,
 };
 pub use stats::TraceStats;
 pub use trace::ThreadTrace;

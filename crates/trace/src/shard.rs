@@ -3,23 +3,34 @@
 //! The DINAMITE split: logging must be cheap online, analysis can be
 //! heavy offline. A [`ShardWriter`] appends instrumentation events —
 //! including whole struct-of-arrays read/write batches — to one compact
-//! binary file per guest thread, buffered and flushed through the
-//! [`HostIo`] seam so host-fault chaos applies to every byte that
-//! reaches the disk. An offline [`ShardSet`] parses the shards back (in
-//! parallel across shards), salvages the checksummed prefix of any torn
-//! file, and replays the frames in their original global order into any
-//! [`EventSink`] — a write-then-replay run is byte-identical to the
-//! in-memory run it recorded.
+//! binary file per guest thread, encoding each frame straight into the
+//! shard's spill buffer and flushing through the [`HostIo`] seam so
+//! host-fault chaos applies to every byte that reaches the disk. An
+//! offline [`ShardSet`] loads the shards back (in parallel across
+//! shards), keeps each one's verifying byte prefix plus an index of its
+//! frames, and replays the frames in their original global order into
+//! any [`EventSink`], decoding each in place — a write-then-replay run
+//! is byte-identical to the in-memory run it recorded.
 //!
 //! # Format
 //!
 //! Every integer is little-endian. A shard file `shard-<tid>.bin` is
 //!
 //! ```text
-//! magic "DRMSSHD1" (8) · thread id u32 · frame*
-//! frame   := payload_len u32 · fnv1a(payload) u64 · payload
+//! magic "DRMSSHD2" (8) · thread id u32 · frame*
+//! frame   := payload_len u32 · checksum(payload) u64 · payload
 //! payload := seq u64 · kind u8 · fields…
 //! ```
+//!
+//! The checksum is FNV-1a over the payload's little-endian `u64` words,
+//! then over its tail bytes one at a time. Each word step (xor in the
+//! word, multiply by the odd FNV prime, xor in the state's high half
+//! shifted down) is a bijection of the 64-bit state, so two payloads
+//! that differ in one word — every single-bit flip among them — never
+//! share a checksum. The multiply only carries a difference upwards;
+//! the shift carries it back down, so damage confined to the top bits
+//! of several words does not cancel either. The hash costs one multiply
+//! per eight bytes instead of one per byte.
 //!
 //! `seq` is a global monotonic sequence number assigned at record time,
 //! so a k-way merge of the per-thread shards by `seq` reconstructs the
@@ -28,8 +39,8 @@
 //! profiler's redundancy cache byte-identical with it). The `BATCH`
 //! frame stores a whole read/write batch columnar (`count u32`, then
 //! `count` kinds, `count` addrs, `count` lens), mirroring the in-memory
-//! struct-of-arrays layout; frames are length-prefixed so an mmap-based
-//! reader can walk them zero-copy.
+//! struct-of-arrays layout; replay hands the columns out as borrowed
+//! little-endian slices of the loaded file.
 //!
 //! # Salvage
 //!
@@ -37,17 +48,21 @@
 //! ends the shard — the checksummed prefix before it is salvaged, the
 //! rest is dropped, and the accounting law
 //! `trace.shard.lines.salvaged + dropped == total` (enforced by
-//! [`Metrics::audit`]) holds. A `MANIFEST` written atomically at
-//! [`ShardWriter::finish`] records the expected frame count per shard,
-//! so the reader can tell how much a torn tail actually lost; without a
-//! manifest (the writer crashed mid-run) a torn tail counts as one
-//! dropped frame.
+//! [`Metrics::audit`]) holds. A frame whose `seq` does not rise ends its
+//! shard too, and a header that names another thread than the file name
+//! does, or carries another format's magic, makes the whole shard
+//! corrupt. A `MANIFEST` written atomically at [`ShardWriter::finish`]
+//! records the expected frame count per shard, so the reader can tell
+//! how much a torn tail actually lost; without a manifest (the writer
+//! crashed mid-run) a torn tail counts as one dropped frame.
 
 use crate::event::SyncOp;
 use crate::hostio::HostIo;
 use crate::ids::{Addr, BlockId, RoutineId, ThreadId};
 use crate::obs::Metrics;
 use crate::replay::EventSink;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -55,7 +70,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Leading magic of every shard file.
-pub const SHARD_MAGIC: [u8; 8] = *b"DRMSSHD1";
+pub const SHARD_MAGIC: [u8; 8] = *b"DRMSSHD2";
+
+/// What every version of the shard magic starts with: a file that has
+/// it but not [`SHARD_MAGIC`] is a shard in a format this reader does
+/// not read.
+const MAGIC_STEM: &[u8] = b"DRMSSHD";
 
 /// Name of the atomic per-directory manifest.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -86,24 +106,40 @@ const K_BATCH: u8 = 11;
 /// reach `u32::MAX` (it would be the 2^32-th spawned thread).
 const NO_THREAD: u32 = u32::MAX;
 
-/// FNV-1a over raw bytes — the binary sibling of the text codec's
-/// per-line checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` one at a time into the FNV-1a state `hash`. From
+/// [`FNV_OFFSET`] this is the text codec's per-line checksum, which the
+/// `MANIFEST` lines carry.
+fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
-/// Kind of one batched read/write entry, as stored in a `BATCH` frame.
+/// A frame's checksum: FNV-1a over the payload's little-endian `u64`
+/// words, each step followed by a xorshift, then its tail bytes (see the
+/// module docs for why any one differing word always shows).
+fn frame_checksum(payload: &[u8]) -> u64 {
+    let words = payload.chunks_exact(8);
+    let tail = words.remainder();
+    let hash = words.fold(FNV_OFFSET, |h, w| {
+        let h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(FNV_PRIME);
+        h ^ (h >> 32)
+    });
+    fnv1a_bytes(hash, tail)
+}
+
+/// Kind of one batched read/write entry; the discriminant is its byte
+/// in a `BATCH` frame's kinds column.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ShardBatchKind {
     /// A guest load.
-    Read,
+    Read = 0,
     /// A guest store.
-    Write,
+    Write = 1,
 }
 
 /// One instrumentation event as the shard format stores it: the
@@ -182,24 +218,57 @@ pub enum ShardEvent {
     },
 }
 
-/// Decoded payload of one frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardPayload {
-    /// A single event.
-    Event(ShardEvent),
-    /// A whole read/write batch, in emission order.
-    Batch(Vec<(ShardBatchKind, Addr, u32)>),
+/// A `BATCH` frame's columns, borrowed little-endian from the loaded
+/// shard. Load checked every kind byte, so the columns decode as they
+/// are read.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct ShardBatch<'a> {
+    kinds: &'a [u8],
+    addrs: &'a [u8],
+    lens: &'a [u8],
 }
 
-/// One decoded frame: global sequence number, owning thread, payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardFrame {
+impl<'a> ShardBatch<'a> {
+    /// The entries, in emission order.
+    pub fn entries(self) -> impl ExactSizeIterator<Item = (ShardBatchKind, Addr, u32)> + 'a {
+        let kinds = self.kinds.iter().map(|&k| {
+            if k == ShardBatchKind::Read as u8 {
+                ShardBatchKind::Read
+            } else {
+                ShardBatchKind::Write
+            }
+        });
+        let addrs = self
+            .addrs
+            .chunks_exact(8)
+            .map(|w| Addr::new(u64::from_le_bytes(w.try_into().unwrap())));
+        let lens = self
+            .lens
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()));
+        kinds.zip(addrs).zip(lens).map(|((k, a), l)| (k, a, l))
+    }
+}
+
+/// Payload of one frame, decoded in place.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum ShardPayload<'a> {
+    /// A single event, by value.
+    Event(ShardEvent),
+    /// A whole read/write batch, its columns borrowed from the shard.
+    Batch(ShardBatch<'a>),
+}
+
+/// One frame decoded in place: global sequence number, owning thread,
+/// payload.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct ShardFrame<'a> {
     /// Global monotonic sequence number (assigned at record time).
     pub seq: u64,
     /// Thread whose shard held the frame.
     pub thread: ThreadId,
     /// The decoded payload.
-    pub payload: ShardPayload,
+    pub payload: ShardPayload<'a>,
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -308,143 +377,156 @@ fn encode_event(buf: &mut Vec<u8>, event: ShardEvent) {
     }
 }
 
-/// Strict little-endian cursor; any short read means a torn frame.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Encodes a `BATCH` frame's body, one bulk pass per column.
+fn encode_batch(
+    buf: &mut Vec<u8>,
+    kinds: impl ExactSizeIterator<Item = ShardBatchKind>,
+    addrs: &[Addr],
+    lens: &[u32],
+) {
+    buf.push(K_BATCH);
+    put_u32(buf, addrs.len() as u32);
+    buf.extend(kinds.map(|k| k as u8));
+    let at = buf.len();
+    buf.resize(at + addrs.len() * 8 + lens.len() * 4, 0);
+    let (addr_col, len_col) = buf[at..].split_at_mut(addrs.len() * 8);
+    for (dst, addr) in addr_col.chunks_exact_mut(8).zip(addrs) {
+        dst.copy_from_slice(&addr.raw().to_le_bytes());
+    }
+    for (dst, len) in len_col.chunks_exact_mut(4).zip(lens) {
+        dst.copy_from_slice(&len.to_le_bytes());
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
+/// `body` as exactly `N` bytes: the fields of a fixed-width frame. One
+/// length check per frame then covers every field read.
+fn fixed<const N: usize>(body: &[u8]) -> Option<&[u8; N]> {
+    body.try_into().ok()
+}
 
-    fn u8(&mut self) -> Option<u8> {
-        let v = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(v)
-    }
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
 
-    fn u32(&mut self) -> Option<u32> {
-        let s = self.bytes.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let s = self.bytes.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
 fn decode_opt_thread(v: u32) -> Option<ThreadId> {
     (v != NO_THREAD).then(|| ThreadId::new(v))
 }
 
-/// Decodes one checksummed payload. `None` means the payload is not a
-/// well-formed frame (unknown kind, short fields, trailing bytes) and
-/// the shard is torn at this frame.
-fn decode_payload(payload: &[u8], thread: ThreadId) -> Option<ShardFrame> {
-    let mut c = Cursor::new(payload);
-    let seq = c.u64()?;
-    let kind = c.u8()?;
-    let payload = match kind {
-        K_THREAD_START => ShardPayload::Event(ShardEvent::ThreadStart {
-            parent: decode_opt_thread(c.u32()?),
-        }),
-        K_THREAD_EXIT => ShardPayload::Event(ShardEvent::ThreadExit { cost: c.u64()? }),
-        K_THREAD_SWITCH => ShardPayload::Event(ShardEvent::ThreadSwitch {
-            from: decode_opt_thread(c.u32()?),
-        }),
-        K_CALL => ShardPayload::Event(ShardEvent::Call {
-            routine: RoutineId::new(c.u32()?),
-            cost: c.u64()?,
-        }),
-        K_RETURN => ShardPayload::Event(ShardEvent::Return {
-            routine: RoutineId::new(c.u32()?),
-            cost: c.u64()?,
-        }),
-        K_READ => ShardPayload::Event(ShardEvent::Read {
-            addr: Addr::new(c.u64()?),
-            len: c.u32()?,
-        }),
-        K_WRITE => ShardPayload::Event(ShardEvent::Write {
-            addr: Addr::new(c.u64()?),
-            len: c.u32()?,
-        }),
-        K_U2K => ShardPayload::Event(ShardEvent::UserToKernel {
-            addr: Addr::new(c.u64()?),
-            len: c.u32()?,
-        }),
-        K_K2U => ShardPayload::Event(ShardEvent::KernelToUser {
-            addr: Addr::new(c.u64()?),
-            len: c.u32()?,
-        }),
+/// An `addr u64 · len u32` body.
+fn span(body: &[u8]) -> Option<(Addr, u32)> {
+    let f = fixed::<12>(body)?;
+    Some((Addr::new(u64_at(f, 0)), u32_at(f, 8)))
+}
+
+/// A `routine u32 · cost u64` body.
+fn routine_cost(body: &[u8]) -> Option<(RoutineId, u64)> {
+    let f = fixed::<12>(body)?;
+    Some((RoutineId::new(u32_at(f, 0)), u64_at(f, 4)))
+}
+
+/// A `u32` body.
+fn word(body: &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(*fixed::<4>(body)?))
+}
+
+/// The one frame decoder, serving both load-time validation and replay:
+/// the `seq` and payload of one checksummed frame, read in place.
+/// `None` means the payload is not a well-formed frame (unknown kind,
+/// wrong length for its kind, a batch kind byte that is neither read
+/// nor write) and the shard is torn at this frame.
+#[inline]
+fn decode_frame(payload: &[u8]) -> Option<(u64, ShardPayload<'_>)> {
+    let (head, body) = payload.split_first_chunk::<9>()?;
+    let seq = u64_at(head, 0);
+    let event = match head[8] {
+        K_THREAD_START => ShardEvent::ThreadStart {
+            parent: decode_opt_thread(word(body)?),
+        },
+        K_THREAD_EXIT => ShardEvent::ThreadExit {
+            cost: u64::from_le_bytes(*fixed::<8>(body)?),
+        },
+        K_THREAD_SWITCH => ShardEvent::ThreadSwitch {
+            from: decode_opt_thread(word(body)?),
+        },
+        K_CALL => {
+            let (routine, cost) = routine_cost(body)?;
+            ShardEvent::Call { routine, cost }
+        }
+        K_RETURN => {
+            let (routine, cost) = routine_cost(body)?;
+            ShardEvent::Return { routine, cost }
+        }
+        K_READ => {
+            let (addr, len) = span(body)?;
+            ShardEvent::Read { addr, len }
+        }
+        K_WRITE => {
+            let (addr, len) = span(body)?;
+            ShardEvent::Write { addr, len }
+        }
+        K_U2K => {
+            let (addr, len) = span(body)?;
+            ShardEvent::UserToKernel { addr, len }
+        }
+        K_K2U => {
+            let (addr, len) = span(body)?;
+            ShardEvent::KernelToUser { addr, len }
+        }
         K_SYNC => {
-            let op = match c.u8()? {
-                0 => SyncOp::SemWait(c.u32()?),
-                1 => SyncOp::SemSignal(c.u32()?),
-                2 => SyncOp::MutexLock(c.u32()?),
-                3 => SyncOp::MutexUnlock(c.u32()?),
-                4 => SyncOp::CondWait {
-                    cond: c.u32()?,
-                    mutex: c.u32()?,
-                },
-                5 => SyncOp::CondSignal(c.u32()?),
-                6 => SyncOp::CondBroadcast(c.u32()?),
+            let (&op, args) = body.split_first()?;
+            let op = match op {
+                0 => SyncOp::SemWait(word(args)?),
+                1 => SyncOp::SemSignal(word(args)?),
+                2 => SyncOp::MutexLock(word(args)?),
+                3 => SyncOp::MutexUnlock(word(args)?),
+                4 => {
+                    let f = fixed::<8>(args)?;
+                    SyncOp::CondWait {
+                        cond: u32_at(f, 0),
+                        mutex: u32_at(f, 4),
+                    }
+                }
+                5 => SyncOp::CondSignal(word(args)?),
+                6 => SyncOp::CondBroadcast(word(args)?),
                 7 => SyncOp::Spawn {
-                    child: ThreadId::new(c.u32()?),
+                    child: ThreadId::new(word(args)?),
                 },
                 8 => SyncOp::Join {
-                    child: ThreadId::new(c.u32()?),
+                    child: ThreadId::new(word(args)?),
                 },
                 _ => return None,
             };
-            ShardPayload::Event(ShardEvent::Sync { op })
+            ShardEvent::Sync { op }
         }
-        K_BLOCK => ShardPayload::Event(ShardEvent::Block {
-            routine: RoutineId::new(c.u32()?),
-            block: BlockId::new(c.u32()?),
-        }),
+        K_BLOCK => {
+            let f = fixed::<8>(body)?;
+            ShardEvent::Block {
+                routine: RoutineId::new(u32_at(f, 0)),
+                block: BlockId::new(u32_at(f, 4)),
+            }
+        }
         K_BATCH => {
-            let count = c.u32()? as usize;
+            let (count, columns) = body.split_first_chunk::<4>()?;
+            let count = u32::from_le_bytes(*count) as usize;
             // Columnar: count kinds, then count addrs, then count lens.
-            let remaining = c.bytes.len() - c.pos;
-            if count.checked_mul(13) != Some(remaining) {
+            if count.checked_mul(13) != Some(columns.len()) {
                 return None;
             }
-            let mut kinds = Vec::with_capacity(count);
-            for _ in 0..count {
-                kinds.push(match c.u8()? {
-                    0 => ShardBatchKind::Read,
-                    1 => ShardBatchKind::Write,
-                    _ => return None,
-                });
+            let (kinds, rest) = columns.split_at(count);
+            if kinds.iter().any(|&k| k > ShardBatchKind::Write as u8) {
+                return None;
             }
-            let mut entries = Vec::with_capacity(count);
-            for &k in &kinds {
-                entries.push((k, Addr::new(c.u64()?), 0u32));
-            }
-            for e in &mut entries {
-                e.2 = c.u32()?;
-            }
-            ShardPayload::Batch(entries)
+            let (addrs, lens) = rest.split_at(count * 8);
+            let batch = ShardBatch { kinds, addrs, lens };
+            return Some((seq, ShardPayload::Batch(batch)));
         }
         _ => return None,
     };
-    if !c.done() {
-        return None;
-    }
-    Some(ShardFrame {
-        seq,
-        thread,
-        payload,
-    })
+    Some((seq, ShardPayload::Event(event)))
 }
 
 /// Shard file name for a thread.
@@ -504,7 +586,6 @@ pub struct ShardWriter {
     dir: PathBuf,
     spill_threshold: usize,
     shards: Vec<Option<OpenShard>>,
-    scratch: Vec<u8>,
     seq: u64,
     error: Option<io::Error>,
 }
@@ -519,7 +600,6 @@ impl ShardWriter {
             dir: dir.to_path_buf(),
             spill_threshold: spill_threshold.max(1),
             shards: Vec::new(),
-            scratch: Vec::new(),
             seq: 0,
             error: None,
         })
@@ -533,96 +613,84 @@ impl ShardWriter {
     /// Records one event into `thread`'s shard. Infallible: a host-I/O
     /// failure latches and later records are dropped.
     pub fn record_event(&mut self, thread: ThreadId, event: ShardEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        self.seq += 1;
-        let seq = self.seq;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        put_u64(&mut scratch, seq);
-        encode_event(&mut scratch, event);
-        self.append_frame(thread, &scratch);
-        self.scratch = scratch;
+        self.append(thread, |buf| encode_event(buf, event));
     }
 
     /// Records one whole read/write batch into `thread`'s shard, in the
-    /// same columnar layout it had in memory.
-    pub fn record_batch<I>(&mut self, thread: ThreadId, entries: I)
-    where
-        I: ExactSizeIterator<Item = (ShardBatchKind, Addr, u32)> + Clone,
-    {
+    /// same columnar layout it had in memory: the three columns must be
+    /// equally long.
+    pub fn record_batch(
+        &mut self,
+        thread: ThreadId,
+        kinds: impl ExactSizeIterator<Item = ShardBatchKind>,
+        addrs: &[Addr],
+        lens: &[u32],
+    ) {
+        assert!(
+            kinds.len() == addrs.len() && addrs.len() == lens.len(),
+            "batch columns differ in length"
+        );
+        self.append(thread, |buf| encode_batch(buf, kinds, addrs, lens));
+    }
+
+    /// Appends one frame to `thread`'s shard, straight into its spill
+    /// buffer: a header left blank, the next `seq`, whatever `encode`
+    /// writes; then the header's length and checksum are filled in.
+    fn append(&mut self, thread: ThreadId, encode: impl FnOnce(&mut Vec<u8>)) {
         if self.error.is_some() {
             return;
         }
         self.seq += 1;
-        let seq = self.seq;
-        let count = entries.len() as u32;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        put_u64(&mut scratch, seq);
-        scratch.push(K_BATCH);
-        put_u32(&mut scratch, count);
-        for (kind, _, _) in entries.clone() {
-            scratch.push(match kind {
-                ShardBatchKind::Read => 0,
-                ShardBatchKind::Write => 1,
-            });
-        }
-        for (_, addr, _) in entries.clone() {
-            put_u64(&mut scratch, addr.raw());
-        }
-        for (_, _, len) in entries {
-            put_u32(&mut scratch, len);
-        }
-        self.append_frame(thread, &scratch);
-        self.scratch = scratch;
-    }
-
-    fn append_frame(&mut self, thread: ThreadId, payload: &[u8]) {
         let idx = thread.index() as usize;
-        while self.shards.len() <= idx {
-            self.shards.push(None);
-        }
-        if self.shards[idx].is_none() {
-            let name = shard_name(thread);
-            let path = self.dir.join(&name);
-            match self.io.create(&path) {
-                Ok(file) => {
-                    // Pre-size to the spill point (bounded: a huge
-                    // threshold means "never spill", not "pre-allocate").
-                    let mut buf =
-                        Vec::with_capacity(self.spill_threshold.saturating_add(64).min(1 << 20));
-                    buf.extend_from_slice(&SHARD_MAGIC);
-                    put_u32(&mut buf, thread.index());
-                    self.shards[idx] = Some(OpenShard {
-                        file,
-                        name,
-                        bytes: buf.len() as u64,
-                        buf,
-                        frames: 0,
-                    });
-                }
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
-                }
+        if self.shards.get(idx).is_none_or(Option::is_none) {
+            if let Err(e) = self.open(thread) {
+                self.error = Some(e);
+                return;
             }
         }
-        let spill = self.spill_threshold;
-        let shard = self.shards[idx].as_mut().expect("shard just ensured");
-        put_u32(&mut shard.buf, payload.len() as u32);
-        put_u64(&mut shard.buf, fnv1a(payload));
-        shard.buf.extend_from_slice(payload);
+        let shard = self.shards[idx].as_mut().expect("shard just opened");
+        let buf = &mut shard.buf;
+        let start = buf.len();
+        let body = start + FRAME_HEADER_BYTES;
+        buf.resize(body, 0);
+        put_u64(buf, self.seq);
+        encode(buf);
+        let len = buf.len() - body;
+        let sum = frame_checksum(&buf[body..]);
+        buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        buf[start + 4..body].copy_from_slice(&sum.to_le_bytes());
         shard.frames += 1;
-        shard.bytes += (FRAME_HEADER_BYTES + payload.len()) as u64;
-        if shard.buf.len() >= spill {
+        shard.bytes += (FRAME_HEADER_BYTES + len) as u64;
+        if shard.buf.len() >= self.spill_threshold {
             if let Err(e) = self.io.write_all(&mut shard.file, &shard.buf) {
                 self.error = Some(e);
                 return;
             }
             shard.buf.clear();
         }
+    }
+
+    /// Creates `thread`'s shard file and its spill buffer, header first.
+    fn open(&mut self, thread: ThreadId) -> io::Result<()> {
+        let name = shard_name(thread);
+        let file = self.io.create(&self.dir.join(&name))?;
+        // Pre-size to the spill point (bounded: a huge threshold means
+        // "never spill", not "pre-allocate").
+        let mut buf = Vec::with_capacity(self.spill_threshold.saturating_add(64).min(1 << 20));
+        buf.extend_from_slice(&SHARD_MAGIC);
+        put_u32(&mut buf, thread.index());
+        let idx = thread.index() as usize;
+        if self.shards.len() <= idx {
+            self.shards.resize_with(idx + 1, || None);
+        }
+        self.shards[idx] = Some(OpenShard {
+            file,
+            name,
+            bytes: buf.len() as u64,
+            buf,
+            frames: 0,
+        });
+        Ok(())
     }
 
     /// Flushes and fsyncs every shard, atomically publishes the
@@ -645,7 +713,7 @@ impl ShardWriter {
             summary.bytes += shard.bytes;
             summary.shards += 1;
             let line = format!("{} {} {}", shard.name, shard.frames, shard.bytes);
-            let sum = fnv1a(line.as_bytes());
+            let sum = fnv1a_bytes(FNV_OFFSET, line.as_bytes());
             manifest.push_str(&line);
             manifest.push_str(&format!(" ~{sum:016x}\n"));
         }
@@ -667,72 +735,143 @@ impl ShardWriter {
     }
 }
 
-/// The salvaged contents of one shard file.
+/// The salvaged contents of one shard file: its verifying byte prefix
+/// and where each frame in it starts. Frames are decoded in place, on
+/// demand, by the same decoder that validated them at load.
 #[derive(Clone, Debug)]
 pub struct SalvagedShard {
     /// File name inside the shard directory.
     pub name: String,
-    /// Owning thread (from the header, or the file name if the header
-    /// itself was torn).
+    /// Owning thread, from the file name (a header naming another
+    /// thread makes the whole shard corrupt).
     pub thread: ThreadId,
-    /// The checksummed frame prefix, in record order.
-    pub frames: Vec<ShardFrame>,
     /// Bytes of the valid prefix (header + intact frames).
     pub bytes: u64,
-    /// Whether the file ended in a torn or corrupt frame.
+    /// Whether the file ended in a torn or corrupt frame, or its header
+    /// was unusable.
     pub torn: bool,
+    /// The valid prefix itself.
+    image: Vec<u8>,
+    /// Offset in `image` of each intact frame, in record order.
+    index: Vec<usize>,
 }
 
-/// Parses one shard image, salvaging the longest checksummed prefix.
-fn parse_shard(name: &str, bytes: &[u8]) -> SalvagedShard {
-    let fallback = thread_of_name(name).unwrap_or(ThreadId::MAIN);
-    if bytes.len() < FILE_HEADER_BYTES || bytes[..8] != SHARD_MAGIC {
-        return SalvagedShard {
-            name: name.to_owned(),
-            thread: fallback,
-            frames: Vec::new(),
-            bytes: 0,
-            torn: true,
-        };
+impl SalvagedShard {
+    /// Number of salvaged frames.
+    pub fn frame_count(&self) -> usize {
+        self.index.len()
     }
-    let thread = ThreadId::new(u32::from_le_bytes(bytes[8..12].try_into().unwrap()));
-    let mut frames = Vec::new();
+
+    /// `seq` of frame `i`, if the shard has that many frames.
+    #[inline]
+    fn seq(&self, i: usize) -> Option<u64> {
+        let at = self.index.get(i)? + FRAME_HEADER_BYTES;
+        Some(u64::from_le_bytes(
+            self.image[at..at + 8].try_into().unwrap(),
+        ))
+    }
+
+    /// Frame `i`, decoded in place.
+    #[inline]
+    fn frame(&self, i: usize) -> ShardFrame<'_> {
+        let body = self.index[i] + FRAME_HEADER_BYTES;
+        let end = self.index.get(i + 1).copied().unwrap_or(self.image.len());
+        let (seq, payload) =
+            decode_frame(&self.image[body..end]).expect("load indexes only frames that decode");
+        ShardFrame {
+            seq,
+            thread: self.thread,
+            payload,
+        }
+    }
+}
+
+/// Checks a shard image's file header against the thread its file name
+/// names; the error says why the whole shard is unusable.
+fn check_header(image: &[u8], thread: ThreadId) -> Result<(), String> {
+    if image.len() < FILE_HEADER_BYTES {
+        return Err("torn file header".to_owned());
+    }
+    let magic = &image[..8];
+    if magic != SHARD_MAGIC {
+        return Err(if magic.starts_with(MAGIC_STEM) {
+            format!("unsupported shard format {}", magic.escape_ascii())
+        } else {
+            "not a shard file".to_owned()
+        });
+    }
+    let named = u32::from_le_bytes(image[8..12].try_into().unwrap());
+    if named != thread.index() {
+        return Err(format!(
+            "header names thread {named}, file name thread {}",
+            thread.index()
+        ));
+    }
+    Ok(())
+}
+
+/// Indexes the longest verifying frame prefix of an image whose header
+/// checked out. Returns where that prefix ends and, when the image goes
+/// on past it, why.
+fn index_frames(image: &[u8], index: &mut Vec<usize>) -> (usize, Option<&'static str>) {
     let mut pos = FILE_HEADER_BYTES;
-    let mut torn = false;
-    while pos < bytes.len() {
-        let Some(header) = bytes.get(pos..pos + FRAME_HEADER_BYTES) else {
-            torn = true;
-            break;
+    let mut last_seq = None;
+    while pos < image.len() {
+        let Some(header) = image.get(pos..pos + FRAME_HEADER_BYTES) else {
+            return (pos, Some("torn frame header"));
         };
         let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(header[4..12].try_into().unwrap());
+        let sum = u64::from_le_bytes(header[4..].try_into().unwrap());
         if len > MAX_PAYLOAD_BYTES {
-            torn = true;
-            break;
+            return (pos, Some("frame length out of range"));
         }
-        let Some(payload) = bytes.get(pos + FRAME_HEADER_BYTES..pos + FRAME_HEADER_BYTES + len)
-        else {
-            torn = true;
-            break;
+        let body = pos + FRAME_HEADER_BYTES;
+        let Some(payload) = image.get(body..body + len) else {
+            return (pos, Some("torn frame"));
         };
-        if fnv1a(payload) != sum {
-            torn = true;
-            break;
+        if frame_checksum(payload) != sum {
+            return (pos, Some("checksum mismatch"));
         }
-        let Some(frame) = decode_payload(payload, thread) else {
-            torn = true;
-            break;
+        let Some((seq, _)) = decode_frame(payload) else {
+            return (pos, Some("malformed frame"));
         };
-        frames.push(frame);
-        pos += FRAME_HEADER_BYTES + len;
+        // `None < Some(_)`: the first frame's seq is free.
+        if last_seq >= Some(seq) {
+            return (pos, Some("seq does not rise"));
+        }
+        last_seq = Some(seq);
+        index.push(pos);
+        pos = body + len;
     }
-    SalvagedShard {
+    (pos, None)
+}
+
+/// Salvages one shard image: keeps its longest verifying prefix and
+/// indexes the frames in it. The reason comes back when the shard is
+/// torn.
+fn parse_shard(
+    name: &str,
+    thread: ThreadId,
+    mut image: Vec<u8>,
+) -> (SalvagedShard, Option<String>) {
+    let mut index = Vec::new();
+    let (end, tear) = match check_header(&image, thread) {
+        Ok(()) => {
+            let (end, why) = index_frames(&image, &mut index);
+            (end, why.map(str::to_owned))
+        }
+        Err(why) => (0, Some(why)),
+    };
+    image.truncate(end);
+    let shard = SalvagedShard {
         name: name.to_owned(),
         thread,
-        frames,
-        bytes: if torn { pos } else { bytes.len() } as u64,
-        torn,
-    }
+        bytes: end as u64,
+        torn: tear.is_some(),
+        image,
+        index,
+    };
+    (shard, tear)
 }
 
 /// Parses the manifest text into `(name, frames, bytes)` rows. `None`
@@ -750,7 +889,7 @@ fn parse_manifest(text: &str) -> Option<Vec<(String, u64, u64)>> {
         }
         let (body, sum) = line.rsplit_once(" ~")?;
         let sum = u64::from_str_radix(sum, 16).ok()?;
-        if fnv1a(body.as_bytes()) != sum {
+        if fnv1a_bytes(FNV_OFFSET, body.as_bytes()) != sum {
             return None;
         }
         let mut parts = body.split(' ');
@@ -791,15 +930,15 @@ impl ShardSet {
     /// shards in parallel (the sweep's worker-pool idiom: scoped
     /// threads racing over an atomic cursor).
     pub fn load(dir: &Path, jobs: usize) -> io::Result<ShardSet> {
-        let mut names: Vec<String> = Vec::new();
+        let mut names: Vec<(ThreadId, String)> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            if thread_of_name(&name).is_some() {
-                names.push(name);
+            if let Some(thread) = thread_of_name(&name) {
+                names.push((thread, name));
             }
         }
-        names.sort_by_key(|n| thread_of_name(n).map(ThreadId::index));
+        names.sort();
 
         let mut warnings = Vec::new();
         let manifest = match std::fs::read_to_string(dir.join(MANIFEST_FILE)) {
@@ -813,10 +952,10 @@ impl ShardSet {
             Err(_) => None,
         };
 
-        let mut slots: Vec<Option<SalvagedShard>> = Vec::new();
+        let mut slots: Vec<Option<(SalvagedShard, Option<String>)>> = Vec::new();
         slots.resize_with(names.len(), || None);
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, SalvagedShard)>();
+        let (tx, rx) = mpsc::channel();
         let workers = jobs.max(1).min(names.len().max(1));
         std::thread::scope(|scope| {
             let names = &names;
@@ -825,30 +964,30 @@ impl ShardSet {
                 let tx = tx.clone();
                 scope.spawn(move || loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(name) = names.get(i) else { break };
-                    let shard = match std::fs::read(dir.join(name)) {
-                        Ok(bytes) => parse_shard(name, &bytes),
-                        Err(_) => SalvagedShard {
-                            name: name.clone(),
-                            thread: thread_of_name(name).unwrap_or(ThreadId::MAIN),
-                            frames: Vec::new(),
-                            bytes: 0,
-                            torn: true,
-                        },
+                    let Some((thread, name)) = names.get(i) else {
+                        break;
                     };
-                    if tx.send((i, shard)).is_err() {
+                    let parsed = match std::fs::read(dir.join(name)) {
+                        Ok(image) => parse_shard(name, *thread, image),
+                        Err(e) => {
+                            let (shard, _) = parse_shard(name, *thread, Vec::new());
+                            (shard, Some(format!("unreadable: {e}")))
+                        }
+                    };
+                    if tx.send((i, parsed)).is_err() {
                         break;
                     }
                 });
             }
             drop(tx);
-            for (i, shard) in rx {
-                slots[i] = Some(shard);
+            for (i, parsed) in rx {
+                slots[i] = Some(parsed);
             }
         });
+        let (shards, tears): (Vec<_>, Vec<_>) = slots.into_iter().flatten().unzip();
 
         let mut set = ShardSet {
-            shards: slots.into_iter().flatten().collect(),
+            shards,
             salvaged: 0,
             dropped: 0,
             total: 0,
@@ -861,9 +1000,9 @@ impl ShardSet {
         // file drops all of its frames); without one, a torn tail is
         // known to have lost at least the frame it tore in.
         let mut seen: Vec<&str> = Vec::new();
-        for shard in &set.shards {
+        for (shard, tear) in set.shards.iter().zip(tears) {
             seen.push(&shard.name);
-            let salvaged = shard.frames.len() as u64;
+            let salvaged = shard.frame_count() as u64;
             let expected = manifest
                 .as_deref()
                 .and_then(|rows| rows.iter().find(|(n, _, _)| *n == shard.name))
@@ -873,9 +1012,11 @@ impl ShardSet {
             set.dropped += expected - salvaged;
             set.total += expected;
             set.bytes += shard.bytes;
-            if shard.torn {
-                set.warnings
-                    .push(format!("{}: torn after {salvaged} frames", shard.name));
+            if let Some(why) = tear {
+                set.warnings.push(format!(
+                    "{}: torn after {salvaged} frames ({why})",
+                    shard.name
+                ));
             }
         }
         for (name, frames, _) in manifest.as_deref().unwrap_or(&[]) {
@@ -903,14 +1044,21 @@ impl ShardSet {
         metrics.set_gauge("trace.shard.files", self.shards.len() as u64);
     }
 
-    /// Every salvaged frame, merged across shards back into the global
-    /// record order (`seq` is globally monotonic, so this *is* the live
-    /// delivery order).
-    pub fn frames_in_order(&self) -> Vec<&ShardFrame> {
-        let mut frames: Vec<&ShardFrame> =
-            self.shards.iter().flat_map(|s| s.frames.iter()).collect();
-        frames.sort_by_key(|f| f.seq);
-        frames
+    /// Every salvaged frame, decoded in place and merged across shards
+    /// back into the global record order: `seq` is global and rises
+    /// within each shard, so a k-way merge by `seq` *is* the live
+    /// delivery order.
+    pub fn frames_in_order(&self) -> impl Iterator<Item = ShardFrame<'_>> + '_ {
+        let heads = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter_map(|(s, shard)| Some(Reverse((shard.seq(0)?, s, 0))))
+            .collect();
+        Merge {
+            shards: &self.shards,
+            heads,
+        }
     }
 
     /// Replays the salvaged frames, in global order, into `sink` —
@@ -924,11 +1072,33 @@ impl ShardSet {
     }
 }
 
+/// The k-way merge of a set's shards by `seq`.
+struct Merge<'a> {
+    shards: &'a [SalvagedShard],
+    /// `(seq, shard, frame)` of every shard's next frame.
+    heads: BinaryHeap<Reverse<(u64, usize, usize)>>,
+}
+
+impl<'a> Iterator for Merge<'a> {
+    type Item = ShardFrame<'a>;
+
+    // Inlined into the replay loops of other crates, which call it once
+    // per frame.
+    #[inline]
+    fn next(&mut self) -> Option<ShardFrame<'a>> {
+        let Reverse((_, s, i)) = self.heads.pop()?;
+        if let Some(seq) = self.shards[s].seq(i + 1) {
+            self.heads.push(Reverse((seq, s, i + 1)));
+        }
+        Some(self.shards[s].frame(i))
+    }
+}
+
 /// Delivers one frame to an [`EventSink`], batch entries unrolled.
-pub fn deliver_frame<S: EventSink + ?Sized>(frame: &ShardFrame, sink: &mut S) {
+pub fn deliver_frame<S: EventSink + ?Sized>(frame: ShardFrame<'_>, sink: &mut S) {
     let t = frame.thread;
-    match &frame.payload {
-        ShardPayload::Event(event) => match *event {
+    match frame.payload {
+        ShardPayload::Event(event) => match event {
             ShardEvent::ThreadStart { parent } => sink.on_thread_start(t, parent),
             ShardEvent::ThreadExit { cost } => sink.on_thread_exit(t, cost),
             ShardEvent::ThreadSwitch { from } => sink.on_thread_switch(from, t),
@@ -941,8 +1111,8 @@ pub fn deliver_frame<S: EventSink + ?Sized>(frame: &ShardFrame, sink: &mut S) {
             ShardEvent::Sync { op } => sink.on_sync(t, op),
             ShardEvent::Block { routine, block } => sink.on_block(t, routine, block),
         },
-        ShardPayload::Batch(entries) => {
-            for &(kind, addr, len) in entries {
+        ShardPayload::Batch(batch) => {
+            for (kind, addr, len) in batch.entries() {
                 match kind {
                     ShardBatchKind::Read => sink.on_read(t, addr, len),
                     ShardBatchKind::Write => sink.on_write(t, addr, len),
@@ -1010,11 +1180,9 @@ mod tests {
         }
         w.record_batch(
             ThreadId::new(1),
-            [
-                (ShardBatchKind::Read, Addr::new(0x200), 1u32),
-                (ShardBatchKind::Write, Addr::new(0x208), 8u32),
-            ]
-            .into_iter(),
+            [ShardBatchKind::Read, ShardBatchKind::Write].into_iter(),
+            &[Addr::new(0x200), Addr::new(0x208)],
+            &[1, 8],
         );
         let summary = w.finish().unwrap();
         assert_eq!(summary.frames, 9);
@@ -1025,22 +1193,28 @@ mod tests {
         assert_eq!(set.salvaged, 9);
         assert_eq!(set.dropped, 0);
         assert_eq!(set.total, 9);
-        let frames = set.frames_in_order();
+        let frames: Vec<ShardFrame<'_>> = set.frames_in_order().collect();
         assert_eq!(frames.len(), 9);
         // seq is strictly increasing across the merged shards.
         assert!(frames.windows(2).all(|w| w[0].seq < w[1].seq));
         // The events come back in record order, not per-file order.
-        let got: Vec<(ThreadId, &ShardPayload)> =
-            frames.iter().map(|f| (f.thread, &f.payload)).collect();
         for (i, &(t, e)) in sample_events().iter().enumerate() {
-            assert_eq!(got[i], (t, &ShardPayload::Event(e)), "frame {i}");
+            assert_eq!(
+                (frames[i].thread, frames[i].payload),
+                (t, ShardPayload::Event(e)),
+                "frame {i}"
+            );
         }
+        let ShardPayload::Batch(batch) = frames[8].payload else {
+            panic!("frame 8 is the batch");
+        };
+        assert_eq!(frames[8].thread, ThreadId::new(1));
         assert_eq!(
-            *got[8].1,
-            ShardPayload::Batch(vec![
+            batch.entries().collect::<Vec<_>>(),
+            [
                 (ShardBatchKind::Read, Addr::new(0x200), 1),
                 (ShardBatchKind::Write, Addr::new(0x208), 8),
-            ])
+            ]
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1128,6 +1302,190 @@ mod tests {
         // Whatever reached the disk is still a loadable prefix.
         let set = ShardSet::load(&dir, 2).unwrap();
         assert_eq!(set.salvaged + set.dropped, set.total);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `sample_events` (thread 0: five frames, thread 1: three)
+    /// into a fresh directory.
+    fn write_sample(name: &str) -> PathBuf {
+        let dir = tmp_dir(name);
+        let mut w = ShardWriter::create(&HostIo::real(), &dir, usize::MAX).unwrap();
+        for &(t, e) in &sample_events() {
+            w.record_event(t, e);
+        }
+        w.finish().unwrap();
+        dir
+    }
+
+    /// Regression: the thread id in the file header is not checksummed,
+    /// so it must agree with the file name. Flipping bit 1 of byte 8 used
+    /// to move every frame of `shard-0.bin` onto thread 2 unnoticed.
+    #[test]
+    fn header_naming_another_thread_makes_the_shard_corrupt() {
+        let dir = write_sample("header-tid");
+        let victim = dir.join("shard-0.bin");
+        let mut bytes = std::fs::read(&victim).unwrap();
+        bytes[8] ^= 0b10;
+        std::fs::write(&victim, &bytes).unwrap();
+
+        let set = ShardSet::load(&dir, 2).unwrap();
+        let shard0 = &set.shards[0];
+        assert_eq!(shard0.thread, ThreadId::new(0));
+        assert_eq!(shard0.frame_count(), 0);
+        assert!(shard0.torn);
+        assert_eq!((set.salvaged, set.dropped, set.total), (3, 5, 8));
+        assert!(set.frames_in_order().all(|f| f.thread == ThreadId::new(1)));
+        assert!(
+            set.warnings
+                .iter()
+                .any(|w| w.starts_with("shard-0.bin: torn") && w.contains("header names thread 2")),
+            "{:?}",
+            set.warnings
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The multiply in each checksum step carries a difference only
+    /// upwards, so without the xorshift bit 63 of one word could cancel
+    /// bit 63 of a later one. Flipping bit 63 of any two words of a
+    /// 4-entry `BATCH` frame (its addrs' top bytes, say) must tear it.
+    #[test]
+    fn flipping_the_top_bit_of_two_words_tears_the_frame() {
+        let dir = tmp_dir("top-bits");
+        let mut w = ShardWriter::create(&HostIo::real(), &dir, 64).unwrap();
+        let addrs = [0x10, 0x20, 0x30, 0x40].map(Addr::new);
+        w.record_batch(
+            ThreadId::new(0),
+            [ShardBatchKind::Read; 4].into_iter(),
+            &addrs,
+            &[1, 2, 4, 8],
+        );
+        w.finish().unwrap();
+        let victim = dir.join("shard-0.bin");
+        let pristine = std::fs::read(&victim).unwrap();
+        let body = FILE_HEADER_BYTES + FRAME_HEADER_BYTES;
+        let words = (pristine.len() - body) / 8;
+        assert_eq!(words, 8);
+        for i in 0..words {
+            for j in i + 1..words {
+                let mut bytes = pristine.clone();
+                bytes[body + 8 * i + 7] ^= 0x80;
+                bytes[body + 8 * j + 7] ^= 0x80;
+                std::fs::write(&victim, &bytes).unwrap();
+                let set = ShardSet::load(&dir, 1).unwrap();
+                assert!(set.shards[0].torn, "words {i} and {j}");
+                assert_eq!((set.salvaged, set.dropped), (0, 1), "words {i} and {j}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrites frame `k`'s `seq` and fixes up its checksum, so only the
+    /// rising-`seq` rule can reject it.
+    fn set_seq(image: &mut [u8], k: usize, seq: u64) {
+        let mut index = Vec::new();
+        assert_eq!(index_frames(image, &mut index).1, None);
+        let body = index[k] + FRAME_HEADER_BYTES;
+        let end = index.get(k + 1).copied().unwrap_or(image.len());
+        image[body..body + 8].copy_from_slice(&seq.to_le_bytes());
+        let sum = frame_checksum(&image[body..end]);
+        image[index[k] + 4..body].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn a_checksummed_frame_whose_seq_does_not_rise_ends_its_shard() {
+        let dir = write_sample("seq-rule");
+        let victim = dir.join("shard-0.bin");
+        let pristine = std::fs::read(&victim).unwrap();
+        // Thread 0 holds seqs 1, 2, 3, 7, 8. Frame 3 (seq 7) first
+        // repeats seq 3, then goes back to seq 2.
+        for seq in [3, 2] {
+            let mut bytes = pristine.clone();
+            set_seq(&mut bytes, 3, seq);
+            std::fs::write(&victim, &bytes).unwrap();
+            let set = ShardSet::load(&dir, 1).unwrap();
+            assert_eq!(set.shards[0].frame_count(), 3, "seq {seq}");
+            assert_eq!((set.salvaged, set.dropped, set.total), (6, 2, 8));
+            assert!(
+                set.warnings[0].contains("seq does not rise"),
+                "{:?}",
+                set.warnings
+            );
+            let mut m = Metrics::new();
+            set.observe_metrics(&mut m);
+            assert!(m.audit().is_ok());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Records (thread, addr) for every read, batch entries included.
+    #[derive(Default)]
+    struct Reads(Vec<(ThreadId, u64)>);
+
+    impl EventSink for Reads {
+        fn on_read(&mut self, thread: ThreadId, addr: Addr, _: u32) {
+            self.0.push((thread, addr.raw()));
+        }
+    }
+
+    #[test]
+    fn four_interleaved_shards_merge_back_into_global_seq_order() {
+        let dir = tmp_dir("merge");
+        let mut w = ShardWriter::create(&HostIo::real(), &dir, 64).unwrap();
+        let mut expected = Vec::new();
+        // Runs of one to four frames per thread, in an irregular thread
+        // order, with every fifth frame a two-entry batch.
+        let mut x = 7u32;
+        let mut n = 0u64;
+        for _ in 0..60 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            let t = ThreadId::new((x >> 16) % 4);
+            for _ in 0..=(x >> 8) % 4 {
+                n += 1;
+                let addr = Addr::new(n * 10);
+                if n.is_multiple_of(5) {
+                    let next = Addr::new(n * 10 + 1);
+                    let kinds = [ShardBatchKind::Read, ShardBatchKind::Read].into_iter();
+                    w.record_batch(t, kinds, &[addr, next], &[1, 1]);
+                    expected.extend([(t, addr.raw()), (t, next.raw())]);
+                } else {
+                    w.record_event(t, ShardEvent::Read { addr, len: 1 });
+                    expected.push((t, addr.raw()));
+                }
+            }
+        }
+        assert!(n > 100);
+        let summary = w.finish().unwrap();
+        assert_eq!((summary.frames, summary.shards), (n, 4));
+
+        let set = ShardSet::load(&dir, 3).unwrap();
+        let seqs: Vec<u64> = set.frames_in_order().map(|f| f.seq).collect();
+        assert_eq!(seqs, (1..=n).collect::<Vec<_>>());
+        let mut reads = Reads::default();
+        set.replay(&mut reads);
+        assert_eq!(reads.0, expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_older_format_shard_is_unsupported_and_its_frames_dropped() {
+        let dir = write_sample("old-format");
+        let victim = dir.join("shard-1.bin");
+        let mut bytes = std::fs::read(&victim).unwrap();
+        bytes[..8].copy_from_slice(b"DRMSSHD1");
+        std::fs::write(&victim, &bytes).unwrap();
+
+        let set = ShardSet::load(&dir, 2).unwrap();
+        assert_eq!((set.salvaged, set.dropped, set.total), (5, 3, 8));
+        assert_eq!(set.shards[1].frame_count(), 0);
+        assert!(
+            set.warnings
+                .iter()
+                .any(|w| w.contains("shard-1.bin")
+                    && w.contains("unsupported shard format DRMSSHD1")),
+            "{:?}",
+            set.warnings
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

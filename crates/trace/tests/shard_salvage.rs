@@ -3,14 +3,15 @@
 //!
 //! A shard file is truncated at **every byte offset** — inside the
 //! magic, inside a frame header, inside a checksummed payload, exactly
-//! on a frame boundary — and every truncation must salvage a clean
-//! prefix of the original frame sequence while the accounting law
+//! on a frame boundary — and, separately, has **every bit** flipped one
+//! at a time. Every damaged file must salvage a clean prefix of the
+//! original frame sequence while the accounting law
 //! `trace.shard.salvaged + trace.shard.dropped == trace.shard.total`
 //! holds (enforced independently by [`Metrics::audit`] through
 //! `observe_metrics`).
 
 use drms_trace::obs::Metrics;
-use drms_trace::shard::{ShardEvent, ShardSet, ShardWriter};
+use drms_trace::shard::{ShardBatchKind, ShardEvent, ShardFrame, ShardSet, ShardWriter};
 use drms_trace::{Addr, HostIo, RoutineId, ThreadId};
 use std::path::{Path, PathBuf};
 
@@ -46,17 +47,17 @@ fn write_sample(dir: &Path) -> u64 {
                 len: 8,
             },
         );
-        w.record_batch(
-            t,
-            (0..4u32).map(move |j| {
-                let kind = if j % 2 == 0 {
-                    drms_trace::shard::ShardBatchKind::Read
-                } else {
-                    drms_trace::shard::ShardBatchKind::Write
-                };
-                (kind, Addr::new(0x2000 + u64::from(i * 4 + j)), 4)
-            }),
-        );
+        let kinds = (0..4).map(|j| {
+            if j % 2 == 0 {
+                ShardBatchKind::Read
+            } else {
+                ShardBatchKind::Write
+            }
+        });
+        let addrs: Vec<Addr> = (0..4u32)
+            .map(|j| Addr::new(0x2000 + u64::from(i * 4 + j)))
+            .collect();
+        w.record_batch(t, kinds, &addrs, &[4; 4]);
         w.record_event(
             t,
             ShardEvent::Return {
@@ -102,7 +103,7 @@ fn every_truncation_offset_salvages_a_clean_prefix() {
     let baseline = ShardSet::load(&dir, 1).expect("baseline load");
     assert_eq!(baseline.dropped, 0);
     assert_eq!(baseline.salvaged, total);
-    let full_frames = baseline.frames_in_order();
+    let full_frames: Vec<ShardFrame<'_>> = baseline.frames_in_order().collect();
 
     let work = scratch("every-offset-work");
     std::fs::create_dir_all(&work).expect("work dir");
@@ -114,7 +115,7 @@ fn every_truncation_offset_salvages_a_clean_prefix() {
         let set = ShardSet::load(&work, 1).expect("salvage load never errors");
         assert_eq!(set.total, total, "manifest pins the expected frame count");
         assert_law(&set);
-        let frames = set.frames_in_order();
+        let frames: Vec<ShardFrame<'_>> = set.frames_in_order().collect();
         assert_eq!(frames.len() as u64, set.salvaged);
         assert!(
             frames.len() <= full_frames.len(),
@@ -131,6 +132,72 @@ fn every_truncation_offset_salvages_a_clean_prefix() {
         seen_partial,
         "some offset must salvage a non-empty strict prefix"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// Start offset of every frame in a shard image, walked through the
+/// documented framing: a 12-byte file header, then frames of a `u32`
+/// payload length, a `u64` checksum and the payload.
+fn frame_starts(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut pos = 12;
+    while pos < bytes.len() {
+        starts.push(pos);
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        pos += 12 + len as usize;
+    }
+    assert_eq!(pos, bytes.len(), "the sample shard is well framed");
+    starts
+}
+
+/// Flipping every bit of the shard, one at a time: the load never
+/// panics, salvages an exact prefix of the original frames (thread, seq
+/// and payload), keeps the accounting law, and — because the word-wise
+/// frame checksum catches any single-word change and the header must
+/// agree with the file name — keeps exactly the frames before the one
+/// the flip landed in, and none for a flip in the file header.
+#[test]
+fn every_single_bit_flip_salvages_the_frames_before_it() {
+    let dir = scratch("bit-flip");
+    let total = write_sample(&dir);
+    let bytes = std::fs::read(dir.join("shard-0.bin")).expect("read shard");
+    let starts = frame_starts(&bytes);
+    assert_eq!(starts.len() as u64, total);
+    let baseline = ShardSet::load(&dir, 1).expect("baseline load");
+    let full_frames: Vec<ShardFrame<'_>> = baseline.frames_in_order().collect();
+
+    let work = scratch("bit-flip-work");
+    std::fs::create_dir_all(&work).expect("work dir");
+    std::fs::copy(dir.join("MANIFEST"), work.join("MANIFEST")).expect("copy manifest");
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(work.join("shard-0.bin"), &flipped).expect("write flipped shard");
+        let set = ShardSet::load(&work, 1).expect("salvage load never errors");
+        assert_eq!(set.total, total, "bit {bit}: manifest pins the total");
+        assert_law(&set);
+        let frames: Vec<ShardFrame<'_>> = set.frames_in_order().collect();
+        assert_eq!(frames.len() as u64, set.salvaged);
+        // Frames wholly before the flip: k for a flip inside frame k,
+        // none for one in the file header.
+        let before = starts
+            .iter()
+            .filter(|&&s| s <= bit / 8)
+            .count()
+            .saturating_sub(1);
+        assert!(
+            frames.len() <= before,
+            "bit {bit}: salvaged {} frames, at most {before} may survive",
+            frames.len()
+        );
+        assert_eq!(
+            frames[..],
+            full_frames[..before],
+            "bit {bit}: the salvage is the frames before the flip"
+        );
+        assert!(set.shards[0].torn, "bit {bit}: the flip went unnoticed");
+    }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&work);
 }

@@ -8,9 +8,10 @@
 //! [`EventBatch`] flushes, persisted columnar without unrolling — is
 //! appended to the per-thread shard files. [`replay_shards_into`] is
 //! the offline other half: it walks a loaded [`ShardSet`] in global
-//! record order and delivers `BATCH` frames through
-//! [`Tool::observe_batch`] exactly as the VM did live, so a
-//! write-then-replay run reproduces the in-memory run byte-for-byte.
+//! record order, decoding each frame in place, and delivers `BATCH`
+//! frames through [`Tool::observe_batch`] exactly as the VM did live,
+//! so a write-then-replay run reproduces the in-memory run
+//! byte-for-byte.
 
 use crate::batch::{BatchKind, EventBatch};
 use crate::tool::Tool;
@@ -112,30 +113,29 @@ impl Tool for ShardRecorder {
     /// preserving the struct-of-arrays layout end to end.
     fn observe_batch(&mut self, batch: &EventBatch) {
         let (kinds, addrs, lens) = batch.arrays();
-        let entries = kinds.iter().zip(addrs).zip(lens).map(|((&k, &a), &l)| {
-            let k = match k {
-                BatchKind::Read => ShardBatchKind::Read,
-                BatchKind::Write => ShardBatchKind::Write,
-            };
-            (k, a, l)
+        let kinds = kinds.iter().map(|k| match k {
+            BatchKind::Read => ShardBatchKind::Read,
+            BatchKind::Write => ShardBatchKind::Write,
         });
-        self.writer.record_batch(batch.thread(), entries);
+        self.writer.record_batch(batch.thread(), kinds, addrs, lens);
     }
 }
 
 /// Replays a loaded shard set into `tool` with the live run's delivery
 /// shape: single events arrive through their [`EventSink`] callbacks,
 /// `BATCH` frames arrive through [`Tool::observe_batch`] as one
-/// reconstructed [`EventBatch`] each. Finishes the tool at the end.
+/// [`EventBatch`] each, reused and filled straight from the frame's
+/// columns. Finishes the tool at the end.
 pub fn replay_shards_into<T: Tool + ?Sized>(set: &ShardSet, tool: &mut T) {
     let mut batch = EventBatch::default();
     for frame in set.frames_in_order() {
-        match &frame.payload {
-            ShardPayload::Batch(entries) => {
+        match frame.payload {
+            ShardPayload::Batch(columns) => {
+                let entries = columns.entries();
                 batch.clear();
                 batch.ensure_capacity(entries.len());
                 batch.set_thread(frame.thread);
-                for &(kind, addr, len) in entries {
+                for (kind, addr, len) in entries {
                     let kind = match kind {
                         ShardBatchKind::Read => BatchKind::Read,
                         ShardBatchKind::Write => BatchKind::Write,
