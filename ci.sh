@@ -10,6 +10,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
+# Doc links must resolve, and public docs must not link private items:
+# deleting or renaming a documented item fails here, not in a reader's
+# browser.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --no-deps --workspace
 
 # Schedule-fuzz smoke gate: chaos-scan the fuzz workloads, replay every
 # failure strictly and shrink it. Exits non-zero on any panic, any

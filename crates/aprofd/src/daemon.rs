@@ -18,10 +18,10 @@
 //! acknowledged only after its spec is atomically on disk, so a
 //! `kill -9` at *any* later moment leaves either a finished job (done
 //! marker present) or a resumable one (spec present, journal salvaged
-//! by [`resume_sweep`], missing cells re-run). Restart scans the
-//! directory, restores the submission counter, and re-queues every
-//! unfinished job — artifacts come out byte-identical to an
-//! uninterrupted run.
+//! by [`resume_sweep`](drms_bench::supervisor::resume_sweep), missing
+//! cells re-run). Restart scans the directory, restores the submission
+//! counter, and re-queues every unfinished job — artifacts come out
+//! byte-identical to an uninterrupted run.
 //!
 //! Retention GC prunes finished jobs beyond [`DaemonConfig::retain_count`]
 //! / older than [`DaemonConfig::retain_age`]. Each pruned ID is first
@@ -332,11 +332,14 @@ impl Daemon {
                     spec_lines.push('\n');
                 }
             }
+            // Even an unloadable spec used up its submission number.
+            inner.counter = inner.counter.max(submitted);
             let spec = match JobSpec::parse(&spec_lines) {
                 Ok(s) => s,
                 Err(e) => {
                     // A spec this daemon once accepted no longer parses
-                    // (config drift): record the failure, don't crash.
+                    // (config drift, or a key an older build wrote):
+                    // record the failure, don't crash.
                     metrics.inc("aprofd.jobs.unloadable");
                     inner.entries.insert(
                         id,
@@ -351,7 +354,6 @@ impl Daemon {
                     continue;
                 }
             };
-            inner.counter = inner.counter.max(submitted);
             let done = cfg.state_dir.join(format!("job-{id}.done"));
             let failed = cfg.state_dir.join(format!("job-{id}.failed"));
             let (state, summary) = if let Ok(t) = std::fs::read_to_string(&done) {
@@ -404,7 +406,7 @@ impl Daemon {
         Ok(daemon)
     }
 
-    /// The current brownout tier (see [`brownout_tier`]); lock-free so
+    /// The current brownout tier, 0–3 (see `brownout_tier`); lock-free so
     /// every connection handler can consult it per response.
     pub fn current_brownout(&self) -> u8 {
         self.brownout.load(Ordering::SeqCst) as u8

@@ -15,7 +15,6 @@
 //! silently clamped downstream.
 
 use drms::sched::fnv1a;
-use drms::vm::DecodeMode;
 use drms_bench::supervisor::SupervisorOptions;
 use drms_bench::sweep::{SweepSpec, FAMILIES};
 use std::fmt::Write as _;
@@ -49,13 +48,6 @@ pub struct JobSpec {
     pub deadline_ms: Option<u64>,
     /// Per-attempt instruction budget (the VM watchdog; ≥ 1 when set).
     pub max_instructions: Option<u64>,
-    /// Interpreter dispatch mode (`off`, `blocks`, `fused`); `None`
-    /// keeps the VM default. A pure performance knob — results are
-    /// identical across modes.
-    pub decode: Option<DecodeMode>,
-    /// Tool event-batch capacity (≥ 1 when set — a zero-capacity batch
-    /// could never buffer an event, so it is rejected at admission).
-    pub event_batch: Option<usize>,
     /// Whether the job spills its event stream into per-thread binary
     /// trace shards (`on` / `-`). The daemon maps this to a
     /// `job-<id>.shards` directory under its state dir, retained as a
@@ -75,8 +67,6 @@ impl Default for JobSpec {
             max_attempts: 3,
             deadline_ms: None,
             max_instructions: None,
-            decode: None,
-            event_batch: None,
             trace_dir: false,
         }
     }
@@ -161,14 +151,6 @@ impl JobSpec {
                 "max_instructions" => {
                     spec.max_instructions = parse_opt_num("max_instructions", value)?
                 }
-                "decode" => {
-                    spec.decode = if value == "-" {
-                        None
-                    } else {
-                        Some(value.parse().map_err(|e| err("decode", e))?)
-                    }
-                }
-                "event_batch" => spec.event_batch = parse_opt_num("event_batch", value)?,
                 "trace_dir" => {
                     spec.trace_dir = match value {
                         "on" => true,
@@ -253,12 +235,6 @@ impl JobSpec {
                 "must be >= 1 (0 aborts before the first instruction)",
             ));
         }
-        if self.event_batch == Some(0) {
-            return Err(err(
-                "event_batch",
-                "must be >= 1 (0 could never buffer an event)",
-            ));
-        }
         Ok(())
     }
 
@@ -279,16 +255,6 @@ impl JobSpec {
         let _ = writeln!(out, "max_attempts {}", self.max_attempts);
         let _ = writeln!(out, "deadline_ms {}", opt(&self.deadline_ms));
         let _ = writeln!(out, "max_instructions {}", opt(&self.max_instructions));
-        let _ = writeln!(
-            out,
-            "decode {}",
-            self.decode.map_or("-".to_string(), |d| d.to_string())
-        );
-        let _ = writeln!(
-            out,
-            "event_batch {}",
-            self.event_batch.map_or("-".to_string(), |n| n.to_string())
-        );
         let _ = writeln!(out, "trace_dir {}", if self.trace_dir { "on" } else { "-" });
         out
     }
@@ -306,8 +272,6 @@ impl JobSpec {
             max_attempts: self.max_attempts,
             deadline: self.deadline_ms.map(Duration::from_millis),
             max_instructions: self.max_instructions,
-            decode: self.decode,
-            event_batch: self.event_batch,
             ..SupervisorOptions::default()
         }
     }
@@ -404,25 +368,26 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_knobs_parse_validate_and_roundtrip() {
-        let spec =
-            JobSpec::parse("family stream\nsizes 4\ndecode blocks\nevent_batch 256\n").unwrap();
-        assert_eq!(spec.decode, Some(DecodeMode::Blocks));
-        assert_eq!(spec.event_batch, Some(256));
-        let reparsed = JobSpec::parse(&spec.canonical_text()).unwrap();
-        assert_eq!(spec, reparsed);
-        let opts = spec.supervisor_options();
-        assert_eq!(opts.decode, Some(DecodeMode::Blocks));
-        assert_eq!(opts.event_batch, Some(256));
-        // The knobs key the job ID: an A/B pair gets distinct artifacts.
-        let plain = JobSpec::parse("family stream\nsizes 4\n").unwrap();
-        assert_ne!(job_id(&spec, 1), job_id(&plain, 1));
-
-        let e = JobSpec::parse("family stream\nsizes 4\nevent_batch 0\n").unwrap_err();
-        assert_eq!(e.field, "event_batch");
-        assert!(e.message.contains("never buffer"), "{e}");
-        let e = JobSpec::parse("family stream\nsizes 4\ndecode warp\n").unwrap_err();
-        assert_eq!(e.field, "decode");
+    fn retired_dispatch_keys_are_unknown_keys() {
+        // Dispatch mode and batch size never change a job's result, so
+        // a spec cannot carry them: they would only fork its ID.
+        for line in [
+            "decode fused",
+            "decode -",
+            "event_batch 256",
+            "event_batch -",
+        ] {
+            let e = JobSpec::parse(&format!("family stream\nsizes 4\n{line}\n")).unwrap_err();
+            assert_eq!(e.field, "spec", "{line}");
+            assert!(e.message.contains("unknown key"), "{line}: {e}");
+        }
+        let text = JobSpec::parse("family stream\nsizes 4\n")
+            .unwrap()
+            .canonical_text();
+        assert!(
+            !text.contains("decode") && !text.contains("event_batch"),
+            "{text}"
+        );
     }
 
     #[test]

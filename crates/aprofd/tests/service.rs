@@ -588,3 +588,61 @@ fn restored_entries_report_their_state_without_a_network_restart() {
         "state names are part of the wire format"
     );
 }
+
+#[test]
+fn a_spec_persisted_with_retired_dispatch_keys_loads_as_a_failed_job() {
+    // A state dir written by a daemon whose job specs still carried the
+    // `decode` and `event_batch` keys: the spec no longer parses, so the
+    // daemon must start anyway and list the job as failed.
+    let dir = state_dir("unloadable");
+    let id = "5eedc0de00000007";
+    std::fs::write(
+        dir.join(format!("job-{id}.spec")),
+        "tenant default\nfamily stream\nsizes 4\nseeds 1\njobs 1\npriority 0\n\
+         max_attempts 3\ndeadline_ms -\nmax_instructions -\ndecode -\nevent_batch -\n\
+         trace_dir -\nsubmitted 7\n",
+    )
+    .expect("write spec");
+    let d = Daemon::new(DaemonConfig {
+        workers: 0,
+        ..DaemonConfig::new(dir.clone())
+    })
+    .expect("the daemon starts despite the unloadable spec");
+    let get = |path: &str| {
+        d.handle(&drms_aprofd::http::Request {
+            method: "GET".into(),
+            path: path.into(),
+            query: String::new(),
+            body: String::new(),
+            close: false,
+        })
+    };
+    let status = get(&format!("/jobs/{id}"));
+    assert_eq!(status.status, 200, "{}", status.body);
+    assert!(status.body.contains("state failed"), "{}", status.body);
+    assert!(
+        status.body.contains("error unloadable spec:") && status.body.contains("decode"),
+        "{}",
+        status.body
+    );
+    let metrics = get("/metrics").body;
+    assert!(
+        metrics.contains("drms_aprofd_jobs_unloadable 1\n"),
+        "{metrics}"
+    );
+    assert!(get("/healthz").body.contains("jobs 1\n"));
+
+    // New submissions continue past the unloadable job's number.
+    let reply = d.handle(&drms_aprofd::http::Request {
+        method: "POST".into(),
+        path: "/jobs".into(),
+        query: String::new(),
+        body: SPEC.into(),
+        close: false,
+    });
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let new_id = reply.body.trim().to_string();
+    assert!(get(&format!("/jobs/{new_id}"))
+        .body
+        .contains("submitted 8\n"));
+}

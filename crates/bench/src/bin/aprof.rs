@@ -24,11 +24,11 @@
 //!                       stream_reader, producer_consumer,
 //!                       selection_sort
 //!   --decode MODE       interpreter dispatch: off (reference
-//!                       interpreter) | blocks (pre-decoded basic
-//!                       blocks) | fused (blocks + superinstruction
-//!                       fusion, the default); every mode produces the
-//!                       same profile, report and metrics
-//!   --batch N           tool event-batch capacity (default 128);
+//!                       interpreter) | fused (pre-decoded basic blocks
+//!                       with superinstruction fusion, the default);
+//!                       both modes produce the same profile, report
+//!                       and metrics
+//!   --batch N           tool event-batch capacity (default 512);
 //!                       N=1 degenerates to per-event delivery
 //!   --jobs N            worker threads for --sweep (default 1)
 //!   --deadline-ms N     wall-clock budget per run (checked once per
@@ -46,11 +46,15 @@
 //!   --replay-sched FILE drive the scheduler from a recorded schedule;
 //!                       strict replay reproduces the recorded run's event
 //!                       stream and report byte for byte
+//!                       (the four scheduler options above are rejected
+//!                       with --sweep, whose cells keep their workload's
+//!                       own schedule)
 //!   --focus ROUTINE     print cost plots + fit for one routine
 //!   --fit               fit the focus (or every) routine's cost function
 //!   --faults SPEC       seeded kernel fault-injection plan, e.g.
 //!                       "seed=7,fd0:shortread:p=1/4,in:eintr:every=9";
-//!                       aborted runs still report a partial profile
+//!                       aborted runs still report a partial profile;
+//!                       with --sweep, injected into every cell
 //!   --context           context-sensitive profile of the focus routine
 //!   --report FILE       dump the profile report (report_io text format)
 //!   --metrics FILE      dump the run's observability registry (event,
@@ -109,10 +113,14 @@ struct Cli {
     scale: u32,
     tool: String,
     policy: SchedPolicy,
+    /// The last scheduler option given (`--policy`, `--sched`,
+    /// `--quantum`, `--record-sched`, `--replay-sched`), which `--sweep`
+    /// refuses by name.
+    sched_flag: Option<String>,
     quantum: Option<u32>,
     focus: Option<String>,
     fit: bool,
-    faults: Option<String>,
+    faults: Option<FaultPlan>,
     record_sched: Option<String>,
     replay_sched: Option<String>,
     context: bool,
@@ -133,7 +141,7 @@ struct Cli {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: aprof --workload <name> [--tool aprof-drms|aprof|external-only] [--focus ROUTINE] [--fit] [--faults SPEC] [--context] [--report FILE] [--metrics FILE] [--trace FILE] [--trace-stats] [--disasm] [--diff OLD NEW] [--threads N] [--scale S] [--policy|--sched rr|random:SEED|chaos,seed=N] [--quantum N] [--record-sched FILE] [--replay-sched FILE] [--sweep SIZES] [--decode off|blocks|fused] [--batch N] [--jobs N] [--deadline-ms N] [--max-attempts N] [--trace-out DIR] [--host-faults SPEC]");
+    eprintln!("usage: aprof --workload <name> [--tool aprof-drms|aprof|external-only] [--focus ROUTINE] [--fit] [--faults SPEC] [--context] [--report FILE] [--metrics FILE] [--trace FILE] [--trace-stats] [--disasm] [--diff OLD NEW] [--threads N] [--scale S] [--policy|--sched rr|random:SEED|chaos,seed=N] [--quantum N] [--record-sched FILE] [--replay-sched FILE] [--sweep SIZES] [--decode off|fused] [--batch N] [--jobs N] [--deadline-ms N] [--max-attempts N] [--trace-out DIR] [--host-faults SPEC]");
     exit(2)
 }
 
@@ -159,6 +167,7 @@ fn parse_cli() -> Cli {
         scale: 2,
         tool: "aprof-drms".to_owned(),
         policy: SchedPolicy::RoundRobin,
+        sched_flag: None,
         quantum: None,
         focus: None,
         fit: false,
@@ -189,6 +198,12 @@ fn parse_cli() -> Cli {
                 usage()
             })
         };
+        if matches!(
+            arg.as_str(),
+            "--policy" | "--sched" | "--quantum" | "--record-sched" | "--replay-sched"
+        ) {
+            cli.sched_flag = Some(arg.clone());
+        }
         match arg.as_str() {
             "--workload" => cli.workload = Some(value("--workload")),
             "--threads" => cli.threads = value("--threads").parse().unwrap_or_else(|_| usage()),
@@ -206,7 +221,13 @@ fn parse_cli() -> Cli {
             }
             "--focus" => cli.focus = Some(value("--focus")),
             "--fit" => cli.fit = true,
-            "--faults" => cli.faults = Some(value("--faults")),
+            "--faults" => {
+                let spec = value("--faults");
+                cli.faults = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| {
+                    eprintln!("--faults: {e}");
+                    exit(2)
+                }));
+            }
             "--record-sched" => cli.record_sched = Some(value("--record-sched")),
             "--replay-sched" => cli.replay_sched = Some(value("--replay-sched")),
             "--context" => cli.context = true,
@@ -387,15 +408,7 @@ fn main() {
         config.quantum = q;
     }
     config.deadline = cli.deadline_ms.map(Duration::from_millis);
-    if let Some(spec) = &cli.faults {
-        match FaultPlan::parse(spec) {
-            Ok(plan) => config.faults = Some(plan),
-            Err(e) => {
-                eprintln!("--faults: {e}");
-                exit(2)
-            }
-        }
-    }
+    config.faults = cli.faults.clone();
     if let Some(path) = &cli.replay_sched {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("{path}: {e}");
@@ -560,7 +573,9 @@ fn sweep_family(name: &str) -> Option<&'static str> {
 /// under the crash-safe supervisor and print the per-cell summary plus
 /// the merged focus plot. Cells that exhaust their retry budget are
 /// quarantined and listed, never fatal. With `--metrics`, the
-/// grid-merged registry is audited and dumped too.
+/// grid-merged registry is audited and dumped too. Every cell runs
+/// under `--faults`, `--decode` and `--batch`; scheduler options are
+/// refused, since each cell keeps its workload's own schedule.
 fn run_size_sweep(name: &str, sizes: &[i64], cli: &Cli) {
     let Some(family) = sweep_family(name) else {
         eprintln!(
@@ -569,10 +584,19 @@ fn run_size_sweep(name: &str, sizes: &[i64], cli: &Cli) {
         );
         exit(2);
     };
+    if let Some(flag) = &cli.sched_flag {
+        eprintln!(
+            "{flag} cannot be combined with --sweep (each cell keeps its workload's schedule)"
+        );
+        exit(2);
+    }
     let spec = SweepSpec::new(family, sizes, cli.jobs.max(1));
     let opts = SupervisorOptions {
         max_attempts: cli.max_attempts.max(1),
         deadline: cli.deadline_ms.map(Duration::from_millis),
+        faults: cli.faults.clone(),
+        decode: cli.decode,
+        event_batch: cli.batch,
         trace_dir: cli.trace_out.as_deref().map(std::path::PathBuf::from),
         trace_io: cli.host_io.clone(),
         ..SupervisorOptions::default()

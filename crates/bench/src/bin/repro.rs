@@ -168,7 +168,7 @@ fn main() {
                 opts.deadline_ms = Some(ms);
             }
             "--decode" => {
-                let v = args.next().expect("--decode off|blocks|fused");
+                let v = args.next().expect("--decode off|fused");
                 opts.decode = Some(v.parse().unwrap_or_else(|e| {
                     eprintln!("--decode: {e}");
                     std::process::exit(2);
@@ -214,7 +214,7 @@ fn main() {
         }
     }
     let Some(experiment) = experiment else {
-        eprintln!("usage: repro <fig4|fig5|fig6|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|sched|faults|all|sched-fuzz|sched-shrink|sweep|replay-shards DIR> [--threads N] [--scale S] [--out DIR] [--seeds N] [--quick] [--sched FILE] [--jobs N] [--bench-out FILE] [--journal FILE] [--resume FILE] [--max-attempts N] [--deadline-ms N] [--decode off|blocks|fused] [--batch N] [--host-faults SPEC] [--report FILE] [--metrics FILE]");
+        eprintln!("usage: repro <fig4|fig5|fig6|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|sched|faults|all|sched-fuzz|sched-shrink|sweep|replay-shards DIR> [--threads N] [--scale S] [--out DIR] [--seeds N] [--quick] [--sched FILE] [--jobs N] [--bench-out FILE] [--journal FILE] [--resume FILE] [--max-attempts N] [--deadline-ms N] [--decode off|fused] [--batch N] [--host-faults SPEC] [--report FILE] [--metrics FILE]");
         std::process::exit(2);
     };
     fs::create_dir_all(&opts.out).expect("create output dir");

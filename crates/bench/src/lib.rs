@@ -10,7 +10,7 @@ use drms::analysis::{Measurement, OverheadTable};
 use drms::core::{DrmsConfig, DrmsProfiler, RmsProfiler};
 use drms::tools::{CallgrindTool, HelgrindTool, MemcheckTool};
 use drms::trace::Metrics;
-use drms::vm::{NullTool, RunConfig, RunStats, Tool, Vm};
+use drms::vm::{NullTool, RunConfig, RunError, RunStats, Tool, Vm};
 use drms::workloads::Workload;
 use std::time::Instant;
 
@@ -230,8 +230,7 @@ mod tests {
 ///
 /// Codes 0–2 are reserved for success, generic I/O failures and usage
 /// errors respectively.
-pub fn run_error_exit_code(e: &drms::vm::RunError) -> i32 {
-    use drms::vm::RunError;
+pub fn run_error_exit_code(e: &RunError) -> i32 {
     // Exhaustive on purpose: a new RunError variant must pick its exit
     // code here (and in the table above) or the build fails — the
     // wildcard this replaced silently bucketed new failure classes

@@ -7,10 +7,9 @@
 //! the same embarrassingly-parallel grid:
 //!
 //! * **Panic isolation** — every cell attempt runs under
-//!   [`catch_unwind`](std::panic::catch_unwind); a panic is a recorded
-//!   failure of that attempt, never a poisoned lock (collection is a
-//!   channel drained by the supervising thread — there is no lock left
-//!   to poison).
+//!   [`catch_unwind`]; a panic is a recorded failure of that attempt,
+//!   never a poisoned lock (collection is a channel drained by the
+//!   supervising thread — there is no lock left to poison).
 //! * **Deadlines** — [`SupervisorOptions::deadline`] (wall-clock,
 //!   checked by the VM once per scheduler slice) and
 //!   [`SupervisorOptions::max_instructions`] (the VM watchdog budget)
@@ -1464,7 +1463,7 @@ mod tests {
             None,
             &|ctx| profile_cell_cached(ctx, &CellCache::new()),
         );
-        for decode in [DecodeMode::Blocks, DecodeMode::Fused] {
+        for decode in [DecodeMode::Off, DecodeMode::Fused] {
             let opts = SupervisorOptions {
                 decode: Some(decode),
                 event_batch: Some(64),

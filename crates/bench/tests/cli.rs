@@ -173,3 +173,80 @@ fn aprof_diff_compares_saved_reports() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The `"name": value` counter of a metrics JSON export.
+fn json_counter(json: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let at = json
+        .find(&key)
+        .unwrap_or_else(|| panic!("{name} missing:\n{json}"))
+        + key.len();
+    json[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{name} is not a counter:\n{json}"))
+}
+
+#[test]
+fn aprof_sweep_injects_the_fault_plan_into_every_cell() {
+    let dir = std::env::temp_dir().join(format!("drms-sweep-faults-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let metrics = dir.join("sweep.metrics.json");
+    let out = aprof(&[
+        "--workload",
+        "stream_reader",
+        "--sweep",
+        "8,16",
+        "--faults",
+        "in:eio",
+        "--decode",
+        "off",
+        "--batch",
+        "1",
+        "--metrics",
+        metrics.to_str().expect("utf-8 path"),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&metrics).expect("metrics file");
+    assert!(
+        json_counter(&json, "faults.device_failures") > 0,
+        "the fault plan reached the sweep cells:\n{json}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn aprof_sweep_refuses_scheduler_options_by_name() {
+    for flag in [
+        "--policy",
+        "--sched",
+        "--quantum",
+        "--record-sched",
+        "--replay-sched",
+    ] {
+        let value = match flag {
+            "--policy" | "--sched" => "chaos,seed=7",
+            "--quantum" => "3",
+            _ => "unused.sched",
+        };
+        let out = aprof(&["--workload", "stream_reader", "--sweep", "8", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} with --sweep");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{flag}: {err}");
+    }
+}
+
+#[test]
+fn both_clis_reject_the_retired_blocks_decode_mode() {
+    let out = aprof(&["--workload", "stream_reader", "--decode", "blocks"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown decode mode `blocks`"));
+    let out = repro(&["sweep", "--quick", "--decode", "blocks"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown decode mode `blocks`"));
+}

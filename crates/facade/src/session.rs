@@ -1,16 +1,14 @@
 //! The unified profiling entry point.
 //!
-//! [`ProfileSession`] is a builder that collapses the facade's historical
-//! `profile` / `profile_partial` / `profile_workload` trio into one
-//! configurable pipeline: pick a program, layer on run configuration,
-//! drms settings, fault plans, scheduling and extra tools, then
-//! [`run`](ProfileSession::run) it. Every run uses the partial-profile
-//! contract — a guest abort never discards the data collected before it.
+//! [`ProfileSession`] is a builder over one configurable pipeline: pick
+//! a program, layer on run configuration, drms settings, fault plans,
+//! scheduling and extra tools, then [`run`](ProfileSession::run) it.
+//! Every run uses the partial-profile contract — a guest abort never
+//! discards the data collected before it.
 //!
 //! When no extra tools are attached, the session drives the VM through
 //! the monomorphized fast path (the profiler's event handlers compile to
-//! direct calls); attaching tools switches to a
-//! [`MultiTool`](drms_vm::MultiTool) fan-out.
+//! direct calls); attaching tools switches to a [`MultiTool`] fan-out.
 
 use crate::{Error, ProfileOutcome};
 use drms_core::{DrmsConfig, DrmsProfiler};
@@ -140,11 +138,10 @@ impl<'p, 't> ProfileSession<'p, 't> {
     }
 
     /// Sets the dispatch mode of the interpreter core: classic
-    /// tree-walking ([`DecodeMode::Off`]), pre-decoded basic blocks
-    /// ([`DecodeMode::Blocks`]) or pre-decoded blocks with
+    /// tree-walking ([`DecodeMode::Off`]) or pre-decoded blocks with
     /// superinstruction fusion ([`DecodeMode::Fused`], the default).
     ///
-    /// All modes produce identical profiles, statistics and traces; they
+    /// Both modes produce identical profiles, statistics and traces; they
     /// differ only in speed.
     pub fn decode(mut self, mode: DecodeMode) -> Self {
         self.config.decode = mode;
@@ -153,8 +150,8 @@ impl<'p, 't> ProfileSession<'p, 't> {
 
     /// Sets the capacity of the tool event batch: memory events are
     /// buffered and delivered to tools in groups of up to `n` via
-    /// [`Tool::observe_batch`](drms_vm::Tool::observe_batch). `1`
-    /// degenerates to per-event delivery. Must be non-zero.
+    /// [`Tool::observe_batch`]. `1` degenerates to per-event delivery.
+    /// Must be non-zero.
     pub fn event_batch(mut self, n: usize) -> Self {
         self.config.event_batch = n;
         self
@@ -308,17 +305,6 @@ mod tests {
     use drms_vm::{NullTool, RunError};
 
     #[test]
-    #[allow(deprecated)]
-    fn session_matches_the_legacy_entry_points() {
-        let w = drms_workloads::patterns::stream_reader(8);
-        let (report, stats) = crate::profile_workload(&w).unwrap();
-        let outcome = ProfileSession::workload(&w).run().unwrap();
-        assert!(!outcome.is_partial());
-        assert_eq!(outcome.report, report);
-        assert_eq!(outcome.stats, stats);
-    }
-
-    #[test]
     fn extra_tools_observe_the_same_run() {
         let w = drms_workloads::patterns::stream_reader(8);
         let solo = ProfileSession::workload(&w).run().unwrap();
@@ -434,7 +420,7 @@ mod tests {
             .event_batch(1)
             .run()
             .unwrap();
-        for mode in [DecodeMode::Blocks, DecodeMode::Fused] {
+        for mode in [DecodeMode::Off, DecodeMode::Fused] {
             for batch in [1, 64] {
                 let got = ProfileSession::workload(&w)
                     .decode(mode)

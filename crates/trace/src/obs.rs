@@ -443,10 +443,11 @@ impl Metrics {
     /// timing <name> <seconds>
     /// ```
     ///
-    /// Deterministic (sorted names) and lossless: [`from_lines`]
-    /// (Self::from_lines) round-trips it exactly, including timings —
-    /// journals capture the full cell state, and the determinism split
-    /// is re-applied at render time, not at checkpoint time.
+    /// Deterministic (sorted names) and lossless:
+    /// [`from_lines`](Self::from_lines) round-trips it exactly, including
+    /// timings — journals capture the full cell state, and the
+    /// determinism split is re-applied at render time, not at checkpoint
+    /// time.
     ///
     /// Metric names must not contain spaces (dotted names never do).
     pub fn to_lines(&self) -> String {

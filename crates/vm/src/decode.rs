@@ -15,11 +15,11 @@
 //!   into the original block so the reference `exec_inst` path handles it
 //!   unchanged — slow ops are rare by construction, so they pay the old
 //!   price while the hot path pays the new one;
-//! * under [`DecodeMode::Fused`], the hottest adjacent pairs in the sweep
-//!   families' inner loops (`Bin;Bin` for index arithmetic + compare,
-//!   `Bin;Load` for address computation + load, `Load;Bin` for
-//!   load + accumulate) are fused into superinstructions, halving
-//!   dispatch overhead where the interpreter spends most of its time.
+//! * the hottest adjacent pairs in the sweep families' inner loops
+//!   (`Bin;Bin` for index arithmetic + compare, `Bin;Load` for address
+//!   computation + load, `Load;Bin` for load + accumulate) are fused
+//!   into superinstructions, halving dispatch overhead where the
+//!   interpreter spends most of its time.
 //!
 //! Decoded blocks keep the original block indices (a fused pair never
 //! crosses a block boundary), so jump targets, `Frame::block` values and
@@ -159,7 +159,7 @@ pub struct DecodedRoutine {
 ///
 /// Deliberately *not* folded into the run's [`Metrics`] registry: sweep
 /// artifacts must stay byte-identical across dispatch modes, and decode
-/// counters would differ between `off`/`blocks`/`fused`.
+/// counters would differ between `off` and `fused`.
 ///
 /// [`Metrics`]: drms_trace::Metrics
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -198,17 +198,15 @@ impl DecodeStats {
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
     routines: Vec<DecodedRoutine>,
-    mode: DecodeMode,
     stats: DecodeStats,
 }
 
 impl DecodedProgram {
-    /// Flattens `program` for fast dispatch. Fusion runs only under
-    /// [`DecodeMode::Fused`]; [`DecodeMode::Off`] decodes like
-    /// [`DecodeMode::Blocks`] (callers gate on the mode *before*
-    /// deciding to decode at all).
-    pub fn decode(program: &Program, mode: DecodeMode) -> Arc<DecodedProgram> {
-        let fuse = mode == DecodeMode::Fused;
+    /// Flattens `program` for fast dispatch, fusing superinstructions.
+    /// Every decode is a [`DecodeMode::Fused`] decode: callers gate on
+    /// [`DecodeMode::Off`] *before* deciding to decode at all, so `mode`
+    /// does not change the image.
+    pub fn decode(program: &Program, _mode: DecodeMode) -> Arc<DecodedProgram> {
         let mut stats = DecodeStats::default();
         let routines = program
             .routines()
@@ -220,22 +218,13 @@ impl DecodedProgram {
                     .iter()
                     .map(|b| {
                         stats.blocks += 1;
-                        decode_block(&b.insts, b.term.clone(), fuse, &mut stats)
+                        decode_block(&b.insts, b.term.clone(), &mut stats)
                     })
                     .collect();
                 DecodedRoutine { blocks }
             })
             .collect();
-        Arc::new(DecodedProgram {
-            routines,
-            mode,
-            stats,
-        })
-    }
-
-    /// The mode this program was decoded under.
-    pub fn mode(&self) -> DecodeMode {
-        self.mode
+        Arc::new(DecodedProgram { routines, stats })
     }
 
     /// Decode-time statistics.
@@ -306,12 +295,7 @@ fn fuse_pair(a: &DecodedOp, b: &DecodedOp) -> Option<DecodedOp> {
     }
 }
 
-fn decode_block(
-    insts: &[Inst],
-    term: Terminator,
-    fuse: bool,
-    stats: &mut DecodeStats,
-) -> DecodedBlock {
+fn decode_block(insts: &[Inst], term: Terminator, stats: &mut DecodeStats) -> DecodedBlock {
     let mut ops = Vec::with_capacity(insts.len());
     let mut i = 0usize;
     while i < insts.len() {
@@ -323,24 +307,22 @@ fn decode_block(
             i += 1;
             continue;
         };
-        if fuse {
-            if let Some(fused) = insts
-                .get(i + 1)
-                .and_then(decode_plain)
-                .and_then(|b| fuse_pair(&a, &b))
-            {
-                match fused {
-                    DecodedOp::BinBin(..) => stats.fused_bin_bin += 1,
-                    DecodedOp::BinLoad { .. } => stats.fused_bin_load += 1,
-                    DecodedOp::LoadBin { .. } => stats.fused_load_bin += 1,
-                    _ => unreachable!(),
-                }
-                stats.ops += 1;
-                stats.instructions += 2;
-                ops.push(fused);
-                i += 2;
-                continue;
+        if let Some(fused) = insts
+            .get(i + 1)
+            .and_then(decode_plain)
+            .and_then(|b| fuse_pair(&a, &b))
+        {
+            match fused {
+                DecodedOp::BinBin(..) => stats.fused_bin_bin += 1,
+                DecodedOp::BinLoad { .. } => stats.fused_bin_load += 1,
+                DecodedOp::LoadBin { .. } => stats.fused_load_bin += 1,
+                _ => unreachable!(),
             }
+            stats.ops += 1;
+            stats.instructions += 2;
+            ops.push(fused);
+            i += 2;
+            continue;
         }
         stats.ops += 1;
         stats.instructions += 1;
@@ -374,10 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn blocks_mode_decodes_without_fusing() {
+    fn decoding_covers_every_block_and_instruction() {
         let p = sum_loop_program();
-        let d = DecodedProgram::decode(&p, DecodeMode::Blocks);
-        assert_eq!(d.mode(), DecodeMode::Blocks);
+        let d = DecodedProgram::decode(&p, DecodeMode::Fused);
         assert!(d.matches(&p));
         let s = d.stats();
         assert_eq!(s.routines, p.routines().len() as u64);
@@ -390,8 +371,7 @@ mod tests {
             .map(|b| b.insts.len())
             .sum();
         assert_eq!(s.instructions, src_insts as u64, "every inst is covered");
-        assert_eq!(s.ops, s.instructions, "no fusion → one slot per inst");
-        assert_eq!(s.fused(), 0);
+        assert_eq!(s.ops + s.fused(), s.instructions, "a fused slot covers two");
     }
 
     #[test]
@@ -400,13 +380,6 @@ mod tests {
         let d = DecodedProgram::decode(&p, DecodeMode::Fused);
         let s = d.stats();
         assert!(s.fused() > 0, "the sum loop has fusable pairs: {s:?}");
-        assert_eq!(
-            s.instructions,
-            DecodedProgram::decode(&p, DecodeMode::Blocks)
-                .stats()
-                .instructions,
-            "fusion never changes instruction coverage"
-        );
         assert_eq!(s.ops + s.fused(), s.instructions);
         // The loop body loads then accumulates: expect at least a
         // Load;Bin or Bin;Load pairing.
@@ -427,7 +400,7 @@ mod tests {
             f.ret(None);
         });
         let p = pb.finish(main).unwrap();
-        let d = DecodedProgram::decode(&p, DecodeMode::Blocks);
+        let d = DecodedProgram::decode(&p, DecodeMode::Fused);
         let entry = &d.routine(p.main()).blocks[p.routine(p.main()).entry.index() as usize];
         let slow: Vec<_> = entry
             .ops
@@ -484,7 +457,7 @@ mod tests {
             f.ret(None);
         });
         let p = pb.finish(main).unwrap();
-        let d = DecodedProgram::decode(&p, DecodeMode::Blocks);
+        let d = DecodedProgram::decode(&p, DecodeMode::Fused);
         let entry = &d.routine(p.main()).blocks[p.routine(p.main()).entry.index() as usize];
         assert!(entry
             .ops

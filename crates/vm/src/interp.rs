@@ -535,16 +535,7 @@ impl<'p> Vm<'p> {
     /// register values.
     pub fn run<T: Tool + ?Sized>(&mut self, tool: &mut T) -> Result<RunStats, RunError> {
         let started = std::time::Instant::now();
-        // Replay must honor recorded slices that can end after any step
-        // count, which only the reference stepper models; replay is the
-        // correctness path, not the hot path.
-        let use_decoded =
-            self.decoded.is_some() && !matches!(self.config.policy, SchedPolicy::Replay { .. });
-        let result = if use_decoded {
-            self.run_inner_decoded(tool, started)
-        } else {
-            self.run_inner(tool, started)
-        };
+        let result = self.run_inner(tool, started);
         if result.is_err() {
             // Flush the in-progress slice so a recorded failing run
             // replays to the same failure point.
@@ -569,11 +560,24 @@ impl<'p> Vm<'p> {
         result.map(|()| self.stats.clone())
     }
 
+    /// The scheduler loop. The stepper is picked once per run: the
+    /// decoded image when there is one, where each step the scheduler
+    /// sees may stand for a whole run of plain instructions executed by
+    /// [`Vm::step_decoded`] (bulk-accounted via `note_plain_steps`,
+    /// which is sound because a plain step can never preempt on its
+    /// own); otherwise the reference [`Vm::step`]. Schedule replay always
+    /// takes the reference stepper: a recorded slice can end after any
+    /// step count, including between the two halves of a fused op, and
+    /// only the reference stepper stops there.
     fn run_inner<T: Tool + ?Sized>(
         &mut self,
         tool: &mut T,
         started: std::time::Instant,
     ) -> Result<(), RunError> {
+        let decoded = match self.config.policy {
+            SchedPolicy::Replay { .. } => None,
+            _ => self.decoded.clone(),
+        };
         self.spawn_thread(self.program.main(), Vec::new(), None, tool);
         let mut current: Option<usize> = None;
         let mut runnable: Vec<bool> = Vec::new();
@@ -607,102 +611,21 @@ impl<'p> Vm<'p> {
                     self.stats.thread_switches += 1;
                 }
                 self.stats.events_by_kind.thread_switch += 1;
-                tool.on_thread_switch(current.map(|i| self.threads[i].id), self.threads[next].id);
-                current = Some(next);
-            }
-            self.sched.begin_slice(next);
-            loop {
-                if self.stats.instructions >= self.config.max_instructions {
-                    // Watchdog: terminate gracefully rather than spin
-                    // forever; the caller still gets finalized stats
-                    // and a flushable partial profile.
-                    return Err(RunError::InstructionLimit {
-                        limit: self.config.max_instructions,
-                    });
-                }
-                let step = self.step(next, tool)?;
-                let forced = self.sched.note_step(step.kind());
-                // Natural slice ends take precedence over any forced
-                // preemption landing on the same step.
-                match step {
-                    Step::Blocked => {
-                        self.sched.end_slice(PreemptCause::Block)?;
-                        break;
-                    }
-                    Step::Yielded => {
-                        self.sched.end_slice(PreemptCause::Yield)?;
-                        break;
-                    }
-                    Step::Exited => {
-                        self.sched.end_slice(PreemptCause::Exit)?;
-                        break;
-                    }
-                    Step::Continue | Step::BlockEntered | Step::Synced | Step::Kernel => {
-                        if let Some(cause) = forced {
-                            self.sched.end_slice(cause)?;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The decoded twin of [`Vm::run_inner`]: identical scheduling
-    /// structure, but each "step" the scheduler sees may stand for a
-    /// whole run of plain instructions executed by [`Vm::step_decoded`]
-    /// (bulk-accounted via `note_plain_steps`, which is sound because a
-    /// plain step can never preempt on its own).
-    fn run_inner_decoded<T: Tool + ?Sized>(
-        &mut self,
-        tool: &mut T,
-        started: std::time::Instant,
-    ) -> Result<(), RunError> {
-        let decoded = Arc::clone(
-            self.decoded
-                .as_ref()
-                .expect("decoded dispatch requires a decoded program"),
-        );
-        self.spawn_thread(self.program.main(), Vec::new(), None, tool);
-        let mut current: Option<usize> = None;
-        let mut runnable: Vec<bool> = Vec::new();
-        loop {
-            if let Some(deadline) = self.config.deadline {
-                if started.elapsed() >= deadline {
-                    return Err(RunError::DeadlineExceeded {
-                        millis: deadline.as_millis() as u64,
-                    });
-                }
-            }
-            runnable.clear();
-            runnable.extend(
-                self.threads
-                    .iter()
-                    .map(|t| t.state == ThreadState::Runnable),
-            );
-            let Some(next) = self.sched.pick(&runnable)? else {
-                if self.threads.iter().all(|t| t.state == ThreadState::Exited) {
-                    return Ok(());
-                }
-                return Err(RunError::Deadlock {
-                    blocked: self.wait_graph(),
-                });
-            };
-            if current != Some(next) {
-                if current.is_some() {
-                    self.stats.thread_switches += 1;
-                }
-                self.stats.events_by_kind.thread_switch += 1;
                 self.flush_batch(tool);
                 tool.on_thread_switch(current.map(|i| self.threads[i].id), self.threads[next].id);
                 current = Some(next);
             }
             self.sched.begin_slice(next);
             loop {
-                // The per-instruction budget checks live inside
-                // step_decoded, before every constituent it executes.
-                let step = self.step_decoded(next, &decoded, tool)?;
+                // Both steppers check the instruction budget before
+                // every instruction they execute.
+                let step = match &decoded {
+                    Some(d) => self.step_decoded(next, d, tool)?,
+                    None => self.step(next, tool)?,
+                };
                 let forced = self.sched.note_step(step.kind());
+                // Natural slice ends take precedence over any forced
+                // preemption landing on the same step.
                 match step {
                     Step::Blocked => {
                         self.sched.end_slice(PreemptCause::Block)?;
@@ -1284,6 +1207,14 @@ impl<'p> Vm<'p> {
 
     /// Executes one instruction (or terminator) of thread `t`.
     fn step<T: Tool + ?Sized>(&mut self, t: usize, tool: &mut T) -> Result<Step, RunError> {
+        if self.stats.instructions >= self.config.max_instructions {
+            // Watchdog: terminate gracefully rather than spin forever;
+            // the caller still gets finalized stats and a flushable
+            // partial profile.
+            return Err(RunError::InstructionLimit {
+                limit: self.config.max_instructions,
+            });
+        }
         let (pending, routine_id, block_idx, ip) = {
             let frame = self.frame(t)?;
             (frame.pending_entry, frame.routine, frame.block, frame.ip)
@@ -2648,8 +2579,8 @@ mod tests {
 
     /// Every dispatch mode and batch size must execute the same run: a
     /// threaded, syscalling, memory-heavy guest produces identical
-    /// stats, metrics and event traces under `Off`, `Blocks` and
-    /// `Fused` decoding with per-event and batched delivery.
+    /// stats, metrics and event traces under `Off` and `Fused` decoding
+    /// with per-event and batched delivery.
     #[test]
     fn decoded_dispatch_matches_interpreted_reference() {
         use crate::recorder::TraceRecorder;
@@ -2700,7 +2631,7 @@ mod tests {
         };
 
         let reference = run(DecodeMode::Off, 1);
-        for decode in [DecodeMode::Off, DecodeMode::Blocks, DecodeMode::Fused] {
+        for decode in [DecodeMode::Off, DecodeMode::Fused] {
             for batch in [1, 4, 128] {
                 let got = run(decode, batch);
                 assert_eq!(

@@ -1,6 +1,6 @@
 //! The scheduling engine of the serializing VM.
 //!
-//! [`Scheduler`] owns every scheduling decision of a run: which runnable
+//! `Scheduler` owns every scheduling decision of a run: which runnable
 //! thread gets the next slice, how long the slice lasts, and why it
 //! ends. Centralizing the logic here gives all four policies one code
 //! path the interpreter drives blindly:

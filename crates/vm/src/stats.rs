@@ -24,7 +24,7 @@ pub enum CostKind {
 
 /// Dispatch strategy of the interpreter's hot loop.
 ///
-/// All three modes are observably equivalent: same event stream, same
+/// Both modes are observably equivalent: same event stream, same
 /// [`RunStats`], same metrics, same recorded schedules. They differ only
 /// in how fast the VM gets there, which is what the differential
 /// property suite (and the CI byte-identity gate on sweep artifacts)
@@ -32,26 +32,23 @@ pub enum CostKind {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum DecodeMode {
     /// Interpret the [`Program`](crate::Program) IR directly, one
-    /// instruction per dispatch — the legacy reference path.
+    /// instruction per dispatch — the reference stepper.
     Off,
     /// Pre-decode every routine into flat
     /// [`DecodedProgram`](crate::DecodedProgram) blocks (operands
-    /// resolved, jump targets as block indices) and run the tight
-    /// block-dispatch loop over them.
-    Blocks,
-    /// Like [`Blocks`](DecodeMode::Blocks), plus superinstruction fusion
-    /// of the hottest adjacent opcode pairs in the sweep families
-    /// (`Bin;Bin`, `Bin;Load`, `Load;Bin`). The default.
+    /// resolved, jump targets as block indices, the hottest adjacent
+    /// opcode pairs `Bin;Bin`, `Bin;Load`, `Load;Bin` fused into
+    /// superinstructions) and run the tight block-dispatch loop over
+    /// them. The default.
     #[default]
     Fused,
 }
 
 impl DecodeMode {
-    /// The mode's CLI spelling (`--decode off|blocks|fused`).
+    /// The mode's CLI spelling (`--decode off|fused`).
     pub fn as_str(self) -> &'static str {
         match self {
             DecodeMode::Off => "off",
-            DecodeMode::Blocks => "blocks",
             DecodeMode::Fused => "fused",
         }
     }
@@ -69,11 +66,8 @@ impl std::str::FromStr for DecodeMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "off" => Ok(DecodeMode::Off),
-            "blocks" => Ok(DecodeMode::Blocks),
             "fused" => Ok(DecodeMode::Fused),
-            other => Err(format!(
-                "unknown decode mode `{other}` (off | blocks | fused)"
-            )),
+            other => Err(format!("unknown decode mode `{other}` (off | fused)")),
         }
     }
 }
