@@ -380,4 +380,14 @@ ka_ok=$(grep -c "HTTP/1.1 200" target/repro/aprofd/ka.out) || ka_ok=0
 "$aprofctl" --addr-file target/repro/aprofd/addr-ka shutdown > /dev/null
 wait "$daemon_ka"
 
+# Benchmark smoke gate: perfbench is a separate package that calls the
+# supervisor, journal and decoder APIs, so nothing else compiles it.
+# One short traced out-of-core run must build and fail no operation;
+# its ladder checks the daemon's bench.json against a direct
+# run_supervised_with of the same spec.
+perfbench_last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload out_of_core --seed 1 --seconds 1 --trace 1 | tail -n 1)
+echo "$perfbench_last" | grep -q '"failed": 0,' \
+    || { echo "ci: perfbench smoke run failed: ${perfbench_last:0:200}" >&2; exit 1; }
+
 echo "ci: all green"

@@ -25,11 +25,11 @@
 //!
 //! Retention GC prunes finished jobs beyond [`DaemonConfig::retain_count`]
 //! / older than [`DaemonConfig::retain_age`]. Each pruned ID is first
-//! appended (fsynced) to the `gc.tombstones` journal, *then* its files
-//! are deleted — so a crash between the two leaves a tombstone the
-//! startup scan honors (leftovers removed, job never resurrected) and
-//! the submission counter continues past pruned jobs (IDs never
-//! collide).
+//! recorded in the `gc.tombstones` journal (atomically rewritten and
+//! fsynced), *then* its files are deleted — so a crash between the two
+//! leaves a tombstone the startup scan honors (leftovers removed, job
+//! never resurrected) and the submission counter continues past pruned
+//! jobs (IDs never collide).
 //!
 //! Every host write goes through [`DaemonConfig::host_io`]: production
 //! uses real I/O; tests and `aprofd --host-faults` inject ENOSPC,
@@ -46,8 +46,7 @@ use drms::trace::journal;
 use drms::trace::Metrics;
 use drms_bench::artifact::atomic_write_with;
 use drms_bench::supervisor::{
-    decode_cell_payload, profile_cell, resume_sweep_preemptible_with_io,
-    run_supervised_preemptible, JournalWriter, PreemptSignal, SupervisedRun,
+    decode_cell_payload, profile_cell, resume_sweep, JournalWriter, PreemptSignal, SupervisedRun,
 };
 use drms_bench::sweep::{family_workload, FamilyBench, SweepBench, SweepCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -269,6 +268,10 @@ pub struct Daemon {
     /// Current brownout tier (see [`brownout_tier`]), updated whenever
     /// queue depth changes so connection handlers read it lock-free.
     brownout: AtomicUsize,
+    /// Held for a whole [`gc`](Daemon::gc) pass: each pass rewrites the
+    /// tombstone journal, so two workers finishing at once must not
+    /// interleave their rewrites (or prune the same victims twice).
+    gc: Mutex<()>,
 }
 
 impl Daemon {
@@ -293,8 +296,8 @@ impl Daemon {
         // job's submission number, so the counter continues past it and
         // new IDs never collide with GC'd history.
         let mut tombstoned: BTreeSet<String> = BTreeSet::new();
-        if let Ok(text) = std::fs::read_to_string(cfg.state_dir.join("gc.tombstones")) {
-            for rec in &journal::from_text_lossy(&text).records {
+        if let Ok(bytes) = std::fs::read(cfg.state_dir.join("gc.tombstones")) {
+            for rec in &journal::from_text_lossy(&bytes).records {
                 let Some(id) = rec.meta.strip_prefix("gc ") else {
                     continue;
                 };
@@ -401,6 +404,7 @@ impl Daemon {
             cv: Condvar::new(),
             metrics: Mutex::new(metrics),
             draining: AtomicBool::new(false),
+            gc: Mutex::new(()),
         });
         daemon.gc();
         Ok(daemon)
@@ -421,16 +425,18 @@ impl Daemon {
     /// [`DaemonConfig::retain_age`]. Runs at startup and after every
     /// job completion; a no-op when neither bound is set.
     ///
-    /// Prune order is append-then-delete: the job's ID and submission
-    /// number land (fsynced) in the `gc.tombstones` journal *before*
-    /// any file is removed, so a crash mid-prune can only leave
-    /// tombstoned leftovers the next startup sweeps — never a
-    /// resurrected job. If the tombstone itself cannot be made durable
-    /// (disk full), nothing is deleted.
+    /// Prune order is tombstone-then-delete: the pass atomically
+    /// rewrites the `gc.tombstones` journal to its salvaged records plus
+    /// one record per victim (ID and submission number) *before* any
+    /// file is removed, so a crash mid-prune can only leave tombstoned
+    /// leftovers the next startup sweeps — never a resurrected job. If
+    /// the tombstones cannot be made durable (disk full), nothing is
+    /// deleted.
     pub fn gc(&self) -> usize {
         if self.cfg.retain_count.is_none() && self.cfg.retain_age.is_none() {
             return 0;
         }
+        let _pass = self.gc.lock().unwrap_or_else(|e| e.into_inner());
         // Pick victims under the lock; finished jobs cannot change
         // state, so acting on the snapshot afterwards is safe.
         let mut finished: Vec<(u64, String)> = {
@@ -469,44 +475,34 @@ impl Daemon {
             return 0;
         }
         let path = self.cfg.state_dir.join("gc.tombstones");
-        let io = &self.cfg.host_io;
-        let writer = if path.exists() {
-            JournalWriter::append_to_with(io, &path)
-        } else {
-            JournalWriter::create_with(io, &path)
-        };
-        let mut writer = match writer {
-            Ok(w) => w,
+        let mut tombstones = match std::fs::read(&path) {
+            Ok(bytes) => journal::from_text_lossy(&bytes).records,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => {
-                eprintln!("aprofd: gc skipped, tombstone journal unusable: {e}");
+                eprintln!("aprofd: gc skipped, tombstone journal unreadable: {e}");
                 return 0;
             }
         };
         let submitted_of: BTreeMap<&String, u64> =
             finished.iter().map(|(n, id)| (id, *n)).collect();
-        let mut pruned = 0usize;
+        tombstones.extend(victims.iter().map(|id| journal::JournalRecord {
+            meta: format!("gc {id}"),
+            payload: format!("submitted {}\n", submitted_of.get(id).copied().unwrap_or(0)),
+        }));
+        let text = journal::to_text(&tombstones);
+        if let Err(e) = atomic_write_with(&self.cfg.host_io, &path, &text) {
+            eprintln!("aprofd: gc skipped, tombstones not durable: {e}");
+            return 0;
+        }
         for id in &victims {
-            writer.append(
-                &format!("gc {id}"),
-                &format!("submitted {}\n", submitted_of.get(id).copied().unwrap_or(0)),
-            );
-            if !writer.is_active() {
-                // The tombstone did not reach the disk: stop pruning
-                // entirely rather than delete undurably-tombstoned jobs.
-                eprintln!("aprofd: gc stopped, tombstone append failed");
-                break;
-            }
             remove_job_files(&self.cfg.state_dir, id);
             self.inner.lock().unwrap().entries.remove(id);
-            pruned += 1;
         }
-        if pruned > 0 {
-            self.metrics
-                .lock()
-                .unwrap()
-                .add("aprofd.jobs.gc_pruned", pruned as u64);
-        }
-        pruned
+        self.metrics
+            .lock()
+            .unwrap()
+            .add("aprofd.jobs.gc_pruned", victims.len() as u64);
+        victims.len()
     }
 
     /// Begins the graceful drain: submissions are refused with a typed
@@ -683,67 +679,54 @@ impl Daemon {
                 None => return JobOutcome::Failed("job vanished from the store".to_string()),
             }
         };
-        let sweep_spec = spec.sweep_spec();
         let mut opts = spec.supervisor_options();
-        opts.preempt = Some(signal.clone());
+        opts.io = self.cfg.host_io.clone();
         if spec.trace_dir {
             // Shards are a job artifact: they live next to the journal
             // and report, survive restarts, and are removed with the
             // job (DELETE, tombstone sweep, retention GC).
             opts.trace_dir = Some(self.job_path(id, "shards"));
-            opts.trace_io = self.cfg.host_io.clone();
         }
+        let io = &opts.io;
         let journal_path = self.job_path(id, "journal");
 
-        let io = self.cfg.host_io.clone();
-
-        let journal_bytes = std::fs::metadata(&journal_path)
-            .map(|m| m.len())
-            .unwrap_or(0);
-        let (result, resumed) = if journal_bytes > 0 {
-            match resume_sweep_preemptible_with_io(
-                &sweep_spec,
-                &opts,
-                &journal_path,
-                &profile_cell,
-                &io,
-            ) {
-                Ok((run, report)) => {
-                    let mut m = self.metrics.lock().unwrap();
-                    m.inc("aprofd.jobs.resumed");
-                    if let Err(e) = m.merge(&report.metrics) {
-                        drop(m);
-                        return JobOutcome::Failed(format!("resume metrics merge: {e}"));
-                    }
-                    drop(m);
-                    // This dispatch picked up from the journal — a
-                    // restart *or* a preemption checkpoint; the status
-                    // line reports both the same way.
-                    if let Some(e) = self.inner.lock().unwrap().entries.get_mut(id) {
-                        e.resumed = true;
-                    }
-                    match run {
-                        SupervisedRun::Completed(result) => (*result, true),
-                        SupervisedRun::Yielded { .. } => return JobOutcome::Preempted,
-                    }
-                }
-                Err(e) => {
-                    let msg = render_error_chain(&e);
-                    let _ = atomic_write_with(&io, &self.job_path(id, "failed"), &msg);
-                    return JobOutcome::Failed(msg);
-                }
+        // Every dispatch is a resume: a first dispatch creates the
+        // journal, and a header-only journal resumes exactly like a
+        // fresh run.
+        let resumed = std::fs::metadata(&journal_path).is_ok_and(|m| m.len() > 0);
+        if !resumed {
+            if let Err(e) = JournalWriter::create_with(io, &journal_path) {
+                return JobOutcome::Failed(self.fail_job(id, format!("journal create: {e}")));
             }
-        } else {
-            let mut writer = match JournalWriter::create_with(&io, &journal_path) {
-                Ok(w) => w,
-                Err(e) => {
-                    return JobOutcome::Failed(self.fail_job(id, format!("journal create: {e}")))
-                }
-            };
-            match run_supervised_preemptible(&sweep_spec, &opts, Some(&mut writer), &profile_cell) {
-                SupervisedRun::Completed(result) => (*result, false),
-                SupervisedRun::Yielded { .. } => return JobOutcome::Preempted,
+        }
+        let (run, report) = match resume_sweep(
+            &spec.sweep_spec(),
+            &opts,
+            &journal_path,
+            &profile_cell,
+            Some(signal),
+        ) {
+            Ok(x) => x,
+            Err(e) => return JobOutcome::Failed(self.fail_job(id, render_error_chain(&e))),
+        };
+        if resumed {
+            let mut m = self.metrics.lock().unwrap();
+            m.inc("aprofd.jobs.resumed");
+            if let Err(e) = m.merge(&report.metrics) {
+                drop(m);
+                return JobOutcome::Failed(format!("resume metrics merge: {e}"));
             }
+            drop(m);
+            // This dispatch picked up from the journal — a restart *or*
+            // a preemption checkpoint; the status line reports both the
+            // same way.
+            if let Some(e) = self.inner.lock().unwrap().entries.get_mut(id) {
+                e.resumed = true;
+            }
+        }
+        let result = match run {
+            SupervisedRun::Completed(result) => *result,
+            SupervisedRun::Yielded { .. } => return JobOutcome::Preempted,
         };
 
         let summary = JobSummary {
@@ -761,7 +744,7 @@ impl Daemon {
             families: vec![FamilyBench::from_resumed(result)],
         };
         let write = |suffix: &str, contents: &str| {
-            atomic_write_with(&io, &self.job_path(id, suffix), contents)
+            atomic_write_with(io, &self.job_path(id, suffix), contents)
                 .map_err(|e| self.fail_job(id, format!("artifact `{suffix}`: {e}")))
         };
         let wrote = write("bench.json", &bench.to_json())
@@ -1003,10 +986,10 @@ impl Daemon {
     /// Salvages the job's journal (tolerating the torn tail of a live
     /// append) and decodes its completed cells in record order.
     fn live_cells(&self, id: &str) -> Vec<(usize, SweepCell)> {
-        let Ok(text) = std::fs::read_to_string(self.job_path(id, "journal")) else {
+        let Ok(bytes) = std::fs::read(self.job_path(id, "journal")) else {
             return Vec::new();
         };
-        let salvaged = journal::from_text_lossy(&text);
+        let salvaged = journal::from_text_lossy(&bytes);
         let mut cells = Vec::new();
         for rec in &salvaged.records {
             let mut tok = rec.meta.split(' ');
@@ -1028,10 +1011,10 @@ impl Daemon {
     }
 
     fn live_accounting(&self, id: &str) -> (usize, u64, usize) {
-        let Ok(text) = std::fs::read_to_string(self.job_path(id, "journal")) else {
+        let Ok(bytes) = std::fs::read(self.job_path(id, "journal")) else {
             return (0, 0, 0);
         };
-        let salvaged = journal::from_text_lossy(&text);
+        let salvaged = journal::from_text_lossy(&bytes);
         let mut cells = 0usize;
         let mut quarantined = 0usize;
         let mut attempts = 0u64;

@@ -490,6 +490,38 @@ fn gc_pruned_jobs_stay_gone_across_restart_and_the_counter_advances() {
     s3.stop();
 }
 
+/// A non-UTF-8 byte after the last tombstone tears only the tail: the
+/// startup scan still honors every intact tombstone (the pruned job's
+/// leftover spec is swept, not resurrected), and the counter continues
+/// past its submission number.
+#[test]
+fn a_non_utf8_tombstone_tail_keeps_every_intact_tombstone() {
+    let dir = state_dir("gc-non-utf8");
+    let spec = JobSpec::parse(SPEC).unwrap();
+    let pruned = job_id(&spec, 5);
+    // The crash window between tombstone and deletion: the spec is
+    // still on disk, and the tombstone journal has a damaged tail.
+    std::fs::write(
+        dir.join(format!("job-{pruned}.spec")),
+        format!("{}submitted 5\n", spec.canonical_text()),
+    )
+    .unwrap();
+    let mut tombstones = drms::trace::journal::to_text(&[drms::trace::journal::JournalRecord {
+        meta: format!("gc {pruned}"),
+        payload: "submitted 5\n".to_string(),
+    }])
+    .into_bytes();
+    tombstones.push(0xFF);
+    std::fs::write(dir.join("gc.tombstones"), tombstones).unwrap();
+
+    let s = start(&dir, 0);
+    let (code, body) = status_of(&s, &pruned);
+    assert_eq!(code, 404, "a tombstoned job resurrected:\n{body}");
+    assert!(!dir.join(format!("job-{pruned}.spec")).exists());
+    assert_eq!(submit(&s, SPEC), job_id(&spec, 6));
+    s.stop();
+}
+
 /// `trace_dir on`: the job spills per-cell trace shards under
 /// `job-<id>.shards/`, the shards replay offline into a clean drms
 /// report, and retention GC removes the shard directory with the rest

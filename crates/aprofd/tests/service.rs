@@ -2,6 +2,7 @@
 //! loop and worker pool the `aprofd` binary runs) exercised over real
 //! sockets by the same retrying `Client` that backs `aprofctl`.
 
+use drms::trace::HostIo;
 use drms_aprofd::client::Client;
 use drms_aprofd::daemon::{serve, Daemon, DaemonConfig, JobState};
 use drms_aprofd::queue::QueueConfig;
@@ -102,7 +103,8 @@ fn wait_done(server: &Server, id: &str) -> String {
 /// spec run directly through the supervisor, journal and all.
 fn direct_bench(dir: &Path, spec_text: &str) -> String {
     let spec = JobSpec::parse(spec_text).expect("spec");
-    let mut writer = JournalWriter::create(&dir.join("direct.journal")).expect("journal");
+    let mut writer =
+        JournalWriter::create_with(&HostIo::real(), &dir.join("direct.journal")).expect("journal");
     let result = run_supervised_with(
         &spec.sweep_spec(),
         &spec.supervisor_options(),

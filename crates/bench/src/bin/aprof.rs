@@ -100,7 +100,7 @@ use drms::workloads::{self, Workload};
 use drms::ProfileSession;
 use drms_bench::artifact::atomic_write;
 use drms_bench::run_error_exit_code;
-use drms_bench::supervisor::{run_supervised, SupervisorOptions};
+use drms_bench::supervisor::{profile_cell, run_supervised_with, SupervisorOptions};
 use drms_bench::sweep::SweepSpec;
 use std::path::Path;
 use std::process::exit;
@@ -598,10 +598,10 @@ fn run_size_sweep(name: &str, sizes: &[i64], cli: &Cli) {
         decode: cli.decode,
         event_batch: cli.batch,
         trace_dir: cli.trace_out.as_deref().map(std::path::PathBuf::from),
-        trace_io: cli.host_io.clone(),
+        io: cli.host_io.clone(),
         ..SupervisorOptions::default()
     };
-    let result = run_supervised(&spec, &opts);
+    let result = run_supervised_with(&spec, &opts, None, &profile_cell);
     println!(
         "[{family}] {} cells in {:.3}s with {} jobs ({} instructions, {} events, {} retries)",
         result.cells.len(),

@@ -39,7 +39,8 @@
 //!                 .metrics.json sibling). --journal checkpoints every
 //!                 finished cell; --resume salvages a journal after a
 //!                 crash and re-runs only the lost cells, reproducing
-//!                 the uninterrupted artifacts byte-for-byte.
+//!                 the uninterrupted artifacts byte-for-byte (it appends
+//!                 to that journal, so --journal with it exits 2).
 //!                 --host-faults SPEC injects storage faults (chaos
 //!                 testing): journal and artifact writes hit seeded
 //!                 ENOSPC / fsync-EIO / torn writes and the sweep must
@@ -212,6 +213,12 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+    if opts.journal.is_some() && opts.resume.is_some() {
+        eprintln!(
+            "--journal cannot be combined with --resume (a resume appends to the journal it resumes)"
+        );
+        std::process::exit(2);
     }
     let Some(experiment) = experiment else {
         eprintln!("usage: repro <fig4|fig5|fig6|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|sched|faults|all|sched-fuzz|sched-shrink|sweep|replay-shards DIR> [--threads N] [--scale S] [--out DIR] [--seeds N] [--quick] [--sched FILE] [--jobs N] [--bench-out FILE] [--journal FILE] [--resume FILE] [--max-attempts N] [--deadline-ms N] [--decode off|fused] [--batch N] [--host-faults SPEC] [--report FILE] [--metrics FILE]");
@@ -1043,16 +1050,19 @@ fn sched_shrink(opts: &Options) {
 /// writes.
 ///
 /// `--journal FILE` checkpoints every finished cell; after a crash,
-/// `--resume FILE` (with the same grid flags) salvages the journal,
-/// re-runs only the lost cells, and produces artifacts byte-identical
-/// to an uninterrupted run. `--max-attempts` / `--deadline-ms` tune the
-/// supervisor's retry and deadline policy; cells that exhaust their
-/// attempts are quarantined and reported, and the sweep still exits 0.
+/// `--resume FILE` (with the same grid flags, and without `--journal`)
+/// salvages the journal, re-runs only the lost cells, and produces
+/// artifacts byte-identical to an uninterrupted run. `--max-attempts` /
+/// `--deadline-ms` tune the supervisor's retry and deadline policy;
+/// cells that exhaust their attempts are quarantined and reported, and
+/// the sweep still exits 0.
 /// `--quick` shrinks the grids for smoke testing.
 fn sweep_bench(opts: &Options) {
     use drms::analysis::InputMetric;
     use drms_bench::artifact::atomic_write_with;
-    use drms_bench::supervisor::{resume_sweep_with_io, JournalWriter, SupervisorOptions};
+    use drms_bench::supervisor::{
+        profile_cell, resume_sweep, JournalWriter, SupervisedRun, SupervisorOptions,
+    };
     use drms_bench::sweep::{validate_bench_json, FamilyBench, SweepBench, SweepSpec};
     // Artifact writes must fail typed, not panic: under --host-faults
     // the CI chaos gate asserts a clean nonzero exit with the fault
@@ -1099,19 +1109,16 @@ fn sweep_bench(opts: &Options) {
         deadline: opts.deadline_ms.map(std::time::Duration::from_millis),
         decode: opts.decode,
         event_batch: opts.batch,
+        io: opts.host_io.clone(),
         ..SupervisorOptions::default()
     };
     let resumed = opts.resume.is_some();
     let mut families = Vec::new();
     if let Some(path) = &opts.resume {
         println!("  resuming from journal {}", path.display());
-        let cache = drms_bench::supervisor::CellCache::new();
-        let runner = |ctx: &drms_bench::supervisor::CellCtx| {
-            drms_bench::supervisor::profile_cell_cached(ctx, &cache)
-        };
         for spec in &specs {
-            match resume_sweep_with_io(spec, &sup, path, &runner, &opts.host_io) {
-                Ok((result, resume)) => {
+            match resume_sweep(spec, &sup, path, &profile_cell, None) {
+                Ok((SupervisedRun::Completed(result), resume)) => {
                     println!(
                         "  {:<8} salvaged {} cells, re-ran {} ({:.3}s)",
                         spec.family, resume.salvaged_cells, resume.rerun_cells, result.wall_secs,
@@ -1126,7 +1133,15 @@ fn sweep_bench(opts: &Options) {
                         }
                         std::process::exit(1);
                     }
-                    families.push(FamilyBench::from_resumed(result));
+                    families.push(FamilyBench::from_resumed(*result));
+                }
+                Ok((SupervisedRun::Yielded { cells_done, .. }, _)) => {
+                    eprintln!(
+                        "sweep: family `{}` yielded after {cells_done} cells without a \
+                         preempt signal",
+                        spec.family
+                    );
+                    std::process::exit(1);
                 }
                 Err(e) => {
                     eprintln!("sweep: cannot resume family `{}`: {e}", spec.family);

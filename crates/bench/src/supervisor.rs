@@ -53,7 +53,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A cooperative preemption flag shared between a scheduler (the
-/// `aprofd` daemon's dispatcher) and a running supervised sweep.
+/// `aprofd` daemon's dispatcher) and the checkpointed run it was passed
+/// to ([`resume_sweep`]).
 ///
 /// Raising the signal asks the sweep to yield at its **next grid-cell
 /// boundary**: cells already in flight finish and journal normally, no
@@ -129,15 +130,11 @@ pub struct SupervisorOptions {
     /// reproduces it byte-for-byte — so, like `decode`, it does not
     /// bind the journal.
     pub trace_dir: Option<std::path::PathBuf>,
-    /// Host I/O seam the shard spill writes through; fault-injected
-    /// under chaos testing. Defaults to the real host.
-    pub trace_io: drms::trace::HostIo,
-    /// Cooperative preemption signal checked at every grid-cell
-    /// boundary (see [`PreemptSignal`]). `None` runs to completion.
-    /// Like `jobs` and [`decode`](Self::decode), scheduling does not
-    /// bind the journal: a preempted run and its resume share one
-    /// journal and one spec record.
-    pub preempt: Option<PreemptSignal>,
+    /// The host-I/O seam: [`resume_sweep`]'s journal writes and every
+    /// cell's shard spill go through it (a fresh run's journal is
+    /// whatever [`JournalWriter`] the caller created). Fault-injected
+    /// under chaos testing; defaults to the real host.
+    pub io: HostIo,
 }
 
 impl Default for SupervisorOptions {
@@ -152,8 +149,7 @@ impl Default for SupervisorOptions {
             decode: None,
             event_batch: None,
             trace_dir: None,
-            trace_io: drms::trace::HostIo::real(),
-            preempt: None,
+            io: HostIo::real(),
         }
     }
 }
@@ -164,9 +160,9 @@ impl SupervisorOptions {
     /// is rejected instead of silently mixing semantics.
     ///
     /// [`decode`](Self::decode), [`event_batch`](Self::event_batch) and
-    /// [`preempt`](Self::preempt) are deliberately absent, like `jobs`:
-    /// they change how fast (or whether) cells run *now*, never what
-    /// they produce, so a resume may retune or re-signal them.
+    /// [`io`](Self::io) are deliberately absent, like `jobs` and the
+    /// preempt signal: they change how fast (or whether) cells run
+    /// *now*, never what they produce, so a resume may retune them.
     fn spec_lines(&self) -> String {
         fn opt<T: std::fmt::Display>(v: &Option<T>) -> String {
             v.as_ref().map_or("-".to_string(), T::to_string)
@@ -211,6 +207,9 @@ pub struct CellCtx<'a> {
     pub attempt: u32,
     /// The supervisor's failure policy.
     pub opts: &'a SupervisorOptions,
+    /// The entry-point call's workload cache, which [`profile_cell`]
+    /// draws on.
+    cache: &'a CellCache,
 }
 
 /// A cell runner: maps one attempt to an [`Attempt`] outcome. The
@@ -219,9 +218,9 @@ pub struct CellCtx<'a> {
 /// panicking runners; production uses [`profile_cell`].
 pub type Runner<'a> = dyn Fn(&CellCtx) -> Attempt + Sync + 'a;
 
-/// Shared per-sweep state the production runner draws on: built
-/// workloads with their pre-decoded programs, keyed by `(family, size)`,
-/// plus a pool of recycled event batches.
+/// Shared state the production runner draws on, one per entry-point
+/// call: built workloads with their pre-decoded programs, keyed by
+/// `(family, size)`, plus a pool of recycled event batches.
 ///
 /// A sweep grid re-profiles the same `(family, size)` workload once per
 /// seed, and the supervisor may re-run a cell several times (retries,
@@ -236,7 +235,7 @@ pub type Runner<'a> = dyn Fn(&CellCtx) -> Attempt + Sync + 'a;
 /// Thread-safe: workers share one cache behind internal mutexes, held
 /// only for lookups and (on miss) the one-time build.
 #[derive(Default)]
-pub struct CellCache {
+struct CellCache {
     entries: Mutex<HashMap<(String, i64), Arc<CacheEntry>>>,
     batch_pool: Mutex<Vec<EventBatch>>,
     hits: AtomicU64,
@@ -245,23 +244,16 @@ pub struct CellCache {
 
 /// One cached workload: the built guest program plus its pre-decoded
 /// image (absent under [`DecodeMode::Off`]).
-pub struct CacheEntry {
-    /// The built workload of this `(family, size)` cell.
-    pub workload: Workload,
-    /// The shared pre-decoded image, `None` when decoding is off.
-    pub decoded: Option<Arc<DecodedProgram>>,
+struct CacheEntry {
+    workload: Workload,
+    decoded: Option<Arc<DecodedProgram>>,
     mode: DecodeMode,
 }
 
 impl CellCache {
-    /// An empty cache.
-    pub fn new() -> CellCache {
-        CellCache::default()
-    }
-
     /// The cached workload of `(family, size)` pre-decoded under
     /// `mode`, building it on first use. `None` for unknown families.
-    pub fn entry(&self, family: &str, size: i64, mode: DecodeMode) -> Option<Arc<CacheEntry>> {
+    fn entry(&self, family: &str, size: i64, mode: DecodeMode) -> Option<Arc<CacheEntry>> {
         let key = (family.to_string(), size);
         // A panic while building a workload is caught by the supervisor;
         // recover the map rather than poisoning every later cell.
@@ -290,7 +282,7 @@ impl CellCache {
     /// A pooled event batch (or a fresh empty one); hand it back with
     /// [`recycle`](Self::recycle) so the next cell on any worker reuses
     /// its storage.
-    pub fn take_batch(&self) -> EventBatch {
+    fn take_batch(&self) -> EventBatch {
         self.batch_pool
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -299,47 +291,20 @@ impl CellCache {
     }
 
     /// Returns a batch to the pool.
-    pub fn recycle(&self, batch: EventBatch) {
+    fn recycle(&self, batch: EventBatch) {
         self.batch_pool
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(batch);
     }
-
-    /// Cache lookups served from an existing entry.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache lookups that had to build the workload.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Total buffer allocations across every pooled batch — with W
-    /// workers this stays at W no matter how many cells ran.
-    pub fn batch_allocations(&self) -> u64 {
-        self.batch_pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(EventBatch::allocations)
-            .sum()
-    }
 }
 
-/// The production cell runner: builds the family workload, applies the
-/// supervisor's budgets, and profiles it under a [`ProfileSession`].
-/// Stateless — every sweep entry point routes through
-/// [`profile_cell_cached`] instead; this remains for callers that hold
-/// no cache.
+/// The production cell runner: takes the family workload, its
+/// pre-decoded program and an event batch from the entry-point call's
+/// cache, applies the supervisor's budgets, and profiles the cell under
+/// a [`ProfileSession`].
 pub fn profile_cell(ctx: &CellCtx) -> Attempt {
-    profile_cell_cached(ctx, &CellCache::new())
-}
-
-/// [`profile_cell`] drawing the workload, its pre-decoded program and
-/// the event batch from `cache`.
-pub fn profile_cell_cached(ctx: &CellCtx, cache: &CellCache) -> Attempt {
+    let cache = ctx.cache;
     let mode = ctx.opts.decode.unwrap_or_default();
     let Some(entry) = cache.entry(ctx.family, ctx.size, mode) else {
         return Attempt::Fatal(format!(
@@ -374,7 +339,7 @@ pub fn profile_cell_cached(ctx: &CellCtx, cache: &CellCache) -> Attempt {
     if let Some(dir) = &ctx.opts.trace_dir {
         session = session
             .trace_dir(dir.join(format!("cell-{}-{}-{}", ctx.family, ctx.size, ctx.seed)))
-            .trace_io(ctx.opts.trace_io.clone());
+            .trace_io(ctx.opts.io.clone());
     }
     let result = session.run();
     cache.recycle(batch);
@@ -455,6 +420,7 @@ fn supervise_cell(
     seed: u64,
     opts: &SupervisorOptions,
     runner: &Runner<'_>,
+    cache: &CellCache,
 ) -> CellOutcome {
     let max_attempts = opts.max_attempts.max(1);
     let mut panics = 0u32;
@@ -465,6 +431,7 @@ fn supervise_cell(
             seed,
             attempt,
             opts,
+            cache,
         };
         let failure = match catch_unwind(AssertUnwindSafe(|| runner(&ctx))) {
             Ok(Attempt::Done(mut cell)) => {
@@ -518,15 +485,10 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Creates (truncates) the journal at `path`, writes the file
-    /// header, and syncs the parent directory so the journal's
-    /// existence survives a crash.
-    pub fn create(path: &Path) -> std::io::Result<JournalWriter> {
-        JournalWriter::create_with(&HostIo::real(), path)
-    }
-
-    /// [`JournalWriter::create`] through `io`, so chaos suites can fail
-    /// any step of journal creation.
+    /// Creates (truncates) the journal at `path` through `io`, writes
+    /// the file header, and syncs the parent directory so the journal's
+    /// existence survives a crash. Chaos suites fail any step of it by
+    /// passing a fault-injecting `io`.
     pub fn create_with(io: &HostIo, path: &Path) -> std::io::Result<JournalWriter> {
         let mut file = io.create(path)?;
         io.write_all(&mut file, journal::FILE_HEADER.as_bytes())?;
@@ -535,21 +497,6 @@ impl JournalWriter {
         // The file's *name* lives in the directory; without this a
         // crash can lose the freshly-created journal entirely.
         io.sync_parent_dir(path)?;
-        Ok(JournalWriter {
-            file: Some(file),
-            io: io.clone(),
-        })
-    }
-
-    /// Opens the journal at `path` for appending (resume).
-    pub fn append_to(path: &Path) -> std::io::Result<JournalWriter> {
-        JournalWriter::append_to_with(&HostIo::real(), path)
-    }
-
-    /// [`JournalWriter::append_to`] with appended records written
-    /// through `io`.
-    pub fn append_to_with(io: &HostIo, path: &Path) -> std::io::Result<JournalWriter> {
-        let file = OpenOptions::new().append(true).open(path)?;
         Ok(JournalWriter {
             file: Some(file),
             io: io.clone(),
@@ -571,12 +518,6 @@ impl JournalWriter {
             eprintln!("warning: journal append failed ({e}); journaling disabled for this sweep");
             self.file = None;
         }
-    }
-
-    /// Whether the writer is still journaling (an append failure
-    /// disables it for the rest of the sweep).
-    pub fn is_active(&self) -> bool {
-        self.file.is_some()
     }
 }
 
@@ -830,7 +771,7 @@ fn decode_quarantine_payload(payload: &str) -> Result<QuarantinedCell, String> {
 // ---------------------------------------------------------------------------
 // The supervisor proper.
 
-/// How a preemptible supervised run ended.
+/// How a checkpointed run ([`resume_sweep`]) ended.
 #[derive(Debug)]
 pub enum SupervisedRun {
     /// Every grid cell has an outcome; the merged result is final.
@@ -846,85 +787,47 @@ pub enum SupervisedRun {
     },
 }
 
-/// Runs `spec` under the supervisor with `opts` and the production
-/// runner, without journaling. This is what
-/// [`run_sweep`](crate::sweep::run_sweep) delegates to.
-pub fn run_supervised(spec: &SweepSpec, opts: &SupervisorOptions) -> SweepResult {
-    let cache = CellCache::new();
-    run_supervised_with(spec, opts, None, &|ctx| profile_cell_cached(ctx, &cache))
-}
-
-/// Runs `spec` under the supervisor with a custom runner and an
-/// optional checkpoint journal. Cells append to the journal in
-/// completion order; the merged result is assembled in grid order, so
-/// journal order never leaks into the output.
+/// Runs `spec` from scratch under the supervisor: every grid cell goes
+/// through `runner` (in production [`profile_cell`]), and with a
+/// `journal` attached the spec record and then each cell outcome are
+/// appended as they complete. Cells append in completion order; the
+/// merged result is assembled in grid order, so journal order never
+/// leaks into the output.
 ///
-/// This entry point is non-preemptible: callers that thread a
-/// [`PreemptSignal`] through their options must use
-/// [`run_supervised_preemptible`] instead, which can represent the
-/// yielded state.
+/// A fresh run never yields. A run that must be preemptible goes
+/// through [`resume_sweep`] on a freshly created journal instead.
 pub fn run_supervised_with(
-    spec: &SweepSpec,
-    opts: &SupervisorOptions,
-    journal: Option<&mut JournalWriter>,
-    runner: &Runner<'_>,
-) -> SweepResult {
-    match run_supervised_preemptible(spec, opts, journal, runner) {
-        SupervisedRun::Completed(r) => *r,
-        SupervisedRun::Yielded { .. } => unreachable!(
-            "run_supervised_with is only reachable without a preempt signal; \
-             preemptible callers use run_supervised_preemptible"
-        ),
-    }
-}
-
-/// [`run_supervised_with`] that honors [`SupervisorOptions::preempt`]:
-/// when the signal is raised mid-grid the run stops at the next cell
-/// boundary and returns [`SupervisedRun::Yielded`] — everything
-/// finished so far is already fsync'd in the journal, which is the
-/// checkpoint a later [`resume_sweep`] completes from.
-pub fn run_supervised_preemptible(
     spec: &SweepSpec,
     opts: &SupervisorOptions,
     mut journal: Option<&mut JournalWriter>,
     runner: &Runner<'_>,
-) -> SupervisedRun {
+) -> SweepResult {
     let grid = spec.grid();
     let start = Instant::now();
     if let Some(j) = journal.as_deref_mut() {
         j.append(&spec_meta(&spec.family), &spec_payload(spec, opts));
     }
-    let mut slots: Vec<Option<CellOutcome>> = (0..grid.len()).map(|_| None).collect();
-    if run_missing(spec, &grid, opts, journal, runner, &mut slots) {
-        SupervisedRun::Completed(Box::new(assemble(
-            spec,
-            slots,
-            start.elapsed().as_secs_f64(),
-        )))
-    } else {
-        SupervisedRun::Yielded {
-            cells_done: slots.iter().filter(|s| s.is_some()).count(),
-            cells_total: grid.len(),
-        }
-    }
-}
-
-fn preempt_raised(opts: &SupervisorOptions) -> bool {
-    opts.preempt.as_ref().is_some_and(PreemptSignal::is_raised)
+    let mut slots = vec![None; grid.len()];
+    run_missing(spec, &grid, opts, journal, runner, None, &mut slots);
+    assemble(spec, slots, start.elapsed().as_secs_f64())
 }
 
 /// Fills every `None` slot by running its cell, appending each outcome
-/// to the journal as it completes. Returns whether the grid is complete
-/// — `false` only when a raised [`PreemptSignal`] stopped the run at a
-/// cell boundary (cells already in flight still finish and journal).
+/// to the journal as it completes. Every call builds one `CellCache`
+/// that all of its cells share. Returns whether the grid is complete —
+/// `false` only when a raised `preempt` stopped the run at a cell
+/// boundary (cells already in flight still finish and journal).
 fn run_missing(
     spec: &SweepSpec,
     grid: &[(i64, u64)],
     opts: &SupervisorOptions,
     mut journal: Option<&mut JournalWriter>,
     runner: &Runner<'_>,
+    preempt: Option<&PreemptSignal>,
     slots: &mut [Option<CellOutcome>],
 ) -> bool {
+    let preempted = || preempt.is_some_and(PreemptSignal::is_raised);
+    let cache = CellCache::default();
     let pending: Vec<usize> = (0..grid.len()).filter(|&i| slots[i].is_none()).collect();
     if pending.is_empty() {
         return true;
@@ -932,11 +835,11 @@ fn run_missing(
     let workers = spec.jobs.max(1).min(pending.len());
     if workers <= 1 {
         for &i in &pending {
-            if preempt_raised(opts) {
+            if preempted() {
                 return false;
             }
             let (size, seed) = grid[i];
-            let outcome = supervise_cell(&spec.family, size, seed, opts, runner);
+            let outcome = supervise_cell(&spec.family, size, seed, opts, runner, &cache);
             if let Some(j) = journal.as_deref_mut() {
                 j.append(
                     &cell_meta(&spec.family, i, &outcome),
@@ -950,15 +853,14 @@ fn run_missing(
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, CellOutcome)>();
     std::thread::scope(|s| {
-        let pending = &pending;
-        let cursor = &cursor;
+        let (pending, cursor, cache) = (&pending, &cursor, &cache);
         for _ in 0..workers {
             let tx = tx.clone();
             s.spawn(move || loop {
                 // The preempt check guards the *claim*: a raised signal
                 // stops workers from starting new cells, while cells
                 // already claimed run to completion and journal.
-                if preempt_raised(opts) {
+                if preempted() {
                     break;
                 }
                 let k = cursor.fetch_add(1, Ordering::Relaxed);
@@ -966,7 +868,7 @@ fn run_missing(
                     break;
                 };
                 let (size, seed) = grid[i];
-                let outcome = supervise_cell(&spec.family, size, seed, opts, runner);
+                let outcome = supervise_cell(&spec.family, size, seed, opts, runner, cache);
                 if tx.send((i, outcome)).is_err() {
                     break;
                 }
@@ -1027,25 +929,24 @@ pub struct ResumeReport {
     pub warnings: Vec<String>,
 }
 
-/// Resumes the sweep `spec` from the journal at `path` with the
-/// production runner.
-pub fn resume_sweep(
-    spec: &SweepSpec,
-    opts: &SupervisorOptions,
-    path: &Path,
-) -> Result<(SweepResult, ResumeReport), Error> {
-    let cache = CellCache::new();
-    resume_sweep_with(spec, opts, path, &|ctx| profile_cell_cached(ctx, &cache))
-}
-
-/// Resumes the sweep `spec` from the journal at `path`: salvages the
-/// journal's valid prefix, adopts every completed cell that matches the
-/// grid, re-runs missing / torn / quarantined cells (appending them to
-/// the same journal), and returns a result byte-identical to an
-/// uninterrupted run of the same spec.
+/// Continues the sweep `spec` from the journal at `path` — the
+/// checkpointed run. Salvages the journal's valid prefix, adopts every
+/// completed cell that matches the grid, re-runs missing / torn /
+/// quarantined cells through `runner` (appending them to the same
+/// journal through [`SupervisorOptions::io`]), and assembles a result
+/// byte-identical to an uninterrupted run of the same spec.
+///
+/// A raised `preempt` stops the re-run at the next cell boundary with
+/// [`SupervisedRun::Yielded`]; the journal (salvaged prefix plus
+/// everything this pass appended) remains the checkpoint for the next
+/// call, so preempt/resume cycles stack arbitrarily deep. With `None`
+/// the run always completes. A journal holding only its header resumes
+/// exactly like a fresh run: the spec record is appended, then every
+/// cell runs.
 ///
 /// # Errors
-/// * [`Error::Io`] — the journal cannot be read or reopened for append;
+/// * [`Error::Io`] — the journal is missing or cannot be read, rewritten
+///   or reopened for append;
 /// * [`Error::Journal`] — the journal's spec record for this family
 ///   disagrees with `spec` + `opts` (resuming under a different grid or
 ///   failure policy would silently mix semantics).
@@ -1054,53 +955,15 @@ pub fn resume_sweep(
 /// family had not started when the original run died, so the resume
 /// runs it from scratch (this is what lets one journal carry a
 /// multi-family `repro sweep`).
-pub fn resume_sweep_with(
+pub fn resume_sweep(
     spec: &SweepSpec,
     opts: &SupervisorOptions,
     path: &Path,
     runner: &Runner<'_>,
-) -> Result<(SweepResult, ResumeReport), Error> {
-    resume_sweep_with_io(spec, opts, path, runner, &HostIo::real())
-}
-
-/// [`resume_sweep_with`] with every journal/artifact write routed
-/// through `io` — the chaos suite's entry point for proving that a
-/// faulted resume either completes byte-identically or fails typed.
-///
-/// Non-preemptible, like [`run_supervised_with`]: callers that set
-/// [`SupervisorOptions::preempt`] use
-/// [`resume_sweep_preemptible_with_io`].
-pub fn resume_sweep_with_io(
-    spec: &SweepSpec,
-    opts: &SupervisorOptions,
-    path: &Path,
-    runner: &Runner<'_>,
-    io: &HostIo,
-) -> Result<(SweepResult, ResumeReport), Error> {
-    match resume_sweep_preemptible_with_io(spec, opts, path, runner, io)? {
-        (SupervisedRun::Completed(r), report) => Ok((*r, report)),
-        (SupervisedRun::Yielded { .. }, _) => unreachable!(
-            "resume_sweep_with_io is only reachable without a preempt signal; \
-             preemptible callers use resume_sweep_preemptible_with_io"
-        ),
-    }
-}
-
-/// [`resume_sweep_with_io`] that honors [`SupervisorOptions::preempt`]:
-/// a raised signal stops the re-run at the next cell boundary and
-/// returns [`SupervisedRun::Yielded`] — the journal (salvaged prefix
-/// plus everything this pass appended) remains the checkpoint for the
-/// next dispatch, so preempt/resume cycles can stack arbitrarily deep
-/// and still assemble byte-identical artifacts.
-pub fn resume_sweep_preemptible_with_io(
-    spec: &SweepSpec,
-    opts: &SupervisorOptions,
-    path: &Path,
-    runner: &Runner<'_>,
-    io: &HostIo,
+    preempt: Option<&PreemptSignal>,
 ) -> Result<(SupervisedRun, ResumeReport), Error> {
-    let text = std::fs::read_to_string(path)?;
-    let salvaged = journal::from_text_lossy(&text);
+    let bytes = std::fs::read(path)?;
+    let salvaged = journal::from_text_lossy(&bytes);
     let grid = spec.grid();
     let start = Instant::now();
     let mut report = ResumeReport::default();
@@ -1130,7 +993,7 @@ pub fn resume_sweep_preemptible_with_io(
 
     // Adopt salvaged cells. Later records win (append-only journal:
     // a re-run simply appends a fresh record for the same index).
-    let mut slots: Vec<Option<CellOutcome>> = (0..grid.len()).map(|_| None).collect();
+    let mut slots = vec![None; grid.len()];
     let cell_prefix = format!("cell {} ", spec.family);
     if family_started {
         for rec in &salvaged.records {
@@ -1208,27 +1071,43 @@ pub fn resume_sweep_preemptible_with_io(
         .metrics
         .add("journal.cells_rerun", report.rerun_cells as u64);
 
-    let mut writer = if text.is_empty() || salvaged.records.is_empty() && salvaged.is_damaged() {
+    let mut writer = if bytes.is_empty() || salvaged.records.is_empty() && salvaged.is_damaged() {
         // Nothing usable (empty file, or killed before the header hit
         // the disk): start the journal over.
-        JournalWriter::create_with(io, path)?
-    } else if salvaged.is_damaged() {
-        // A torn tail or stray trailer would sit between the valid
-        // prefix and everything this resume appends, and the *next*
-        // salvage would stop at the damage and drop the appended
-        // records. Rewrite the journal to its salvaged prefix first so
-        // interleaved appends from a resumed writer always extend a
-        // clean file.
-        crate::artifact::atomic_write_with(io, path, &journal::to_text(&salvaged.records))?;
-        report.metrics.inc("journal.rewritten");
-        JournalWriter::append_to_with(io, path)?
+        JournalWriter::create_with(&opts.io, path)?
     } else {
-        JournalWriter::append_to_with(io, path)?
+        if salvaged.is_damaged() {
+            // A torn tail or stray trailer would sit between the valid
+            // prefix and everything this resume appends, and the *next*
+            // salvage would stop at the damage and drop the appended
+            // records. Rewrite the journal to its salvaged prefix first
+            // so interleaved appends from a resumed writer always extend
+            // a clean file.
+            crate::artifact::atomic_write_with(
+                &opts.io,
+                path,
+                &journal::to_text(&salvaged.records),
+            )?;
+            report.metrics.inc("journal.rewritten");
+        }
+        JournalWriter {
+            file: Some(OpenOptions::new().append(true).open(path)?),
+            io: opts.io.clone(),
+        }
     };
     if !family_started {
         writer.append(&spec_meta(&spec.family), &want_payload);
     }
-    let run = if run_missing(spec, &grid, opts, Some(&mut writer), runner, &mut slots) {
+    let complete = run_missing(
+        spec,
+        &grid,
+        opts,
+        Some(&mut writer),
+        runner,
+        preempt,
+        &mut slots,
+    );
+    let run = if complete {
         SupervisedRun::Completed(Box::new(assemble(
             spec,
             slots,
@@ -1236,7 +1115,7 @@ pub fn resume_sweep_preemptible_with_io(
         )))
     } else {
         SupervisedRun::Yielded {
-            cells_done: slots.iter().filter(|s| s.is_some()).count(),
+            cells_done: slots.iter().flatten().count(),
             cells_total: grid.len(),
         }
     };
@@ -1286,7 +1165,7 @@ mod tests {
     #[test]
     fn cell_payload_roundtrips() {
         let spec = SweepSpec::new("stream", &[4], 1);
-        let result = run_supervised(&spec, &SupervisorOptions::default());
+        let result = run_supervised_with(&spec, &SupervisorOptions::default(), None, &profile_cell);
         let cell = &result.cells[0];
         let payload = encode_cell_payload(cell);
         let back = decode_cell_payload(&payload).unwrap();
@@ -1348,15 +1227,14 @@ mod tests {
             spec_payload(&spec, &other_dispatch),
             "dispatch knobs must not bind the journal: all modes profile identically"
         );
-        let preemptible = SupervisorOptions {
-            preempt: Some(PreemptSignal::new()),
+        let faulted_io = SupervisorOptions {
+            io: HostIo::from_spec("write:enospc:once=9").unwrap(),
             ..SupervisorOptions::default()
         };
         assert_eq!(
             a,
-            spec_payload(&spec, &preemptible),
-            "scheduling must not bind the journal: a preempted run and its resume \
-             share one spec record"
+            spec_payload(&spec, &faulted_io),
+            "the I/O seam must not bind the journal: a resume may retry on healthy I/O"
         );
     }
 
@@ -1369,28 +1247,24 @@ mod tests {
         let opts = SupervisorOptions::default();
 
         // Baseline: uninterrupted run (no journal needed for comparison).
-        let baseline = run_supervised(&spec, &opts);
+        let baseline = run_supervised_with(&spec, &opts, None, &profile_cell);
 
-        // Preempted run: the signal is raised after the second cell
-        // completes, so the run must yield with exactly two outcomes
-        // journaled.
+        // Preempted run on a fresh journal: the signal is raised after
+        // the second cell completes, so the run must yield with exactly
+        // two outcomes journaled.
         let signal = PreemptSignal::new();
-        let preempt_opts = SupervisorOptions {
-            preempt: Some(signal.clone()),
-            ..SupervisorOptions::default()
-        };
         let done = AtomicUsize::new(0);
-        let cache = CellCache::new();
         let counting_runner = |ctx: &CellCtx<'_>| {
-            let out = profile_cell_cached(ctx, &cache);
+            let out = profile_cell(ctx);
             if done.fetch_add(1, Ordering::SeqCst) + 1 == 2 {
                 signal.raise();
             }
             out
         };
-        let mut writer = JournalWriter::create(&journal_path).unwrap();
-        match run_supervised_preemptible(&spec, &preempt_opts, Some(&mut writer), &counting_runner)
-        {
+        JournalWriter::create_with(&HostIo::real(), &journal_path).unwrap();
+        let (run, _) =
+            resume_sweep(&spec, &opts, &journal_path, &counting_runner, Some(&signal)).unwrap();
+        match run {
             SupervisedRun::Yielded {
                 cells_done,
                 cells_total,
@@ -1400,10 +1274,12 @@ mod tests {
             }
             SupervisedRun::Completed(_) => panic!("raised signal must yield the run"),
         }
-        drop(writer);
 
-        // Resume with a cleared signal: completes and matches baseline.
-        let (resumed, report) = resume_sweep(&spec, &opts, &journal_path).unwrap();
+        // Resume without a signal: completes and matches baseline.
+        let (run, report) = resume_sweep(&spec, &opts, &journal_path, &profile_cell, None).unwrap();
+        let SupervisedRun::Completed(resumed) = run else {
+            panic!("a resume without a preempt signal must complete: {run:?}");
+        };
         assert_eq!(report.salvaged_cells, 2);
         assert_eq!(report.rerun_cells, 4);
         let bench = |r: SweepResult| crate::sweep::SweepBench {
@@ -1412,7 +1288,7 @@ mod tests {
             families: vec![crate::sweep::FamilyBench::from_resumed(r)],
         };
         assert_eq!(
-            bench(resumed).to_json(),
+            bench(*resumed).to_json(),
             bench(baseline).to_json(),
             "preempt + resume must be byte-identical to an uninterrupted run"
         );
@@ -1421,7 +1297,7 @@ mod tests {
 
     #[test]
     fn cell_cache_reuses_workload_decoded_image_and_batch() {
-        let cache = CellCache::new();
+        let cache = CellCache::default();
         let opts = SupervisorOptions::default();
         for seed in [1u64, 2, 3] {
             let ctx = CellCtx {
@@ -1430,16 +1306,26 @@ mod tests {
                 seed,
                 attempt: 1,
                 opts: &opts,
+                cache: &cache,
             };
-            match profile_cell_cached(&ctx, &cache) {
+            match profile_cell(&ctx) {
                 Attempt::Done(cell) => assert!(cell.error.is_none(), "seed {seed}"),
                 _ => panic!("stream cell must profile cleanly"),
             }
         }
-        assert_eq!(cache.misses(), 1, "one (family, size) pair, built once");
-        assert_eq!(cache.hits(), 2, "the two later seeds hit the cache");
         assert_eq!(
-            cache.batch_allocations(),
+            cache.misses.load(Ordering::Relaxed),
+            1,
+            "one (family, size) pair, built once"
+        );
+        assert_eq!(
+            cache.hits.load(Ordering::Relaxed),
+            2,
+            "the two later seeds hit the cache"
+        );
+        let pool = cache.batch_pool.lock().unwrap();
+        assert_eq!(
+            pool.iter().map(EventBatch::allocations).sum::<u64>(),
             1,
             "sequential cells share one event batch buffer"
         );
@@ -1461,7 +1347,13 @@ mod tests {
                 ..SupervisorOptions::default()
             },
             None,
-            &|ctx| profile_cell_cached(ctx, &CellCache::new()),
+            // A fresh cache per attempt: the uncached reference.
+            &|ctx| {
+                profile_cell(&CellCtx {
+                    cache: &CellCache::default(),
+                    ..*ctx
+                })
+            },
         );
         for decode in [DecodeMode::Off, DecodeMode::Fused] {
             let opts = SupervisorOptions {
@@ -1469,7 +1361,7 @@ mod tests {
                 event_batch: Some(64),
                 ..SupervisorOptions::default()
             };
-            let cached = run_supervised(&spec, &opts);
+            let cached = run_supervised_with(&spec, &opts, None, &profile_cell);
             assert_eq!(
                 cached.fingerprint(),
                 baseline.fingerprint(),

@@ -30,7 +30,7 @@
 //! re-parses an emitted file — current v2 or legacy v1 — and checks it
 //! against its schema: the offline CI gate.
 
-use crate::supervisor::{run_supervised, SupervisorOptions};
+use crate::supervisor::{profile_cell, run_supervised_with, JournalWriter, SupervisorOptions};
 use drms::analysis::{CostPlot, InputMetric};
 use drms::core::{drms_variance, report_io, ProfileReport, VarianceReport};
 use drms::sched::fnv1a;
@@ -342,7 +342,7 @@ impl SweepResult {
 /// quarantined with a fatal `unknown workload family` error, and the
 /// sweep still returns normally.
 pub fn run_sweep(spec: &SweepSpec) -> SweepResult {
-    run_supervised(spec, &SupervisorOptions::default())
+    run_supervised_with(spec, &SupervisorOptions::default(), None, &profile_cell)
 }
 
 /// Schema tag of `BENCH_sweep.json`; bump when the layout changes.
@@ -385,24 +385,18 @@ impl FamilyBench {
     pub fn measure_with(
         spec: &SweepSpec,
         opts: &SupervisorOptions,
-        journal: Option<&mut crate::supervisor::JournalWriter>,
+        journal: Option<&mut JournalWriter>,
     ) -> FamilyBench {
-        // One cache for both runs: the parallel pass reuses every
-        // workload, pre-decoded program and event batch the serial
-        // baseline built, so only the first pass pays construction.
-        let cache = crate::supervisor::CellCache::new();
-        let runner =
-            |ctx: &crate::supervisor::CellCtx| crate::supervisor::profile_cell_cached(ctx, &cache);
-        let serial = crate::supervisor::run_supervised_with(
+        let serial = run_supervised_with(
             &SweepSpec {
                 jobs: 1,
                 ..spec.clone()
             },
             opts,
             None,
-            &runner,
+            &profile_cell,
         );
-        let parallel = crate::supervisor::run_supervised_with(spec, opts, journal, &runner);
+        let parallel = run_supervised_with(spec, opts, journal, &profile_cell);
         FamilyBench {
             serial_secs: serial.wall_secs,
             serial_fingerprint: serial.fingerprint(),

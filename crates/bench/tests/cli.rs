@@ -250,3 +250,30 @@ fn both_clis_reject_the_retired_blocks_decode_mode() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown decode mode `blocks`"));
 }
+
+#[test]
+fn repro_sweep_refuses_journal_with_resume() {
+    let dir = std::env::temp_dir().join(format!("drms-cli-journal-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("new.journal");
+    let resume = dir.join("old.journal");
+    let out = repro(&[
+        "sweep",
+        "--quick",
+        "--journal",
+        journal.to_str().unwrap(),
+        "--resume",
+        resume.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--journal") && err.contains("--resume"),
+        "{err}"
+    );
+    assert!(
+        !journal.exists(),
+        "a refused run must not create the journal"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

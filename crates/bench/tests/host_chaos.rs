@@ -18,9 +18,10 @@ use drms::trace::journal;
 use drms::trace::Metrics;
 use drms_bench::artifact::atomic_write_with;
 use drms_bench::supervisor::{
-    profile_cell, resume_sweep_with_io, run_supervised_with, JournalWriter, SupervisorOptions,
+    profile_cell, resume_sweep, run_supervised_with, JournalWriter, ResumeReport, SupervisedRun,
+    SupervisorOptions,
 };
-use drms_bench::sweep::{FamilyBench, SweepBench, SweepSpec};
+use drms_bench::sweep::{FamilyBench, SweepBench, SweepResult, SweepSpec};
 use std::path::{Path, PathBuf};
 
 fn chaos_dir(name: &str) -> PathBuf {
@@ -54,6 +55,16 @@ fn journaled_run(io: &HostIo, journal_path: &Path, bench_out: &Path) -> std::io:
     let mut writer = JournalWriter::create_with(io, journal_path)?;
     let result = run_supervised_with(&spec(), &sup, Some(&mut writer), &profile_cell);
     atomic_write_with(io, bench_out, &bench_json(result))
+}
+
+/// Resumes `spec()` from the journal at `journal_path` on clean I/O;
+/// without a preempt signal the run must complete.
+fn clean_resume(journal_path: &Path) -> Result<(SweepResult, ResumeReport), drms::Error> {
+    let sup = SupervisorOptions::default();
+    match resume_sweep(&spec(), &sup, journal_path, &profile_cell, None)? {
+        (SupervisedRun::Completed(result), report) => Ok((*result, report)),
+        (yielded, _) => panic!("a resume without a preempt signal yielded: {yielded:?}"),
+    }
 }
 
 /// The chaos property, exhaustively: a fault injected at every single
@@ -137,12 +148,9 @@ fn every_fault_point_resumes_byte_identical_or_fails_typed() {
 
         // Recovery on clean I/O: resume from whatever the journal holds
         // (or start over if the fault beat the journal header to disk).
-        let clean = HostIo::real();
-        let sup = SupervisorOptions::default();
         let recovered = if journal_path.exists() {
-            let (result, resume) =
-                resume_sweep_with_io(&spec(), &sup, &journal_path, &profile_cell, &clean)
-                    .unwrap_or_else(|e| panic!("[{label}] clean resume failed: {e}"));
+            let (result, resume) = clean_resume(&journal_path)
+                .unwrap_or_else(|e| panic!("[{label}] clean resume failed: {e}"));
             assert_eq!(
                 resume.salvaged_cells + resume.rerun_cells,
                 2,
@@ -154,7 +162,7 @@ fn every_fault_point_resumes_byte_identical_or_fails_typed() {
                 .unwrap_or_else(|v| panic!("[{label}] salvage audit: {v:?}"));
             bench_json(result)
         } else {
-            journaled_run(&clean, &journal_path, &bench_out)
+            journaled_run(&HostIo::real(), &journal_path, &bench_out)
                 .unwrap_or_else(|e| panic!("[{label}] clean rerun failed: {e}"));
             std::fs::read_to_string(&bench_out).expect("artifact")
         };
@@ -199,7 +207,7 @@ fn short_writes_at_every_offset_of_a_record_salvage_with_audited_counters() {
 
     // Counter law at every offset (cheap: pure salvage, no re-runs).
     for cut in prefix.len()..full.len() {
-        let salvaged = journal::from_text_lossy(&full[..cut]);
+        let salvaged = journal::from_text_lossy(&full.as_bytes()[..cut]);
         let mut m = Metrics::new();
         salvaged.observe_metrics(&mut m);
         m.audit()
@@ -231,14 +239,8 @@ fn short_writes_at_every_offset_of_a_record_salvage_with_audited_counters() {
         let case = chaos_dir(&format!("offset-{cut}"));
         let torn_path = case.join("sweep.journal");
         std::fs::write(&torn_path, &full[..cut]).expect("torn journal");
-        let (result, resume) = resume_sweep_with_io(
-            &spec(),
-            &SupervisorOptions::default(),
-            &torn_path,
-            &profile_cell,
-            &HostIo::real(),
-        )
-        .unwrap_or_else(|e| panic!("cut at {cut}: resume failed: {e}"));
+        let (result, resume) =
+            clean_resume(&torn_path).unwrap_or_else(|e| panic!("cut at {cut}: resume failed: {e}"));
         assert_eq!(resume.salvaged_cells, prefix_cells, "cut at {cut}");
         assert_eq!(
             resume.metrics.counter("journal.cells_rerun"),
@@ -263,7 +265,7 @@ fn short_writes_at_every_offset_of_a_record_salvage_with_audited_counters() {
         // The rewritten + appended journal is clean: a second salvage
         // sees no damage and every cell.
         let healed = std::fs::read_to_string(&torn_path).expect("healed journal");
-        let salvaged = journal::from_text_lossy(&healed);
+        let salvaged = journal::from_text_lossy(healed.as_bytes());
         assert!(
             !salvaged.is_damaged(),
             "cut at {cut}: resume left damage behind"

@@ -5,12 +5,13 @@
 //! a single byte, the daemon's priority scheduling would silently
 //! corrupt results — this suite is the proof it cannot.
 
+use drms::trace::HostIo;
 use drms_bench::supervisor::{
-    profile_cell, resume_sweep_with, run_supervised_preemptible, run_supervised_with, Attempt,
-    CellCtx, JournalWriter, PreemptSignal, SupervisedRun, SupervisorOptions,
+    profile_cell, resume_sweep, run_supervised_with, Attempt, CellCtx, JournalWriter,
+    PreemptSignal, SupervisedRun, SupervisorOptions,
 };
 use drms_bench::sweep::{FamilyBench, SweepBench, SweepSpec};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn temp_path(name: &str) -> PathBuf {
@@ -22,6 +23,13 @@ fn opts() -> SupervisorOptions {
         backoff_base_ms: 0,
         ..SupervisorOptions::default()
     }
+}
+
+/// A fresh, header-only journal at `path` — what the daemon creates
+/// before a job's first dispatch.
+fn fresh_journal(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    JournalWriter::create_with(&HostIo::real(), path).expect("journal");
 }
 
 /// The three artifact surfaces a job publishes, rendered exactly the
@@ -47,7 +55,8 @@ fn preemption_at_every_cell_boundary_resumes_byte_identically() {
     // The artifact set every interrupted run must reproduce.
     let baseline_journal = temp_path("baseline");
     let _ = std::fs::remove_file(&baseline_journal);
-    let mut writer = JournalWriter::create(&baseline_journal).expect("journal");
+    let mut writer =
+        JournalWriter::create_with(&HostIo::real(), &baseline_journal).expect("journal");
     let baseline = artifacts(run_supervised_with(
         &spec,
         &opts(),
@@ -58,7 +67,7 @@ fn preemption_at_every_cell_boundary_resumes_byte_identically() {
 
     for k in 1..cells {
         let journal = temp_path(&format!("cell-{k}"));
-        let _ = std::fs::remove_file(&journal);
+        fresh_journal(&journal);
 
         // Raise the signal the moment the k-th cell completes: the
         // supervisor must stop at that boundary, not one cell later.
@@ -75,12 +84,9 @@ fn preemption_at_every_cell_boundary_resumes_byte_identically() {
                 attempt
             }
         };
-        let preemptible = SupervisorOptions {
-            preempt: Some(signal),
-            ..opts()
-        };
-        let mut writer = JournalWriter::create(&journal).expect("journal");
-        match run_supervised_preemptible(&spec, &preemptible, Some(&mut writer), &counting) {
+        let (run, _) =
+            resume_sweep(&spec, &opts(), &journal, &counting, Some(&signal)).expect("dispatch");
+        match run {
             SupervisedRun::Yielded {
                 cells_done,
                 cells_total,
@@ -96,14 +102,17 @@ fn preemption_at_every_cell_boundary_resumes_byte_identically() {
         // Re-dispatch: the journal is the checkpoint, the resume path
         // is exactly what the daemon runs, and the merged artifacts
         // must match the uninterrupted run byte for byte.
-        let (result, report) =
-            resume_sweep_with(&spec, &opts(), &journal, &profile_cell).expect("resume");
+        let (run, report) =
+            resume_sweep(&spec, &opts(), &journal, &profile_cell, None).expect("resume");
+        let SupervisedRun::Completed(result) = run else {
+            panic!("a resume without a preempt signal must complete: {run:?}");
+        };
         assert_eq!(
             report.salvaged_cells, k,
             "every journaled cell is adopted, none re-run"
         );
         assert_eq!(report.rerun_cells, cells - k);
-        let resumed = artifacts(result);
+        let resumed = artifacts(*result);
         assert_eq!(
             resumed.0, baseline.0,
             "bench artifact diverged after preempting at cell {k}"
@@ -132,7 +141,7 @@ fn stacked_preemptions_still_assemble_byte_identical_artifacts() {
     let baseline = artifacts(run_supervised_with(&spec, &opts(), None, &profile_cell));
 
     let journal = temp_path("stacked");
-    let _ = std::fs::remove_file(&journal);
+    fresh_journal(&journal);
 
     // First dispatch: yield after the very first cell.
     let signal = PreemptSignal::new();
@@ -144,26 +153,21 @@ fn stacked_preemptions_still_assemble_byte_identical_artifacts() {
             attempt
         }
     };
-    let preemptible = SupervisorOptions {
-        preempt: Some(signal.clone()),
-        ..opts()
-    };
-    let mut writer = JournalWriter::create(&journal).expect("journal");
-    let run = run_supervised_preemptible(
+    let (run, _) = resume_sweep(
         &spec,
-        &preemptible,
-        Some(&mut writer),
+        &opts(),
+        &journal,
         &first_cell_then_yield,
-    );
+        Some(&signal),
+    )
+    .expect("first dispatch");
     assert!(
         matches!(run, SupervisedRun::Yielded { cells_done: 1, .. }),
         "{run:?}"
     );
-    drop(writer);
 
     // Each further dispatch resumes, completes one more cell, yields
     // again — until only the final dispatch can complete the grid.
-    use drms_bench::supervisor::resume_sweep_preemptible_with_io;
     for dispatched in 1..cells {
         signal.clear();
         let inner = PreemptSignal::new();
@@ -175,18 +179,8 @@ fn stacked_preemptions_still_assemble_byte_identical_artifacts() {
                 attempt
             }
         };
-        let preemptible = SupervisorOptions {
-            preempt: Some(inner),
-            ..opts()
-        };
-        let (run, _report) = resume_sweep_preemptible_with_io(
-            &spec,
-            &preemptible,
-            &journal,
-            &one_more,
-            &drms::trace::hostio::HostIo::real(),
-        )
-        .expect("resume");
+        let (run, _report) =
+            resume_sweep(&spec, &opts(), &journal, &one_more, Some(&inner)).expect("resume");
         match run {
             SupervisedRun::Yielded { cells_done, .. } => {
                 assert_eq!(

@@ -2,12 +2,13 @@
 //! isolation, deterministic retry/backoff, quarantine accounting, and
 //! the journal's kill-anywhere resume guarantee.
 
+use drms::trace::HostIo;
 use drms_bench::supervisor::{
-    profile_cell, resume_sweep, resume_sweep_with, run_supervised, run_supervised_with, Attempt,
-    CellCtx, JournalWriter, SupervisorOptions,
+    profile_cell, resume_sweep, run_supervised_with, Attempt, CellCtx, JournalWriter, ResumeReport,
+    Runner, SupervisedRun, SupervisorOptions,
 };
-use drms_bench::sweep::{FamilyBench, SweepBench, SweepSpec};
-use std::path::PathBuf;
+use drms_bench::sweep::{FamilyBench, SweepBench, SweepResult, SweepSpec};
+use std::path::{Path, PathBuf};
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("drms-supervisor-{name}-{}", std::process::id()))
@@ -17,6 +18,20 @@ fn fast_opts() -> SupervisorOptions {
     SupervisorOptions {
         backoff_base_ms: 0,
         ..SupervisorOptions::default()
+    }
+}
+
+/// Resumes `spec` from the journal at `path` without a preempt signal,
+/// so the run must complete.
+fn resume(
+    spec: &SweepSpec,
+    opts: &SupervisorOptions,
+    path: &Path,
+    runner: &Runner<'_>,
+) -> Result<(SweepResult, ResumeReport), drms::Error> {
+    match resume_sweep(spec, opts, path, runner, None)? {
+        (SupervisedRun::Completed(result), report) => Ok((*result, report)),
+        (yielded, _) => panic!("a resume without a preempt signal yielded: {yielded:?}"),
     }
 }
 
@@ -127,7 +142,7 @@ fn budget_and_faults_quarantine_identically_for_any_jobs() {
     };
     let run = |jobs: usize| {
         let spec = SweepSpec::new("producer-consumer", &[2, 64], jobs).seeds(&[1, 2]);
-        run_supervised(&spec, &opts)
+        run_supervised_with(&spec, &opts, None, &profile_cell)
     };
     let (serial, parallel) = (run(1), run(4));
     assert!(
@@ -173,7 +188,7 @@ fn zero_deadline_quarantines_the_grid() {
         ..SupervisorOptions::default()
     };
     let spec = SweepSpec::new("stream", &[4, 8], 2).seeds(&[1]);
-    let result = run_supervised(&spec, &opts);
+    let result = run_supervised_with(&spec, &opts, None, &profile_cell);
     assert!(result.cells.is_empty());
     assert_eq!(result.quarantined.len(), 2);
     for q in &result.quarantined {
@@ -189,12 +204,12 @@ fn resume_of_a_complete_journal_is_a_pure_replay() {
     let path = temp_path("complete");
     let spec = SweepSpec::new("stream", &[4, 8], 1).seeds(&[1]);
     let opts = fast_opts();
-    let mut writer = JournalWriter::create(&path).unwrap();
+    let mut writer = JournalWriter::create_with(&HostIo::real(), &path).unwrap();
     let baseline = run_supervised_with(&spec, &opts, Some(&mut writer), &profile_cell);
     let panicking_runner = |_: &CellCtx| -> Attempt {
         panic!("resume must not re-run any cell of a complete journal");
     };
-    let (resumed, report) = resume_sweep_with(&spec, &opts, &path, &panicking_runner).unwrap();
+    let (resumed, report) = resume(&spec, &opts, &path, &panicking_runner).unwrap();
     assert_eq!(report.salvaged_cells, 2);
     assert_eq!(report.rerun_cells, 0);
     assert_eq!(resumed.merged_report_text(), baseline.merged_report_text());
@@ -220,7 +235,7 @@ fn truncated_journal_resumes_to_identical_results() {
     let path = temp_path("truncate-base");
     let spec = SweepSpec::new("stream", &[4, 8], 1).seeds(&[1]);
     let opts = fast_opts();
-    let mut writer = JournalWriter::create(&path).unwrap();
+    let mut writer = JournalWriter::create_with(&HostIo::real(), &path).unwrap();
     let baseline = run_supervised_with(&spec, &opts, Some(&mut writer), &profile_cell);
     let baseline_report = baseline.merged_report_text();
     let baseline_metrics = baseline.merged_metrics().to_json();
@@ -247,8 +262,8 @@ fn truncated_journal_resumes_to_identical_results() {
     for (i, &cut) in cuts.iter().enumerate() {
         let path = temp_path(&format!("truncate-{i}"));
         std::fs::write(&path, &journal[..cut]).unwrap();
-        let (resumed, report) =
-            resume_sweep(&spec, &opts, &path).unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
+        let (resumed, report) = resume(&spec, &opts, &path, &profile_cell)
+            .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
         assert_eq!(
             resumed.merged_report_text(),
             baseline_report,
@@ -286,17 +301,17 @@ fn resume_retries_journaled_quarantines() {
         }
         profile_cell(ctx)
     };
-    let mut writer = JournalWriter::create(&path).unwrap();
+    let mut writer = JournalWriter::create_with(&HostIo::real(), &path).unwrap();
     let crashed = run_supervised_with(&spec, &opts, Some(&mut writer), &flaky);
     drop(writer);
     assert_eq!(crashed.quarantined.len(), 1);
-    let (resumed, report) = resume_sweep(&spec, &opts, &path).unwrap();
+    let (resumed, report) = resume(&spec, &opts, &path, &profile_cell).unwrap();
     assert!(resumed.quarantined.is_empty(), "the flake healed on resume");
     assert_eq!(resumed.cells.len(), 2);
     assert_eq!(report.salvaged_cells, 1);
     assert_eq!(report.rerun_cells, 1);
     assert_eq!(report.metrics.counter("journal.cells_requarantined"), 1);
-    let healthy = run_supervised(&spec, &opts);
+    let healthy = run_supervised_with(&spec, &opts, None, &profile_cell);
     assert_eq!(resumed.merged_report_text(), healthy.merged_report_text());
     let _ = std::fs::remove_file(&path);
 }
@@ -308,17 +323,17 @@ fn resume_rejects_a_mismatched_spec() {
     let path = temp_path("mismatch");
     let spec = SweepSpec::new("stream", &[4], 1).seeds(&[1]);
     let opts = fast_opts();
-    let mut writer = JournalWriter::create(&path).unwrap();
+    let mut writer = JournalWriter::create_with(&HostIo::real(), &path).unwrap();
     let _ = run_supervised_with(&spec, &opts, Some(&mut writer), &profile_cell);
     drop(writer);
     let other_grid = SweepSpec::new("stream", &[4, 8], 1).seeds(&[1]);
-    let err = resume_sweep(&other_grid, &opts, &path).unwrap_err();
+    let err = resume(&other_grid, &opts, &path, &profile_cell).unwrap_err();
     assert!(matches!(err, drms::Error::Journal(_)), "{err:?}");
     let other_policy = SupervisorOptions {
         max_attempts: 7,
         ..fast_opts()
     };
-    let err = resume_sweep(&spec, &other_policy, &path).unwrap_err();
+    let err = resume(&spec, &other_policy, &path, &profile_cell).unwrap_err();
     assert!(matches!(err, drms::Error::Journal(_)), "{err:?}");
     // A different jobs count is NOT a mismatch: resume may use any
     // worker count and still reproduce the bytes.
@@ -326,7 +341,7 @@ fn resume_rejects_a_mismatched_spec() {
         jobs: 8,
         ..spec.clone()
     };
-    assert!(resume_sweep(&more_jobs, &opts, &path).is_ok());
+    assert!(resume(&more_jobs, &opts, &path, &profile_cell).is_ok());
     let _ = std::fs::remove_file(&path);
 }
 
@@ -338,17 +353,17 @@ fn resume_runs_unstarted_families_from_scratch() {
     let started = SweepSpec::new("stream", &[4], 1).seeds(&[1]);
     let unstarted = SweepSpec::new("producer-consumer", &[4], 1).seeds(&[1]);
     let opts = fast_opts();
-    let mut writer = JournalWriter::create(&path).unwrap();
+    let mut writer = JournalWriter::create_with(&HostIo::real(), &path).unwrap();
     let _ = run_supervised_with(&started, &opts, Some(&mut writer), &profile_cell);
     drop(writer);
-    let (result, report) = resume_sweep(&unstarted, &opts, &path).unwrap();
+    let (result, report) = resume(&unstarted, &opts, &path, &profile_cell).unwrap();
     assert_eq!(result.cells.len(), 1);
     assert_eq!(report.salvaged_cells, 0);
     assert_eq!(report.rerun_cells, 1);
     // And now both families are journaled: either resumes as a replay.
-    let (_, report) = resume_sweep(&unstarted, &opts, &path).unwrap();
+    let (_, report) = resume(&unstarted, &opts, &path, &profile_cell).unwrap();
     assert_eq!(report.salvaged_cells, 1);
-    let (_, report) = resume_sweep(&started, &opts, &path).unwrap();
+    let (_, report) = resume(&started, &opts, &path, &profile_cell).unwrap();
     assert_eq!(report.salvaged_cells, 1);
     let _ = std::fs::remove_file(&path);
 }
@@ -362,7 +377,7 @@ fn resume_heals_torn_journals_before_appending() {
     let spec = SweepSpec::new("stream", &[4, 8], 1).seeds(&[1]);
     let opts = fast_opts();
     let base = temp_path("heal-base");
-    let mut writer = JournalWriter::create(&base).unwrap();
+    let mut writer = JournalWriter::create_with(&HostIo::real(), &base).unwrap();
     let baseline = run_supervised_with(&spec, &opts, Some(&mut writer), &profile_cell);
     let baseline_report = baseline.merged_report_text();
     let bytes = std::fs::read(&base).unwrap();
@@ -371,7 +386,7 @@ fn resume_heals_torn_journals_before_appending() {
     // First crash: tear mid-way through the last record's trailer.
     let path = temp_path("heal");
     std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-    let (first, report) = resume_sweep(&spec, &opts, &path).unwrap();
+    let (first, report) = resume(&spec, &opts, &path, &profile_cell).unwrap();
     assert_eq!(first.merged_report_text(), baseline_report);
     assert_eq!(report.metrics.counter("journal.rewritten"), 1);
     let healed = std::fs::read_to_string(&path).unwrap();
@@ -381,9 +396,42 @@ fn resume_heals_torn_journals_before_appending() {
     // Second crash on the healed file: resume again; byte-identical
     // output and a clean journal, every time.
     std::fs::write(&path, &healed[..healed.len() - 7]).unwrap();
-    let (second, _) = resume_sweep(&spec, &opts, &path).unwrap();
+    let (second, _) = resume(&spec, &opts, &path, &profile_cell).unwrap();
     assert_eq!(second.merged_report_text(), baseline_report);
     drms::trace::journal::from_text(&std::fs::read_to_string(&path).unwrap())
         .expect("second resume also leaves a clean journal");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// One non-UTF-8 byte after a finished journal is a torn tail like any
+/// other: the resume salvages every cell, rewrites the tail away, and
+/// reproduces the uninterrupted artifact byte for byte.
+#[test]
+fn a_non_utf8_byte_tears_the_journal_instead_of_failing_the_resume() {
+    let spec = SweepSpec::new("stream", &[4, 8], 1).seeds(&[1]);
+    let opts = fast_opts();
+    let path = temp_path("non-utf8");
+    let mut writer = JournalWriter::create_with(&HostIo::real(), &path).unwrap();
+    let baseline = run_supervised_with(&spec, &opts, Some(&mut writer), &profile_cell);
+    drop(writer);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.push(0xFF);
+    std::fs::write(&path, &bytes).unwrap();
+
+    let (resumed, report) = resume(&spec, &opts, &path, &profile_cell).unwrap();
+    assert_eq!(report.salvaged_cells, 2);
+    assert_eq!(report.rerun_cells, 0);
+    assert_eq!(report.metrics.counter("journal.rewritten"), 1);
+    let bench = |result| {
+        SweepBench {
+            jobs: 1,
+            resumed: false,
+            families: vec![FamilyBench::from_resumed(result)],
+        }
+        .to_json()
+    };
+    assert_eq!(bench(resumed), bench(baseline));
+    drms::trace::journal::from_text(&std::fs::read_to_string(&path).unwrap())
+        .expect("the resume rewrote the invalid byte away");
     let _ = std::fs::remove_file(&path);
 }

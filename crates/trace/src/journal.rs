@@ -98,7 +98,7 @@ pub fn to_text(records: &[JournalRecord]) -> String {
 
 /// Strictly parses a journal; fails on the first damaged record.
 pub fn from_text(text: &str) -> Result<Vec<JournalRecord>, ParseJournalError> {
-    let salvaged = from_text_lossy(text);
+    let salvaged = from_text_lossy(text.as_bytes());
     match salvaged.warnings.first() {
         None => Ok(salvaged.records),
         Some(w) => Err(ParseJournalError {
@@ -153,10 +153,16 @@ impl SalvagedJournal {
 }
 
 /// Parses as many complete, checksum-valid records as possible from the
-/// start of `text`, stopping at the first sign of damage. Truncating a
+/// start of `bytes`, stopping at the first sign of damage. Truncating a
 /// journal at *any* byte yields the records that were fully appended
 /// before the truncation point — never a torn or corrupt record.
-pub fn from_text_lossy(text: &str) -> SalvagedJournal {
+///
+/// Writers only ever append UTF-8, so an invalid byte is corruption like
+/// any other: it is decoded lossily (to U+FFFD), which breaks the
+/// length framing or checksum of the record it lands in and tears the
+/// journal there.
+pub fn from_text_lossy(bytes: &[u8]) -> SalvagedJournal {
+    let text = &*String::from_utf8_lossy(bytes);
     let mut out = SalvagedJournal::default();
     let mut pos = 0usize;
 
@@ -346,7 +352,7 @@ mod tests {
     #[test]
     fn payload_may_embed_framing_lines() {
         let text = to_text(&sample());
-        let s = from_text_lossy(&text);
+        let s = from_text_lossy(text.as_bytes());
         assert!(!s.is_damaged(), "{:?}", s.warnings);
         assert_eq!(s.records[1].payload, sample()[1].payload);
     }
@@ -354,14 +360,10 @@ mod tests {
     #[test]
     fn truncation_at_every_byte_salvages_a_prefix_and_never_panics() {
         let text = to_text(&sample());
-        let full = from_text_lossy(&text).records;
+        let full = from_text_lossy(text.as_bytes()).records;
         let mut seen_lens = Vec::new();
         for cut in 0..=text.len() {
-            let Some(prefix) = text.get(..cut) else {
-                continue; // non-char boundary: a file system write can't
-                          // produce it from valid UTF-8 appends
-            };
-            let s = from_text_lossy(prefix);
+            let s = from_text_lossy(&text.as_bytes()[..cut]);
             assert!(s.records.len() <= full.len());
             assert_eq!(s.records[..], full[..s.records.len()], "cut at {cut}");
             assert_eq!(s.salvaged + s.dropped, s.total, "cut at {cut}");
@@ -379,7 +381,7 @@ mod tests {
         let mut bytes = text.into_bytes();
         bytes[idx] = b'X';
         let corrupted = String::from_utf8(bytes).unwrap();
-        let s = from_text_lossy(&corrupted);
+        let s = from_text_lossy(corrupted.as_bytes());
         assert_eq!(s.records.len(), 1, "only the first record survives");
         assert!(s.is_damaged());
         // 2 real records lost + 1 fake `@rec` line inside the lost
@@ -391,7 +393,7 @@ mod tests {
     #[test]
     fn bad_file_header_salvages_nothing() {
         let text = to_text(&sample()).replace(FILE_HEADER, "# not a journal");
-        let s = from_text_lossy(&text);
+        let s = from_text_lossy(text.as_bytes());
         assert!(s.records.is_empty());
         assert!(s.is_damaged());
         assert_eq!(s.dropped, 4, "3 real records + 1 fake header line");
@@ -399,8 +401,8 @@ mod tests {
 
     #[test]
     fn empty_and_header_only_files_are_clean() {
-        assert!(!from_text_lossy("").is_damaged());
-        let s = from_text_lossy(&format!("{FILE_HEADER}\n"));
+        assert!(!from_text_lossy(b"").is_damaged());
+        let s = from_text_lossy(format!("{FILE_HEADER}\n").as_bytes());
         assert!(!s.is_damaged());
         assert_eq!(s.total, 0);
     }
@@ -415,7 +417,7 @@ mod tests {
     fn observe_metrics_feeds_audit() {
         let text = to_text(&sample());
         let torn = &text[..text.len() - 3];
-        let s = from_text_lossy(torn);
+        let s = from_text_lossy(torn.as_bytes());
         let mut m = Metrics::new();
         s.observe_metrics(&mut m);
         assert_eq!(m.counter("journal.cells_salvaged"), s.salvaged as u64);

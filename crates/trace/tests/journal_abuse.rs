@@ -48,7 +48,7 @@ fn duplicate_end_trailer_is_skipped_not_fatal() {
     text.push_str(&encode_record(&records[1].meta, &records[1].payload));
     text.push_str(&encode_record(&records[2].meta, &records[2].payload));
 
-    let s = from_text_lossy(&text);
+    let s = from_text_lossy(text.as_bytes());
     assert_eq!(
         s.records, records,
         "records after the stray trailer survive"
@@ -74,7 +74,7 @@ fn duplicate_end_trailer_is_skipped_not_fatal() {
 fn truncation_mid_record_during_drain_salvages_prefix() {
     let text = to_text(&sample());
     let cut = text.find("cost 20").expect("payload of record 3") + 4;
-    let s = from_text_lossy(&text[..cut]);
+    let s = from_text_lossy(&text.as_bytes()[..cut]);
     assert_eq!(s.records, sample()[..2], "valid prefix survives the tear");
     assert_eq!(s.salvaged, 2);
     assert_eq!(s.dropped, 1, "exactly the torn record is lost");
@@ -95,7 +95,7 @@ fn stray_trailer_plus_torn_tail_accounts_for_both() {
     let torn = encode_record(&records[2].meta, &records[2].payload);
     text.push_str(&torn[..torn.len() - 9]); // tear inside the trailer
 
-    let s = from_text_lossy(&text);
+    let s = from_text_lossy(text.as_bytes());
     assert_eq!(s.records, records[..2]);
     assert_eq!(s.dropped, 1);
     assert!(s.warnings.len() >= 2, "{:?}", s.warnings);
@@ -120,17 +120,92 @@ fn interleaved_append_after_rewrite_survives_the_next_salvage() {
     // sits behind the tear and the next salvage cannot reach it.
     let mut naive = torn.to_string();
     naive.push_str(&encode_record(&records[2].meta, &records[2].payload));
-    let s = from_text_lossy(&naive);
+    let s = from_text_lossy(naive.as_bytes());
     assert_eq!(s.records, records[..1], "append behind a tear is lost");
     assert_eq!(s.dropped, 2, "the torn record and the appended one");
     assert_accounting(&s);
 
     // The resume discipline: rewrite to the salvaged prefix, then append.
-    let salvaged = from_text_lossy(torn);
+    let salvaged = from_text_lossy(torn.as_bytes());
     assert_eq!(salvaged.records, records[..1]);
     let mut healed = to_text(&salvaged.records);
     healed.push_str(&encode_record(&records[2].meta, &records[2].payload));
     let reparsed = from_text(&healed).expect("healed journal parses strictly");
     assert_eq!(reparsed, vec![records[0].clone(), records[2].clone()]);
-    assert_accounting(&from_text_lossy(&healed));
+    assert_accounting(&from_text_lossy(healed.as_bytes()));
+}
+
+/// A tiny xorshift64* step: seeded, dependency-free randomness for the
+/// random-bytes suite below.
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// Journals are untrusted bytes on disk. Seeded random damage — a
+/// single byte overwritten with any value 0–255 (invalid UTF-8
+/// included), a byte inserted, or the file truncated — must never panic
+/// the reader, must keep `salvaged + dropped == total`, must salvage
+/// every record that ends before the first damaged byte, and may only
+/// ever salvage a prefix of the records that were written.
+#[test]
+fn seeded_random_byte_damage_salvages_the_intact_prefix() {
+    let records = vec![
+        rec("spec stream", "family stream\nsizes 4,8\nseeds 1\n"),
+        rec("cell stream 0 ok", "size 4\nseed 1\nnote naïve → ok\n"),
+        rec("cell stream 1 ok", "size 8\nseed 1\ncost 20"),
+    ];
+    let text = to_text(&records);
+    let bytes = text.as_bytes();
+    // Byte offset just past each record's trailer.
+    let mut ends = Vec::new();
+    let mut end = FILE_HEADER.len() + 1;
+    for r in &records {
+        end += encode_record(&r.meta, &r.payload).len();
+        ends.push(end);
+    }
+    assert_eq!(end, bytes.len());
+
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    for case in 0..4000 {
+        let mut damaged = bytes.to_vec();
+        let r = xorshift(&mut rng);
+        let value = (r >> 8) as u8;
+        let (first, what) = match r % 3 {
+            0 => {
+                let at = (r >> 16) as usize % bytes.len();
+                damaged[at] = value;
+                (at, "overwrite")
+            }
+            1 => {
+                let at = (r >> 16) as usize % (bytes.len() + 1);
+                damaged.insert(at, value);
+                (at, "insert")
+            }
+            _ => {
+                let at = (r >> 16) as usize % bytes.len();
+                damaged.truncate(at);
+                (at, "truncate")
+            }
+        };
+        let label = format!("case {case}: {what} at byte {first} (value {value:#04x})");
+        let s = std::panic::catch_unwind(|| from_text_lossy(&damaged))
+            .unwrap_or_else(|_| panic!("{label}: the reader panicked"));
+        assert_accounting(&s);
+        let intact = ends.iter().filter(|&&e| e <= first).count();
+        assert!(
+            s.records.len() >= intact,
+            "{label}: salvaged {} of the {intact} records before the damage",
+            s.records.len()
+        );
+        assert_eq!(
+            s.records[..],
+            records[..s.records.len()],
+            "{label}: salvaged records must be a prefix of the written ones"
+        );
+    }
 }
