@@ -248,6 +248,22 @@ cmp target/repro/shards/live.report target/repro/shards/spill.report \
 cmp target/repro/shards/live.report target/repro/shards/replayed.report \
     || { echo "ci: offline shard replay differs from the in-memory report" >&2; exit 1; }
 
+# The same round trip across shards: producer_consumer runs two threads,
+# so its spill writes two shard files and the replay must merge their
+# runs back into the live delivery order.
+"$aprof" --workload producer_consumer --scale 1 \
+    --report target/repro/shards/pc-live.report > /dev/null
+"$aprof" --workload producer_consumer --scale 1 --trace-out target/repro/shards/pc-spill \
+    --report target/repro/shards/pc-spill.report > /dev/null
+[ "$(ls target/repro/shards/pc-spill/shard-*.bin | wc -l)" -ge 2 ] \
+    || { echo "ci: producer_consumer spilled fewer than two shards" >&2; exit 1; }
+cmp target/repro/shards/pc-live.report target/repro/shards/pc-spill.report \
+    || { echo "ci: spilling two shards perturbed the profile report" >&2; exit 1; }
+"$repro" replay-shards target/repro/shards/pc-spill --jobs 2 \
+    --report target/repro/shards/pc-replayed.report > /dev/null
+cmp target/repro/shards/pc-live.report target/repro/shards/pc-replayed.report \
+    || { echo "ci: merging two shards differs from the in-memory report" >&2; exit 1; }
+
 # Corrupt shard: invert one byte in the middle of the spilled shard-0.bin.
 # The frame checksum must catch it, so replay-shards still exits 0, warns
 # that the shard is torn, and writes audited metrics (it refuses to
@@ -274,10 +290,14 @@ corrupt_dropped=$(sed -n 's/.*"trace\.shard\.dropped": \([0-9]*\).*/\1/p' \
 # fault attributed on stderr), and the flushed shard prefix must stay
 # salvageable — replay-shards loads it, accounts the loss under the
 # salvaged + dropped == total law (its metrics audit runs before the
-# export), and exits clean.
+# export), and exits clean. minidb at scale 4 spills about 20 runs in
+# six 64 KiB flushes, so the third write lands mid-shard: the salvaged
+# prefix must hold some of the clean spill's frames, but not all.
+clean_frames=$("$aprof" --workload minidb --scale 4 --trace-out target/repro/shards/clean4 \
+    | sed -n 's/^trace shards written to .* (\([0-9]*\) frames.*/\1/p')
 shard_rc=0
-"$aprof" --workload minidb --scale 1 --trace-out target/repro/shards/faulted \
-    --host-faults write:enospc:once=4 \
+"$aprof" --workload minidb --scale 4 --trace-out target/repro/shards/faulted \
+    --host-faults write:enospc:once=3 \
     > /dev/null 2> target/repro/shards/fault.err || shard_rc=$?
 [ "$shard_rc" -ne 0 ] \
     || { echo "ci: ENOSPC mid-shard should exit nonzero" >&2; exit 1; }
@@ -288,6 +308,10 @@ grep -q "injected host fault" target/repro/shards/fault.err \
     || { echo "ci: salvaging the faulted shard prefix failed" >&2; exit 1; }
 grep -q '"trace.shard.lines.total"' target/repro/shards/faulted.metrics.json \
     || { echo "ci: salvage accounting missing from the replayed metrics" >&2; exit 1; }
+faulted_frames=$(sed -n 's/.*"trace\.shard\.salvaged": \([0-9]*\).*/\1/p' \
+    target/repro/shards/faulted.metrics.json)
+[ "${faulted_frames:-0}" -gt 0 ] && [ "$faulted_frames" -lt "${clean_frames:-0}" ] \
+    || { echo "ci: ENOSPC salvaged ${faulted_frames:-no} of ${clean_frames:-?} frames, not a mid-shard prefix" >&2; exit 1; }
 
 # Metrics smoke gate: the same workload + seed twice must render a
 # byte-identical metrics export (aprof exits non-zero if the registry

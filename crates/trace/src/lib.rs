@@ -59,7 +59,7 @@ pub use obs::{Histogram, MergeError, Metrics};
 pub use replay::{replay, EventSink};
 pub use sched::{PreemptCause, SalvagedSchedule, SchedDecision, Schedule};
 pub use shard::{
-    SalvagedShard, ShardBatch, ShardBatchKind, ShardEvent, ShardFrame, ShardPayload, ShardSet,
+    SalvagedShard, ShardBatch, ShardBatchKind, ShardEvent, ShardFrame, ShardRecord, ShardSet,
     ShardSummary, ShardWriter,
 };
 pub use stats::TraceStats;

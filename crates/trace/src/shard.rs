@@ -3,24 +3,57 @@
 //! The DINAMITE split: logging must be cheap online, analysis can be
 //! heavy offline. A [`ShardWriter`] appends instrumentation events —
 //! including whole struct-of-arrays read/write batches — to one compact
-//! binary file per guest thread, encoding each frame straight into the
-//! shard's spill buffer and flushing through the [`HostIo`] seam so
-//! host-fault chaos applies to every byte that reaches the disk. An
-//! offline [`ShardSet`] loads the shards back (in parallel across
-//! shards), keeps each one's verifying byte prefix plus an index of its
-//! frames, and replays the frames in their original global order into
-//! any [`EventSink`], decoding each in place — a write-then-replay run
-//! is byte-identical to the in-memory run it recorded.
+//! binary file per guest thread. It stages each run of consecutive
+//! deliveries to one shard column by column, encodes the run as one
+//! frame straight into the shard's spill buffer, and flushes through the
+//! [`HostIo`] seam so host-fault chaos applies to every byte that
+//! reaches the disk. An offline [`ShardSet`] loads the shards back (in
+//! parallel across shards), keeps each one's verifying byte prefix plus
+//! an index of its frames, and replays the runs in their original
+//! global order into any [`EventSink`], decoding each in place — a
+//! write-then-replay run is byte-identical to the in-memory run it
+//! recorded.
 //!
 //! # Format
 //!
 //! Every integer is little-endian. A shard file `shard-<tid>.bin` is
 //!
 //! ```text
-//! magic "DRMSSHD2" (8) · thread id u32 · frame*
+//! magic "DRMSSHD3" (8) · thread id u32 · frame*
 //! frame   := payload_len u32 · checksum(payload) u64 · payload
-//! payload := seq u64 · kind u8 · fields…
+//! payload := base_seq u64 · records u32 · a_count u32
+//!            · a_width u8 · b_width u8
+//!            · kinds: u8 × records
+//!            · a: a_width bytes × a_count
+//!            · b: b_width bytes × records
 //! ```
+//!
+//! A frame holds one *run*: consecutive deliveries to one shard. Each
+//! delivery is one record, except a read/write batch, which is a `BATCH`
+//! record followed by one entry record per batched access. Every record
+//! has one kind byte and one `b` operand; some kinds also take one `a`
+//! operand, in record order:
+//!
+//! | kind | `a` (`u64` class) | `b` (`u32` class) |
+//! |---|---|---|
+//! | 0 `ENTRY_READ`, 1 `ENTRY_WRITE` | address | len |
+//! | 2 `BATCH` | — | entry count |
+//! | 3 `THREAD_START` | — | parent + 1 (0: none) |
+//! | 4 `THREAD_EXIT` | cost | 0 |
+//! | 5 `THREAD_SWITCH` | — | previous thread + 1 (0: none) |
+//! | 6 `CALL`, 7 `RETURN` | cost | routine |
+//! | 8 `READ`, 9 `WRITE`, 10 `USER_TO_KERNEL`, 11 `KERNEL_TO_USER` | address | len |
+//! | 12 `BLOCK` | block | routine |
+//! | 13–21: the nine [`SyncOp`]s in declaration order | mutex, for `CondWait` only | the first argument |
+//!
+//! Each column's width is the narrowest of 1, 2, 4 or 8 bytes (the `b`
+//! column: 1, 2 or 4) that holds the largest value in it, so it comes
+//! from the frame's data. A run's deliveries carry consecutive global
+//! `seq` numbers: the `k`-th delivery's is `base_seq + k`. The writer
+//! ends a run when the next delivery goes to another shard, once the run
+//! holds `RUN_RECORD_CAP` (4096) records, or at [`ShardWriter::finish`];
+//! thread starts go to the child's shard and switches to the incoming
+//! thread's.
 //!
 //! The checksum is FNV-1a over the payload's little-endian `u64` words,
 //! then over its tail bytes one at a time. Each word step (xor in the
@@ -32,15 +65,14 @@
 //! of several words does not cancel either. The hash costs one multiply
 //! per eight bytes instead of one per byte.
 //!
-//! `seq` is a global monotonic sequence number assigned at record time,
-//! so a k-way merge of the per-thread shards by `seq` reconstructs the
-//! exact live delivery order — thread switches included, which is what
-//! keeps replay-order delivery identical to the VM's (and the drms
-//! profiler's redundancy cache byte-identical with it). The `BATCH`
-//! frame stores a whole read/write batch columnar (`count u32`, then
-//! `count` kinds, `count` addrs, `count` lens), mirroring the in-memory
-//! struct-of-arrays layout; replay hands the columns out as borrowed
-//! little-endian slices of the loaded file.
+//! `seq` is global and monotonic, so a k-way merge of the per-thread
+//! shards' runs by base `seq` reconstructs the exact live delivery order
+//! — thread switches included, which is what keeps replay-order delivery
+//! identical to the VM's (and the drms profiler's redundancy cache
+//! byte-identical with it). A batch's entries are contiguous in all
+//! three columns, so replay hands them out as one [`ShardBatch`] of
+//! borrowed column slices and makes the same `observe_batch` call the
+//! live run made.
 //!
 //! # Salvage
 //!
@@ -48,13 +80,18 @@
 //! ends the shard — the checksummed prefix before it is salvaged, the
 //! rest is dropped, and the accounting law
 //! `trace.shard.lines.salvaged + dropped == total` (enforced by
-//! [`Metrics::audit`]) holds. A frame whose `seq` does not rise ends its
-//! shard too, and a header that names another thread than the file name
-//! does, or carries another format's magic, makes the whole shard
-//! corrupt. A `MANIFEST` written atomically at [`ShardWriter::finish`]
-//! records the expected frame count per shard, so the reader can tell
-//! how much a torn tail actually lost; without a manifest (the writer
-//! crashed mid-run) a torn tail counts as one dropped frame.
+//! [`Metrics::audit`]) holds, counted in frames, so one torn frame loses
+//! a whole run. Load checks each frame once: its checksum, then its
+//! structure (kinds in range, every batch inside its frame and entries
+//! only inside a batch, valid widths, column lengths that match the
+//! header exactly), then that its base `seq` does not fall below the end
+//! of the previous run. A header that names another thread than the
+//! file name does, or carries another format's magic, makes the whole
+//! shard corrupt. A `MANIFEST` written atomically at
+//! [`ShardWriter::finish`] records the expected frame count per shard,
+//! so the reader can tell how much a torn tail actually lost; without a
+//! manifest (the writer crashed mid-run) a torn tail counts as one
+//! dropped frame.
 
 use crate::event::SyncOp;
 use crate::hostio::HostIo;
@@ -70,7 +107,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Leading magic of every shard file.
-pub const SHARD_MAGIC: [u8; 8] = *b"DRMSSHD2";
+pub const SHARD_MAGIC: [u8; 8] = *b"DRMSSHD3";
 
 /// What every version of the shard magic starts with: a file that has
 /// it but not [`SHARD_MAGIC`] is a shard in a format this reader does
@@ -83,28 +120,63 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 /// Default per-shard buffer size before a flush to the host.
 pub const DEFAULT_SPILL_THRESHOLD: usize = 64 * 1024;
 
+/// Records after which the writer ends a run even though the next
+/// delivery goes to the same shard. It bounds the writer's staging
+/// memory and what one torn frame loses; a batch that crosses it still
+/// ends in the frame it started in.
+const RUN_RECORD_CAP: usize = 4096;
+
 const FILE_HEADER_BYTES: usize = 8 + 4;
 const FRAME_HEADER_BYTES: usize = 4 + 8;
+/// `base_seq u64 · records u32 · a_count u32 · a_width u8 · b_width u8`.
+const RUN_HEADER_BYTES: usize = 8 + 4 + 4 + 1 + 1;
 /// Upper bound on a single frame payload; anything larger in a length
 /// prefix is corruption, not data.
 const MAX_PAYLOAD_BYTES: usize = 1 << 26;
 
-const K_THREAD_START: u8 = 0;
-const K_THREAD_EXIT: u8 = 1;
-const K_THREAD_SWITCH: u8 = 2;
-const K_CALL: u8 = 3;
-const K_RETURN: u8 = 4;
-const K_READ: u8 = 5;
-const K_WRITE: u8 = 6;
-const K_U2K: u8 = 7;
-const K_K2U: u8 = 8;
-const K_SYNC: u8 = 9;
-const K_BLOCK: u8 = 10;
-const K_BATCH: u8 = 11;
+const K_ENTRY_READ: u8 = ShardBatchKind::Read as u8;
+const K_ENTRY_WRITE: u8 = ShardBatchKind::Write as u8;
+const K_BATCH: u8 = 2;
+const K_THREAD_START: u8 = 3;
+const K_THREAD_EXIT: u8 = 4;
+const K_THREAD_SWITCH: u8 = 5;
+const K_CALL: u8 = 6;
+const K_RETURN: u8 = 7;
+const K_READ: u8 = 8;
+const K_WRITE: u8 = 9;
+const K_U2K: u8 = 10;
+const K_K2U: u8 = 11;
+const K_BLOCK: u8 = 12;
+const K_SEM_WAIT: u8 = 13;
+const K_SEM_SIGNAL: u8 = 14;
+const K_MUTEX_LOCK: u8 = 15;
+const K_MUTEX_UNLOCK: u8 = 16;
+const K_COND_WAIT: u8 = 17;
+const K_COND_SIGNAL: u8 = 18;
+const K_COND_BROADCAST: u8 = 19;
+const K_SPAWN: u8 = 20;
+const K_JOIN: u8 = 21;
+/// One past the last kind.
+const KINDS: u8 = 22;
 
-/// On-disk encoding of `Option<ThreadId>`: no 32-bit thread index can
-/// reach `u32::MAX` (it would be the 2^32-th spawned thread).
-const NO_THREAD: u32 = u32::MAX;
+/// The kinds that take an `a` operand, one bit each.
+const A_KINDS: u32 = (1 << K_ENTRY_READ)
+    | (1 << K_ENTRY_WRITE)
+    | (1 << K_THREAD_EXIT)
+    | (1 << K_CALL)
+    | (1 << K_RETURN)
+    | (1 << K_READ)
+    | (1 << K_WRITE)
+    | (1 << K_U2K)
+    | (1 << K_K2U)
+    | (1 << K_BLOCK)
+    | (1 << K_COND_WAIT);
+
+/// Whether records of `kind` take an `a` operand.
+#[inline]
+fn has_a(kind: u8) -> bool {
+    (A_KINDS >> kind) & 1 != 0
+}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -131,8 +203,8 @@ fn frame_checksum(payload: &[u8]) -> u64 {
     fnv1a_bytes(hash, tail)
 }
 
-/// Kind of one batched read/write entry; the discriminant is its byte
-/// in a `BATCH` frame's kinds column.
+/// Kind of one batched read/write entry; the discriminant is its record
+/// kind byte.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ShardBatchKind {
@@ -218,57 +290,118 @@ pub enum ShardEvent {
     },
 }
 
-/// A `BATCH` frame's columns, borrowed little-endian from the loaded
-/// shard. Load checked every kind byte, so the columns decode as they
-/// are read.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ShardBatch<'a> {
-    kinds: &'a [u8],
-    addrs: &'a [u8],
-    lens: &'a [u8],
+/// The `b` operand of an optional thread: no 32-bit thread index can
+/// reach `u32::MAX` (it would be the 2^32-th spawned thread), so the
+/// index + 1 fits and 0 is left for `None`.
+fn thread_operand(thread: Option<ThreadId>) -> u32 {
+    thread.map_or(0, |t| t.index().wrapping_add(1))
 }
 
-impl<'a> ShardBatch<'a> {
-    /// The entries, in emission order.
-    pub fn entries(self) -> impl ExactSizeIterator<Item = (ShardBatchKind, Addr, u32)> + 'a {
-        let kinds = self.kinds.iter().map(|&k| {
-            if k == ShardBatchKind::Read as u8 {
-                ShardBatchKind::Read
-            } else {
-                ShardBatchKind::Write
-            }
-        });
-        let addrs = self
-            .addrs
-            .chunks_exact(8)
-            .map(|w| Addr::new(u64::from_le_bytes(w.try_into().unwrap())));
-        let lens = self
-            .lens
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().unwrap()));
-        kinds.zip(addrs).zip(lens).map(|((k, a), l)| (k, a, l))
+fn thread_of_operand(b: u32) -> Option<ThreadId> {
+    b.checked_sub(1).map(ThreadId::new)
+}
+
+/// One event's record: its kind, its `a` operand if the kind takes one,
+/// and its `b` operand.
+#[inline]
+fn event_record(event: ShardEvent) -> (u8, Option<u64>, u32) {
+    match event {
+        ShardEvent::ThreadStart { parent } => (K_THREAD_START, None, thread_operand(parent)),
+        ShardEvent::ThreadExit { cost } => (K_THREAD_EXIT, Some(cost), 0),
+        ShardEvent::ThreadSwitch { from } => (K_THREAD_SWITCH, None, thread_operand(from)),
+        ShardEvent::Call { routine, cost } => (K_CALL, Some(cost), routine.index()),
+        ShardEvent::Return { routine, cost } => (K_RETURN, Some(cost), routine.index()),
+        ShardEvent::Read { addr, len } => (K_READ, Some(addr.raw()), len),
+        ShardEvent::Write { addr, len } => (K_WRITE, Some(addr.raw()), len),
+        ShardEvent::UserToKernel { addr, len } => (K_U2K, Some(addr.raw()), len),
+        ShardEvent::KernelToUser { addr, len } => (K_K2U, Some(addr.raw()), len),
+        ShardEvent::Block { routine, block } => {
+            (K_BLOCK, Some(u64::from(block.index())), routine.index())
+        }
+        ShardEvent::Sync { op } => match op {
+            SyncOp::SemWait(s) => (K_SEM_WAIT, None, s),
+            SyncOp::SemSignal(s) => (K_SEM_SIGNAL, None, s),
+            SyncOp::MutexLock(m) => (K_MUTEX_LOCK, None, m),
+            SyncOp::MutexUnlock(m) => (K_MUTEX_UNLOCK, None, m),
+            SyncOp::CondWait { cond, mutex } => (K_COND_WAIT, Some(u64::from(mutex)), cond),
+            SyncOp::CondSignal(c) => (K_COND_SIGNAL, None, c),
+            SyncOp::CondBroadcast(c) => (K_COND_BROADCAST, None, c),
+            SyncOp::Spawn { child } => (K_SPAWN, None, child.index()),
+            SyncOp::Join { child } => (K_JOIN, None, child.index()),
+        },
     }
 }
 
-/// Payload of one frame, decoded in place.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ShardPayload<'a> {
-    /// A single event, by value.
-    Event(ShardEvent),
-    /// A whole read/write batch, its columns borrowed from the shard.
-    Batch(ShardBatch<'a>),
+/// The event a non-batch record holds; `a` is 0 for kinds without one.
+/// Load checked every kind, so the record is one of these.
+#[inline]
+fn decode_event(kind: u8, a: u64, b: u32) -> ShardEvent {
+    let sync = |op| ShardEvent::Sync { op };
+    match kind {
+        K_THREAD_START => ShardEvent::ThreadStart {
+            parent: thread_of_operand(b),
+        },
+        K_THREAD_EXIT => ShardEvent::ThreadExit { cost: a },
+        K_THREAD_SWITCH => ShardEvent::ThreadSwitch {
+            from: thread_of_operand(b),
+        },
+        K_CALL => ShardEvent::Call {
+            routine: RoutineId::new(b),
+            cost: a,
+        },
+        K_RETURN => ShardEvent::Return {
+            routine: RoutineId::new(b),
+            cost: a,
+        },
+        K_READ => ShardEvent::Read {
+            addr: Addr::new(a),
+            len: b,
+        },
+        K_WRITE => ShardEvent::Write {
+            addr: Addr::new(a),
+            len: b,
+        },
+        K_U2K => ShardEvent::UserToKernel {
+            addr: Addr::new(a),
+            len: b,
+        },
+        K_K2U => ShardEvent::KernelToUser {
+            addr: Addr::new(a),
+            len: b,
+        },
+        K_BLOCK => ShardEvent::Block {
+            routine: RoutineId::new(b),
+            block: BlockId::new(a as u32),
+        },
+        K_SEM_WAIT => sync(SyncOp::SemWait(b)),
+        K_SEM_SIGNAL => sync(SyncOp::SemSignal(b)),
+        K_MUTEX_LOCK => sync(SyncOp::MutexLock(b)),
+        K_MUTEX_UNLOCK => sync(SyncOp::MutexUnlock(b)),
+        K_COND_WAIT => sync(SyncOp::CondWait {
+            cond: b,
+            mutex: a as u32,
+        }),
+        K_COND_SIGNAL => sync(SyncOp::CondSignal(b)),
+        K_COND_BROADCAST => sync(SyncOp::CondBroadcast(b)),
+        K_SPAWN => sync(SyncOp::Spawn {
+            child: ThreadId::new(b),
+        }),
+        K_JOIN => sync(SyncOp::Join {
+            child: ThreadId::new(b),
+        }),
+        _ => unreachable!("load indexes only frames whose kinds are in range"),
+    }
 }
 
-/// One frame decoded in place: global sequence number, owning thread,
-/// payload.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ShardFrame<'a> {
-    /// Global monotonic sequence number (assigned at record time).
-    pub seq: u64,
-    /// Thread whose shard held the frame.
-    pub thread: ThreadId,
-    /// The decoded payload.
-    pub payload: ShardPayload<'a>,
+/// The narrowest of 1, 2, 4 or 8 bytes that holds every value whose
+/// bits `bits` ORs together.
+fn width(bits: u64) -> usize {
+    match bits {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        0x1_0000..=0xffff_ffff => 4,
+        _ => 8,
+    }
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -279,129 +412,22 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn opt_thread(t: Option<ThreadId>) -> u32 {
-    t.map_or(NO_THREAD, ThreadId::index)
-}
-
-fn encode_event(buf: &mut Vec<u8>, event: ShardEvent) {
-    match event {
-        ShardEvent::ThreadStart { parent } => {
-            buf.push(K_THREAD_START);
-            put_u32(buf, opt_thread(parent));
-        }
-        ShardEvent::ThreadExit { cost } => {
-            buf.push(K_THREAD_EXIT);
-            put_u64(buf, cost);
-        }
-        ShardEvent::ThreadSwitch { from } => {
-            buf.push(K_THREAD_SWITCH);
-            put_u32(buf, opt_thread(from));
-        }
-        ShardEvent::Call { routine, cost } => {
-            buf.push(K_CALL);
-            put_u32(buf, routine.index());
-            put_u64(buf, cost);
-        }
-        ShardEvent::Return { routine, cost } => {
-            buf.push(K_RETURN);
-            put_u32(buf, routine.index());
-            put_u64(buf, cost);
-        }
-        ShardEvent::Read { addr, len } => {
-            buf.push(K_READ);
-            put_u64(buf, addr.raw());
-            put_u32(buf, len);
-        }
-        ShardEvent::Write { addr, len } => {
-            buf.push(K_WRITE);
-            put_u64(buf, addr.raw());
-            put_u32(buf, len);
-        }
-        ShardEvent::UserToKernel { addr, len } => {
-            buf.push(K_U2K);
-            put_u64(buf, addr.raw());
-            put_u32(buf, len);
-        }
-        ShardEvent::KernelToUser { addr, len } => {
-            buf.push(K_K2U);
-            put_u64(buf, addr.raw());
-            put_u32(buf, len);
-        }
-        ShardEvent::Sync { op } => {
-            buf.push(K_SYNC);
-            match op {
-                SyncOp::SemWait(s) => {
-                    buf.push(0);
-                    put_u32(buf, s);
-                }
-                SyncOp::SemSignal(s) => {
-                    buf.push(1);
-                    put_u32(buf, s);
-                }
-                SyncOp::MutexLock(m) => {
-                    buf.push(2);
-                    put_u32(buf, m);
-                }
-                SyncOp::MutexUnlock(m) => {
-                    buf.push(3);
-                    put_u32(buf, m);
-                }
-                SyncOp::CondWait { cond, mutex } => {
-                    buf.push(4);
-                    put_u32(buf, cond);
-                    put_u32(buf, mutex);
-                }
-                SyncOp::CondSignal(c) => {
-                    buf.push(5);
-                    put_u32(buf, c);
-                }
-                SyncOp::CondBroadcast(c) => {
-                    buf.push(6);
-                    put_u32(buf, c);
-                }
-                SyncOp::Spawn { child } => {
-                    buf.push(7);
-                    put_u32(buf, child.index());
-                }
-                SyncOp::Join { child } => {
-                    buf.push(8);
-                    put_u32(buf, child.index());
-                }
-            }
-        }
-        ShardEvent::Block { routine, block } => {
-            buf.push(K_BLOCK);
-            put_u32(buf, routine.index());
-            put_u32(buf, block.index());
+/// Appends `values` as a column of `width`-byte little-endian values.
+fn put_column<T: Copy + Into<u64>>(buf: &mut Vec<u8>, values: &[T], width: usize) {
+    fn put<T: Copy + Into<u64>, const N: usize>(dst: &mut [u8], values: &[T]) {
+        for (d, &v) in dst.chunks_exact_mut(N).zip(values) {
+            d.copy_from_slice(&v.into().to_le_bytes()[..N]);
         }
     }
-}
-
-/// Encodes a `BATCH` frame's body, one bulk pass per column.
-fn encode_batch(
-    buf: &mut Vec<u8>,
-    kinds: impl ExactSizeIterator<Item = ShardBatchKind>,
-    addrs: &[Addr],
-    lens: &[u32],
-) {
-    buf.push(K_BATCH);
-    put_u32(buf, addrs.len() as u32);
-    buf.extend(kinds.map(|k| k as u8));
     let at = buf.len();
-    buf.resize(at + addrs.len() * 8 + lens.len() * 4, 0);
-    let (addr_col, len_col) = buf[at..].split_at_mut(addrs.len() * 8);
-    for (dst, addr) in addr_col.chunks_exact_mut(8).zip(addrs) {
-        dst.copy_from_slice(&addr.raw().to_le_bytes());
+    buf.resize(at + values.len() * width, 0);
+    let dst = &mut buf[at..];
+    match width {
+        1 => put::<T, 1>(dst, values),
+        2 => put::<T, 2>(dst, values),
+        4 => put::<T, 4>(dst, values),
+        _ => put::<T, 8>(dst, values),
     }
-    for (dst, len) in len_col.chunks_exact_mut(4).zip(lens) {
-        dst.copy_from_slice(&len.to_le_bytes());
-    }
-}
-
-/// `body` as exactly `N` bytes: the fields of a fixed-width frame. One
-/// length check per frame then covers every field read.
-fn fixed<const N: usize>(body: &[u8]) -> Option<&[u8; N]> {
-    body.try_into().ok()
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
@@ -412,121 +438,282 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
-fn decode_opt_thread(v: u32) -> Option<ThreadId> {
-    (v != NO_THREAD).then(|| ThreadId::new(v))
-}
-
-/// An `addr u64 · len u32` body.
-fn span(body: &[u8]) -> Option<(Addr, u32)> {
-    let f = fixed::<12>(body)?;
-    Some((Addr::new(u64_at(f, 0)), u32_at(f, 8)))
-}
-
-/// A `routine u32 · cost u64` body.
-fn routine_cost(body: &[u8]) -> Option<(RoutineId, u64)> {
-    let f = fixed::<12>(body)?;
-    Some((RoutineId::new(u32_at(f, 0)), u64_at(f, 4)))
-}
-
-/// A `u32` body.
-fn word(body: &[u8]) -> Option<u32> {
-    Some(u32::from_le_bytes(*fixed::<4>(body)?))
-}
-
-/// The one frame decoder, serving both load-time validation and replay:
-/// the `seq` and payload of one checksummed frame, read in place.
-/// `None` means the payload is not a well-formed frame (unknown kind,
-/// wrong length for its kind, a batch kind byte that is neither read
-/// nor write) and the shard is torn at this frame.
+/// The `N`-byte little-endian value `bytes` holds.
 #[inline]
-fn decode_frame(payload: &[u8]) -> Option<(u64, ShardPayload<'_>)> {
-    let (head, body) = payload.split_first_chunk::<9>()?;
-    let seq = u64_at(head, 0);
-    let event = match head[8] {
-        K_THREAD_START => ShardEvent::ThreadStart {
-            parent: decode_opt_thread(word(body)?),
-        },
-        K_THREAD_EXIT => ShardEvent::ThreadExit {
-            cost: u64::from_le_bytes(*fixed::<8>(body)?),
-        },
-        K_THREAD_SWITCH => ShardEvent::ThreadSwitch {
-            from: decode_opt_thread(word(body)?),
-        },
-        K_CALL => {
-            let (routine, cost) = routine_cost(body)?;
-            ShardEvent::Call { routine, cost }
+fn le<const N: usize>(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word[..N].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// A column of `width`-byte little-endian values, borrowed from a loaded
+/// shard.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Column<'a> {
+    bytes: &'a [u8],
+    width: usize,
+}
+
+impl<'a> Column<'a> {
+    /// Value `i`.
+    #[inline]
+    fn get(self, i: usize) -> u64 {
+        let v = &self.bytes[i * self.width..];
+        match self.width {
+            1 => le::<1>(&v[..1]),
+            2 => le::<2>(&v[..2]),
+            4 => le::<4>(&v[..4]),
+            _ => le::<8>(&v[..8]),
         }
-        K_RETURN => {
-            let (routine, cost) = routine_cost(body)?;
-            ShardEvent::Return { routine, cost }
+    }
+
+    /// Values `from..from + n`.
+    #[inline]
+    fn range(self, from: usize, n: usize) -> Column<'a> {
+        Column {
+            bytes: &self.bytes[from * self.width..(from + n) * self.width],
+            width: self.width,
         }
-        K_READ => {
-            let (addr, len) = span(body)?;
-            ShardEvent::Read { addr, len }
+    }
+}
+
+/// A read/write batch's columns, borrowed from the loaded shard. Load
+/// checked every entry's kind byte, so the columns decode as they are
+/// read.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct ShardBatch<'a> {
+    kinds: &'a [u8],
+    addrs: Column<'a>,
+    lens: Column<'a>,
+}
+
+impl<'a> ShardBatch<'a> {
+    /// Number of entries.
+    pub fn len(self) -> usize {
+        self.kinds.len()
+    }
+
+    /// Whether the batch has no entries.
+    pub fn is_empty(self) -> bool {
+        self.kinds.is_empty()
+    }
+
+    /// Calls `f` on every entry, in emission order. The column widths
+    /// are resolved once per batch, not once per entry.
+    #[inline]
+    pub fn for_each_entry(self, mut f: impl FnMut(ShardBatchKind, Addr, u32)) {
+        match self.addrs.width {
+            1 => self.entries_with::<1>(&mut f),
+            2 => self.entries_with::<2>(&mut f),
+            4 => self.entries_with::<4>(&mut f),
+            _ => self.entries_with::<8>(&mut f),
         }
-        K_WRITE => {
-            let (addr, len) = span(body)?;
-            ShardEvent::Write { addr, len }
+    }
+
+    fn entries_with<const A: usize>(self, f: &mut impl FnMut(ShardBatchKind, Addr, u32)) {
+        match self.lens.width {
+            1 => self.entries_as::<A, 1>(f),
+            2 => self.entries_as::<A, 2>(f),
+            _ => self.entries_as::<A, 4>(f),
         }
-        K_U2K => {
-            let (addr, len) = span(body)?;
-            ShardEvent::UserToKernel { addr, len }
-        }
-        K_K2U => {
-            let (addr, len) = span(body)?;
-            ShardEvent::KernelToUser { addr, len }
-        }
-        K_SYNC => {
-            let (&op, args) = body.split_first()?;
-            let op = match op {
-                0 => SyncOp::SemWait(word(args)?),
-                1 => SyncOp::SemSignal(word(args)?),
-                2 => SyncOp::MutexLock(word(args)?),
-                3 => SyncOp::MutexUnlock(word(args)?),
-                4 => {
-                    let f = fixed::<8>(args)?;
-                    SyncOp::CondWait {
-                        cond: u32_at(f, 0),
-                        mutex: u32_at(f, 4),
-                    }
-                }
-                5 => SyncOp::CondSignal(word(args)?),
-                6 => SyncOp::CondBroadcast(word(args)?),
-                7 => SyncOp::Spawn {
-                    child: ThreadId::new(word(args)?),
-                },
-                8 => SyncOp::Join {
-                    child: ThreadId::new(word(args)?),
-                },
-                _ => return None,
+    }
+
+    fn entries_as<const A: usize, const B: usize>(
+        self,
+        f: &mut impl FnMut(ShardBatchKind, Addr, u32),
+    ) {
+        let addrs = self.addrs.bytes.chunks_exact(A);
+        let lens = self.lens.bytes.chunks_exact(B);
+        for ((&kind, addr), len) in self.kinds.iter().zip(addrs).zip(lens) {
+            let kind = if kind == K_ENTRY_READ {
+                ShardBatchKind::Read
+            } else {
+                ShardBatchKind::Write
             };
-            ShardEvent::Sync { op }
+            f(kind, Addr::new(le::<A>(addr)), le::<B>(len) as u32);
         }
-        K_BLOCK => {
-            let f = fixed::<8>(body)?;
-            ShardEvent::Block {
-                routine: RoutineId::new(u32_at(f, 0)),
-                block: BlockId::new(u32_at(f, 4)),
-            }
+    }
+}
+
+/// One delivery of a run, decoded in place.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum ShardRecord<'a> {
+    /// A single event, by value.
+    Event(ShardEvent),
+    /// A whole read/write batch, its columns borrowed from the shard.
+    Batch(ShardBatch<'a>),
+}
+
+/// One frame decoded in place: a run of consecutive deliveries to one
+/// shard. The `k`-th of its [`records`](ShardFrame::records) has global
+/// sequence number `seq + k`.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct ShardFrame<'a> {
+    /// Global sequence number of the run's first delivery (assigned at
+    /// record time).
+    pub seq: u64,
+    /// Thread whose shard held the frame.
+    pub thread: ThreadId,
+    kinds: &'a [u8],
+    a: Column<'a>,
+    b: Column<'a>,
+}
+
+impl<'a> ShardFrame<'a> {
+    /// Splits a payload into its columns, from its header alone: load
+    /// has checked that they fit.
+    #[inline]
+    fn split(payload: &'a [u8], thread: ThreadId) -> ShardFrame<'a> {
+        let records = u32_at(payload, 8) as usize;
+        let a_len = u32_at(payload, 12) as usize * usize::from(payload[16]);
+        let (kinds, rest) = payload[RUN_HEADER_BYTES..].split_at(records);
+        let (a, b) = rest.split_at(a_len);
+        ShardFrame {
+            seq: u64_at(payload, 0),
+            thread,
+            kinds,
+            a: Column {
+                bytes: a,
+                width: usize::from(payload[16]),
+            },
+            b: Column {
+                bytes: b,
+                width: usize::from(payload[17]),
+            },
         }
-        K_BATCH => {
-            let (count, columns) = body.split_first_chunk::<4>()?;
-            let count = u32::from_le_bytes(*count) as usize;
-            // Columnar: count kinds, then count addrs, then count lens.
-            if count.checked_mul(13) != Some(columns.len()) {
-                return None;
+    }
+
+    /// The run's deliveries, in record order.
+    pub fn records(self) -> impl Iterator<Item = ShardRecord<'a>> + 'a {
+        let (mut i, mut j) = (0, 0);
+        std::iter::from_fn(move || {
+            let &kind = self.kinds.get(i)?;
+            let b = self.b.get(i);
+            i += 1;
+            if kind == K_BATCH {
+                let n = b as usize;
+                let batch = ShardBatch {
+                    kinds: &self.kinds[i..i + n],
+                    addrs: self.a.range(j, n),
+                    lens: self.b.range(i, n),
+                };
+                i += n;
+                j += n;
+                return Some(ShardRecord::Batch(batch));
             }
-            let (kinds, rest) = columns.split_at(count);
-            if kinds.iter().any(|&k| k > ShardBatchKind::Write as u8) {
-                return None;
+            let a = if has_a(kind) {
+                j += 1;
+                self.a.get(j - 1)
+            } else {
+                0
+            };
+            Some(ShardRecord::Event(decode_event(kind, a, b as u32)))
+        })
+    }
+}
+
+/// Checks one checksummed payload's structure — widths, exact column
+/// lengths, kinds in range, every batch inside the frame and entries
+/// only inside a batch — and returns its frame and delivery count, or
+/// why it is malformed.
+fn check_run(payload: &[u8], thread: ThreadId) -> Result<(ShardFrame<'_>, u64), &'static str> {
+    if payload.len() < RUN_HEADER_BYTES {
+        return Err("frame shorter than its run header");
+    }
+    let (a_width, b_width) = (payload[16], payload[17]);
+    if !matches!(a_width, 1 | 2 | 4 | 8) || !matches!(b_width, 1 | 2 | 4) {
+        return Err("bad column width");
+    }
+    let records = u64::from(u32_at(payload, 8));
+    let a_count = u64::from(u32_at(payload, 12));
+    let columns = records * (1 + u64::from(b_width)) + a_count * u64::from(a_width);
+    if payload.len() as u64 != RUN_HEADER_BYTES as u64 + columns {
+        return Err("column lengths do not match the header");
+    }
+    if records == 0 {
+        return Err("empty run");
+    }
+    let frame = ShardFrame::split(payload, thread);
+    let (mut i, mut a_used, mut deliveries) = (0, 0, 0);
+    while let Some(&kind) = frame.kinds.get(i) {
+        i += 1;
+        deliveries += 1;
+        match kind {
+            K_BATCH => {
+                let n = frame.b.get(i - 1) as usize;
+                let Some(entries) = frame.kinds[i..].get(..n) else {
+                    return Err("batch overruns its frame");
+                };
+                if entries.iter().any(|&k| k > K_ENTRY_WRITE) {
+                    return Err("non-entry record inside a batch");
+                }
+                i += n;
+                a_used += n;
             }
-            let (addrs, lens) = rest.split_at(count * 8);
-            let batch = ShardBatch { kinds, addrs, lens };
-            return Some((seq, ShardPayload::Batch(batch)));
+            K_ENTRY_READ | K_ENTRY_WRITE => return Err("batch entry outside a batch"),
+            k if k < KINDS => a_used += usize::from(has_a(k)),
+            _ => return Err("kind out of range"),
         }
-        _ => return None,
-    };
-    Some((seq, ShardPayload::Event(event)))
+    }
+    if a_used as u64 != a_count {
+        return Err("column lengths do not match the header");
+    }
+    Ok((frame, deliveries))
+}
+
+/// The open run: consecutive deliveries to one shard, staged column by
+/// column until it ends and is encoded as one frame.
+#[derive(Default)]
+struct Run {
+    thread: ThreadId,
+    /// `seq` of the run's first delivery.
+    base_seq: u64,
+    kinds: Vec<u8>,
+    a: Vec<u64>,
+    b: Vec<u32>,
+}
+
+impl Run {
+    #[inline]
+    fn push(&mut self, (kind, a, b): (u8, Option<u64>, u32)) {
+        self.kinds.push(kind);
+        if let Some(a) = a {
+            self.a.push(a);
+        }
+        self.b.push(b);
+    }
+
+    fn push_batch(
+        &mut self,
+        kinds: impl Iterator<Item = ShardBatchKind>,
+        addrs: &[Addr],
+        lens: &[u32],
+    ) {
+        self.push((K_BATCH, None, addrs.len() as u32));
+        self.kinds.extend(kinds.map(|k| k as u8));
+        self.a.extend(addrs.iter().map(|a| a.raw()));
+        self.b.extend_from_slice(lens);
+    }
+
+    /// Appends the run's payload to `buf`, each column at the narrowest
+    /// width that holds its values.
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let a_width = width(self.a.iter().fold(0, |bits, &v| bits | v));
+        let b_width = width(u64::from(self.b.iter().fold(0, |bits, &v| bits | v)));
+        put_u64(buf, self.base_seq);
+        put_u32(buf, self.kinds.len() as u32);
+        put_u32(buf, self.a.len() as u32);
+        buf.extend_from_slice(&[a_width as u8, b_width as u8]);
+        buf.extend_from_slice(&self.kinds);
+        put_column(buf, &self.a, a_width);
+        put_column(buf, &self.b, b_width);
+    }
+
+    fn clear(&mut self) {
+        self.kinds.clear();
+        self.a.clear();
+        self.b.clear();
+    }
 }
 
 /// Shard file name for a thread.
@@ -534,12 +721,13 @@ fn shard_name(thread: ThreadId) -> String {
     format!("shard-{}.bin", thread.index())
 }
 
+/// The thread a file name is the shard of: only [`shard_name`]'s own
+/// spelling counts, so a copy named `shard-01.bin` or `shard-+1.bin` is
+/// not a second shard of thread 1.
 fn thread_of_name(name: &str) -> Option<ThreadId> {
-    name.strip_prefix("shard-")?
-        .strip_suffix(".bin")?
-        .parse::<u32>()
-        .ok()
-        .map(ThreadId::new)
+    let index = name.strip_prefix("shard-")?.strip_suffix(".bin")?;
+    let thread = ThreadId::new(index.parse().ok()?);
+    (shard_name(thread) == name).then_some(thread)
 }
 
 struct OpenShard {
@@ -581,11 +769,16 @@ impl ShardSummary {
 /// seeded ENOSPC / EIO chaos exercises the same code paths as real
 /// disks, and a crashed or faulted run leaves shards whose checksummed
 /// prefix [`ShardSet::load`] salvages.
+///
+/// A run ends when the next delivery goes to another shard, so only one
+/// run is ever open and the writer stages it in one place.
 pub struct ShardWriter {
     io: HostIo,
     dir: PathBuf,
     spill_threshold: usize,
     shards: Vec<Option<OpenShard>>,
+    /// The open run; empty between runs.
+    run: Run,
     seq: u64,
     error: Option<io::Error>,
 }
@@ -600,6 +793,7 @@ impl ShardWriter {
             dir: dir.to_path_buf(),
             spill_threshold: spill_threshold.max(1),
             shards: Vec::new(),
+            run: Run::default(),
             seq: 0,
             error: None,
         })
@@ -613,7 +807,11 @@ impl ShardWriter {
     /// Records one event into `thread`'s shard. Infallible: a host-I/O
     /// failure latches and later records are dropped.
     pub fn record_event(&mut self, thread: ThreadId, event: ShardEvent) {
-        self.append(thread, |buf| encode_event(buf, event));
+        let record = event_record(event);
+        if self.begin(thread) {
+            self.run.push(record);
+            self.end_run_at_cap();
+        }
     }
 
     /// Records one whole read/write batch into `thread`'s shard, in the
@@ -630,31 +828,66 @@ impl ShardWriter {
             kinds.len() == addrs.len() && addrs.len() == lens.len(),
             "batch columns differ in length"
         );
-        self.append(thread, |buf| encode_batch(buf, kinds, addrs, lens));
+        if self.begin(thread) {
+            self.run.push_batch(kinds, addrs, lens);
+            self.end_run_at_cap();
+        }
     }
 
-    /// Appends one frame to `thread`'s shard, straight into its spill
-    /// buffer: a header left blank, the next `seq`, whatever `encode`
-    /// writes; then the header's length and checksum are filled in.
-    fn append(&mut self, thread: ThreadId, encode: impl FnOnce(&mut Vec<u8>)) {
-        if self.error.is_some() {
-            return;
+    /// Starts one delivery to `thread`: ends the open run if it goes to
+    /// another shard, opens `thread`'s shard on its first delivery, and
+    /// numbers the delivery. False once an error has latched.
+    #[inline]
+    fn begin(&mut self, thread: ThreadId) -> bool {
+        if self.run.thread != thread && !self.run.kinds.is_empty() {
+            self.end_run();
         }
-        self.seq += 1;
-        let idx = thread.index() as usize;
-        if self.shards.get(idx).is_none_or(Option::is_none) {
+        if self.error.is_some() {
+            return false;
+        }
+        if self
+            .shards
+            .get(thread.index() as usize)
+            .is_none_or(Option::is_none)
+        {
             if let Err(e) = self.open(thread) {
                 self.error = Some(e);
-                return;
+                return false;
             }
         }
-        let shard = self.shards[idx].as_mut().expect("shard just opened");
+        self.seq += 1;
+        if self.run.kinds.is_empty() {
+            self.run.thread = thread;
+            self.run.base_seq = self.seq;
+        }
+        true
+    }
+
+    #[inline]
+    fn end_run_at_cap(&mut self) {
+        if self.run.kinds.len() >= RUN_RECORD_CAP {
+            self.end_run();
+        }
+    }
+
+    /// Ends the open run: encodes it as one frame straight into its
+    /// shard's spill buffer — a header left blank, the payload, then the
+    /// header's length and checksum filled in — and flushes the buffer
+    /// once it passes the spill threshold.
+    fn end_run(&mut self) {
+        if self.run.kinds.is_empty() || self.error.is_some() {
+            self.run.clear();
+            return;
+        }
+        let shard = self.shards[self.run.thread.index() as usize]
+            .as_mut()
+            .expect("a run's shard is open");
         let buf = &mut shard.buf;
         let start = buf.len();
         let body = start + FRAME_HEADER_BYTES;
         buf.resize(body, 0);
-        put_u64(buf, self.seq);
-        encode(buf);
+        self.run.encode(buf);
+        self.run.clear();
         let len = buf.len() - body;
         let sum = frame_checksum(&buf[body..]);
         buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
@@ -693,11 +926,12 @@ impl ShardWriter {
         Ok(())
     }
 
-    /// Flushes and fsyncs every shard, atomically publishes the
-    /// manifest, and fsyncs the directory. Returns the first latched
-    /// recording error instead, if there was one — the shards on disk
-    /// then hold a salvageable prefix of the run.
+    /// Ends the open run, flushes and fsyncs every shard, atomically
+    /// publishes the manifest, and fsyncs the directory. Returns the
+    /// first latched recording error instead, if there was one — the
+    /// shards on disk then hold a salvageable prefix of the run.
     pub fn finish(mut self) -> io::Result<ShardSummary> {
+        self.end_run();
         if let Some(e) = self.error.take() {
             return Err(e);
         }
@@ -736,8 +970,8 @@ impl ShardWriter {
 }
 
 /// The salvaged contents of one shard file: its verifying byte prefix
-/// and where each frame in it starts. Frames are decoded in place, on
-/// demand, by the same decoder that validated them at load.
+/// and where each frame in it starts. Frames are split into their
+/// columns and decoded in place, on demand.
 #[derive(Clone, Debug)]
 pub struct SalvagedShard {
     /// File name inside the shard directory.
@@ -762,27 +996,18 @@ impl SalvagedShard {
         self.index.len()
     }
 
-    /// `seq` of frame `i`, if the shard has that many frames.
+    /// Base `seq` of frame `i`, if the shard has that many frames.
     #[inline]
     fn seq(&self, i: usize) -> Option<u64> {
-        let at = self.index.get(i)? + FRAME_HEADER_BYTES;
-        Some(u64::from_le_bytes(
-            self.image[at..at + 8].try_into().unwrap(),
-        ))
+        Some(u64_at(&self.image, self.index.get(i)? + FRAME_HEADER_BYTES))
     }
 
-    /// Frame `i`, decoded in place.
+    /// Frame `i`, split in place.
     #[inline]
     fn frame(&self, i: usize) -> ShardFrame<'_> {
         let body = self.index[i] + FRAME_HEADER_BYTES;
         let end = self.index.get(i + 1).copied().unwrap_or(self.image.len());
-        let (seq, payload) =
-            decode_frame(&self.image[body..end]).expect("load indexes only frames that decode");
-        ShardFrame {
-            seq,
-            thread: self.thread,
-            payload,
-        }
+        ShardFrame::split(&self.image[body..end], self.thread)
     }
 }
 
@@ -800,7 +1025,7 @@ fn check_header(image: &[u8], thread: ThreadId) -> Result<(), String> {
             "not a shard file".to_owned()
         });
     }
-    let named = u32::from_le_bytes(image[8..12].try_into().unwrap());
+    let named = u32_at(image, 8);
     if named != thread.index() {
         return Err(format!(
             "header names thread {named}, file name thread {}",
@@ -813,15 +1038,19 @@ fn check_header(image: &[u8], thread: ThreadId) -> Result<(), String> {
 /// Indexes the longest verifying frame prefix of an image whose header
 /// checked out. Returns where that prefix ends and, when the image goes
 /// on past it, why.
-fn index_frames(image: &[u8], index: &mut Vec<usize>) -> (usize, Option<&'static str>) {
+fn index_frames(
+    image: &[u8],
+    thread: ThreadId,
+    index: &mut Vec<usize>,
+) -> (usize, Option<&'static str>) {
     let mut pos = FILE_HEADER_BYTES;
-    let mut last_seq = None;
+    // One past the last `seq` indexed: no run may start below it.
+    let mut next_seq = 0;
     while pos < image.len() {
         let Some(header) = image.get(pos..pos + FRAME_HEADER_BYTES) else {
             return (pos, Some("torn frame header"));
         };
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(header[4..].try_into().unwrap());
+        let len = u32_at(header, 0) as usize;
         if len > MAX_PAYLOAD_BYTES {
             return (pos, Some("frame length out of range"));
         }
@@ -829,17 +1058,20 @@ fn index_frames(image: &[u8], index: &mut Vec<usize>) -> (usize, Option<&'static
         let Some(payload) = image.get(body..body + len) else {
             return (pos, Some("torn frame"));
         };
-        if frame_checksum(payload) != sum {
+        if frame_checksum(payload) != u64_at(header, 4) {
             return (pos, Some("checksum mismatch"));
         }
-        let Some((seq, _)) = decode_frame(payload) else {
-            return (pos, Some("malformed frame"));
+        let (frame, deliveries) = match check_run(payload, thread) {
+            Ok(run) => run,
+            Err(why) => return (pos, Some(why)),
         };
-        // `None < Some(_)`: the first frame's seq is free.
-        if last_seq >= Some(seq) {
+        if frame.seq < next_seq {
             return (pos, Some("seq does not rise"));
         }
-        last_seq = Some(seq);
+        let Some(end) = frame.seq.checked_add(deliveries) else {
+            return (pos, Some("seq overflows"));
+        };
+        next_seq = end;
         index.push(pos);
         pos = body + len;
     }
@@ -857,7 +1089,7 @@ fn parse_shard(
     let mut index = Vec::new();
     let (end, tear) = match check_header(&image, thread) {
         Ok(()) => {
-            let (end, why) = index_frames(&image, &mut index);
+            let (end, why) = index_frames(&image, thread, &mut index);
             (end, why.map(str::to_owned))
         }
         Err(why) => (0, Some(why)),
@@ -926,21 +1158,29 @@ pub struct ShardSet {
 }
 
 impl ShardSet {
-    /// Loads every `shard-*.bin` under `dir`, parsing up to `jobs`
+    /// Loads every `shard-<tid>.bin` under `dir`, parsing up to `jobs`
     /// shards in parallel (the sweep's worker-pool idiom: scoped
-    /// threads racing over an atomic cursor).
+    /// threads racing over an atomic cursor). A `shard-*.bin` file whose
+    /// name is not a thread's own spelling is ignored with a warning.
     pub fn load(dir: &Path, jobs: usize) -> io::Result<ShardSet> {
         let mut names: Vec<(ThreadId, String)> = Vec::new();
+        let mut look_alikes = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
             if let Some(thread) = thread_of_name(&name) {
                 names.push((thread, name));
+            } else if name.starts_with("shard-") && name.ends_with(".bin") {
+                look_alikes.push(name);
             }
         }
         names.sort();
+        look_alikes.sort();
 
-        let mut warnings = Vec::new();
+        let mut warnings: Vec<String> = look_alikes
+            .iter()
+            .map(|name| format!("{name}: not a shard-<thread>.bin name; ignored"))
+            .collect();
         let manifest = match std::fs::read_to_string(dir.join(MANIFEST_FILE)) {
             Ok(text) => match parse_manifest(&text) {
                 Some(rows) => Some(rows),
@@ -1044,10 +1284,10 @@ impl ShardSet {
         metrics.set_gauge("trace.shard.files", self.shards.len() as u64);
     }
 
-    /// Every salvaged frame, decoded in place and merged across shards
-    /// back into the global record order: `seq` is global and rises
-    /// within each shard, so a k-way merge by `seq` *is* the live
-    /// delivery order.
+    /// Every salvaged frame, split in place and merged across shards
+    /// back into the global record order: a run's deliveries carry
+    /// consecutive `seq`s and runs never overlap, so a k-way merge of
+    /// the runs by base `seq` *is* the live delivery order.
     pub fn frames_in_order(&self) -> impl Iterator<Item = ShardFrame<'_>> + '_ {
         let heads = self
             .shards
@@ -1061,18 +1301,30 @@ impl ShardSet {
         }
     }
 
-    /// Replays the salvaged frames, in global order, into `sink` —
-    /// batch frames are unrolled entry-by-entry (observably equivalent
-    /// to native batch delivery) — then finishes the sink.
+    /// Replays the salvaged runs, in global order, into `sink` — batch
+    /// entries are unrolled one by one (observably equivalent to native
+    /// batch delivery) — then finishes the sink.
     pub fn replay<S: EventSink + ?Sized>(&self, sink: &mut S) {
         for frame in self.frames_in_order() {
-            deliver_frame(frame, sink);
+            let t = frame.thread;
+            for record in frame.records() {
+                match record {
+                    ShardRecord::Event(event) => deliver_event(t, event, sink),
+                    ShardRecord::Batch(batch) => {
+                        batch.for_each_entry(|kind, addr, len| match kind {
+                            ShardBatchKind::Read => sink.on_read(t, addr, len),
+                            ShardBatchKind::Write => sink.on_write(t, addr, len),
+                        })
+                    }
+                }
+            }
         }
         sink.on_finish();
     }
 }
 
-/// The k-way merge of a set's shards by `seq`.
+/// The k-way merge of a set's shards by base `seq`: one heap pop per
+/// run.
 struct Merge<'a> {
     shards: &'a [SalvagedShard],
     /// `(seq, shard, frame)` of every shard's next frame.
@@ -1083,7 +1335,7 @@ impl<'a> Iterator for Merge<'a> {
     type Item = ShardFrame<'a>;
 
     // Inlined into the replay loops of other crates, which call it once
-    // per frame.
+    // per run.
     #[inline]
     fn next(&mut self) -> Option<ShardFrame<'a>> {
         let Reverse((_, s, i)) = self.heads.pop()?;
@@ -1094,31 +1346,21 @@ impl<'a> Iterator for Merge<'a> {
     }
 }
 
-/// Delivers one frame to an [`EventSink`], batch entries unrolled.
-pub fn deliver_frame<S: EventSink + ?Sized>(frame: ShardFrame<'_>, sink: &mut S) {
-    let t = frame.thread;
-    match frame.payload {
-        ShardPayload::Event(event) => match event {
-            ShardEvent::ThreadStart { parent } => sink.on_thread_start(t, parent),
-            ShardEvent::ThreadExit { cost } => sink.on_thread_exit(t, cost),
-            ShardEvent::ThreadSwitch { from } => sink.on_thread_switch(from, t),
-            ShardEvent::Call { routine, cost } => sink.on_call(t, routine, cost),
-            ShardEvent::Return { routine, cost } => sink.on_return(t, routine, cost),
-            ShardEvent::Read { addr, len } => sink.on_read(t, addr, len),
-            ShardEvent::Write { addr, len } => sink.on_write(t, addr, len),
-            ShardEvent::UserToKernel { addr, len } => sink.on_user_to_kernel(t, addr, len),
-            ShardEvent::KernelToUser { addr, len } => sink.on_kernel_to_user(t, addr, len),
-            ShardEvent::Sync { op } => sink.on_sync(t, op),
-            ShardEvent::Block { routine, block } => sink.on_block(t, routine, block),
-        },
-        ShardPayload::Batch(batch) => {
-            for (kind, addr, len) in batch.entries() {
-                match kind {
-                    ShardBatchKind::Read => sink.on_read(t, addr, len),
-                    ShardBatchKind::Write => sink.on_write(t, addr, len),
-                }
-            }
-        }
+/// Delivers one event of `thread`'s shard to an [`EventSink`].
+pub fn deliver_event<S: EventSink + ?Sized>(thread: ThreadId, event: ShardEvent, sink: &mut S) {
+    let t = thread;
+    match event {
+        ShardEvent::ThreadStart { parent } => sink.on_thread_start(t, parent),
+        ShardEvent::ThreadExit { cost } => sink.on_thread_exit(t, cost),
+        ShardEvent::ThreadSwitch { from } => sink.on_thread_switch(from, t),
+        ShardEvent::Call { routine, cost } => sink.on_call(t, routine, cost),
+        ShardEvent::Return { routine, cost } => sink.on_return(t, routine, cost),
+        ShardEvent::Read { addr, len } => sink.on_read(t, addr, len),
+        ShardEvent::Write { addr, len } => sink.on_write(t, addr, len),
+        ShardEvent::UserToKernel { addr, len } => sink.on_user_to_kernel(t, addr, len),
+        ShardEvent::KernelToUser { addr, len } => sink.on_kernel_to_user(t, addr, len),
+        ShardEvent::Sync { op } => sink.on_sync(t, op),
+        ShardEvent::Block { routine, block } => sink.on_block(t, routine, block),
     }
 }
 
@@ -1132,6 +1374,7 @@ mod tests {
         dir
     }
 
+    /// Three runs: thread 0's seqs 1–3, thread 1's 4–6, thread 0's 7–8.
     fn sample_events() -> Vec<(ThreadId, ShardEvent)> {
         let t0 = ThreadId::new(0);
         let t1 = ThreadId::new(1);
@@ -1170,6 +1413,23 @@ mod tests {
         ]
     }
 
+    /// Every delivery of a set, in replay order: `(seq, thread, record)`.
+    fn deliveries(set: &ShardSet) -> Vec<(u64, ThreadId, ShardRecord<'_>)> {
+        set.frames_in_order()
+            .flat_map(|f| {
+                (f.seq..)
+                    .zip(f.records())
+                    .map(move |(s, r)| (s, f.thread, r))
+            })
+            .collect()
+    }
+
+    fn entries(batch: ShardBatch<'_>) -> Vec<(ShardBatchKind, Addr, u32)> {
+        let mut out = Vec::new();
+        batch.for_each_entry(|k, a, l| out.push((k, a, l)));
+        out
+    }
+
     #[test]
     fn write_load_replay_roundtrip_in_global_order() {
         let dir = tmp_dir("roundtrip");
@@ -1181,41 +1441,124 @@ mod tests {
         w.record_batch(
             ThreadId::new(1),
             [ShardBatchKind::Read, ShardBatchKind::Write].into_iter(),
-            &[Addr::new(0x200), Addr::new(0x208)],
-            &[1, 8],
+            &[Addr::new(0x200), Addr::new(0x1_0000_0208)],
+            &[1, 70_000],
         );
         let summary = w.finish().unwrap();
-        assert_eq!(summary.frames, 9);
+        // One frame per run: t0 1–3, t1 4–6, t0 7–8, t1's batch 9.
+        assert_eq!(summary.frames, 4);
         assert_eq!(summary.shards, 2);
 
         let set = ShardSet::load(&dir, 4).unwrap();
         assert!(set.had_manifest);
-        assert_eq!(set.salvaged, 9);
-        assert_eq!(set.dropped, 0);
-        assert_eq!(set.total, 9);
+        assert_eq!((set.salvaged, set.dropped, set.total), (4, 0, 4));
         let frames: Vec<ShardFrame<'_>> = set.frames_in_order().collect();
-        assert_eq!(frames.len(), 9);
-        // seq is strictly increasing across the merged shards.
-        assert!(frames.windows(2).all(|w| w[0].seq < w[1].seq));
-        // The events come back in record order, not per-file order.
+        assert_eq!(
+            frames.iter().map(|f| f.seq).collect::<Vec<_>>(),
+            [1, 4, 7, 9]
+        );
+        let got = deliveries(&set);
+        assert_eq!(got.len(), 9);
+        // The events come back in record order, not per-file order, each
+        // with its implicit seq.
         for (i, &(t, e)) in sample_events().iter().enumerate() {
             assert_eq!(
-                (frames[i].thread, frames[i].payload),
-                (t, ShardPayload::Event(e)),
-                "frame {i}"
+                got[i],
+                (i as u64 + 1, t, ShardRecord::Event(e)),
+                "delivery {i}"
             );
         }
-        let ShardPayload::Batch(batch) = frames[8].payload else {
-            panic!("frame 8 is the batch");
+        let (9, t, ShardRecord::Batch(batch)) = got[8] else {
+            panic!("delivery 9 is the batch");
         };
-        assert_eq!(frames[8].thread, ThreadId::new(1));
+        assert_eq!(t, ThreadId::new(1));
         assert_eq!(
-            batch.entries().collect::<Vec<_>>(),
+            entries(batch),
             [
                 (ShardBatchKind::Read, Addr::new(0x200), 1),
-                (ShardBatchKind::Write, Addr::new(0x208), 8),
+                (ShardBatchKind::Write, Addr::new(0x1_0000_0208), 70_000),
             ]
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each column takes the narrowest width its largest value fits, per
+    /// frame: one event whose operands need 1-, 2-, 4- and 8-byte widths
+    /// round-trips through every width, and the payload is exactly as
+    /// long as the widths say.
+    #[test]
+    fn column_widths_come_from_each_frames_data() {
+        let dir = tmp_dir("widths");
+        let mut w = ShardWriter::create(&HostIo::real(), &dir, usize::MAX).unwrap();
+        let cases: [(u64, u32, usize, usize); 5] = [
+            (0, 0, 1, 1),
+            (0xff, 0xff, 1, 1),
+            (0x100, 0x100, 2, 2),
+            (0x1_0000, 0xffff_ffff, 4, 4),
+            (u64::MAX, 1, 8, 1),
+        ];
+        // Alternating threads end every run after one event.
+        for (i, &(addr, len, _, _)) in cases.iter().enumerate() {
+            let addr = Addr::new(addr);
+            w.record_event(ThreadId::new(i as u32 % 2), ShardEvent::Write { addr, len });
+        }
+        w.finish().unwrap();
+        let set = ShardSet::load(&dir, 1).unwrap();
+        let frames: Vec<ShardFrame<'_>> = set.frames_in_order().collect();
+        assert_eq!(frames.len(), cases.len());
+        for (frame, &(addr, len, a_width, b_width)) in frames.iter().zip(&cases) {
+            assert_eq!((frame.a.width, frame.b.width), (a_width, b_width));
+            assert_eq!(
+                frame.kinds.len() + frame.a.bytes.len() + frame.b.bytes.len(),
+                1 + a_width + b_width
+            );
+            let addr = Addr::new(addr);
+            assert_eq!(
+                frame.records().collect::<Vec<_>>(),
+                [ShardRecord::Event(ShardEvent::Write { addr, len })]
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A run that stays on one shard ends at the record cap, and the
+    /// next frame picks up at the following seq; a batch that crosses
+    /// the cap stays whole in the frame it started in.
+    #[test]
+    fn a_run_ends_at_the_record_cap_and_batches_stay_whole() {
+        let dir = tmp_dir("cap");
+        let mut w = ShardWriter::create(&HostIo::real(), &dir, 4096).unwrap();
+        let t = ThreadId::MAIN;
+        let n = RUN_RECORD_CAP as u64 + 10;
+        for i in 0..n {
+            w.record_event(
+                t,
+                ShardEvent::Read {
+                    addr: Addr::new(i),
+                    len: 1,
+                },
+            );
+        }
+        // The next run holds 10 records; this batch takes it past the cap.
+        let addrs: Vec<Addr> = (0..RUN_RECORD_CAP as u64).map(Addr::new).collect();
+        let kinds = addrs.iter().map(|_| ShardBatchKind::Write);
+        w.record_batch(t, kinds, &addrs, &vec![2; addrs.len()]);
+        w.record_event(t, ShardEvent::ThreadExit { cost: 5 });
+        let summary = w.finish().unwrap();
+        assert_eq!(summary.frames, 3);
+
+        let set = ShardSet::load(&dir, 1).unwrap();
+        let frames: Vec<ShardFrame<'_>> = set.frames_in_order().collect();
+        let seqs: Vec<u64> = frames.iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, [1, RUN_RECORD_CAP as u64 + 1, n + 2]);
+        assert_eq!(frames[0].records().count(), RUN_RECORD_CAP);
+        let second: Vec<_> = frames[1].records().collect();
+        assert_eq!(second.len(), 11);
+        let ShardRecord::Batch(batch) = second[10] else {
+            panic!("the second run ends in the batch");
+        };
+        assert_eq!(batch.len(), RUN_RECORD_CAP);
+        assert_eq!(deliveries(&set).len() as u64, n + 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1237,8 +1580,8 @@ mod tests {
         let set = ShardSet::load(&dir, 2).unwrap();
         assert!(set.had_manifest);
         assert_eq!(set.salvaged + set.dropped, set.total);
-        assert_eq!(set.dropped, 1, "exactly the torn frame is lost");
-        assert_eq!(set.total, 8);
+        assert_eq!(set.dropped, 1, "exactly the torn run's frame is lost");
+        assert_eq!(set.total, 3);
         let mut m = Metrics::new();
         set.observe_metrics(&mut m);
         assert!(m.audit().is_ok(), "salvage accounting must audit clean");
@@ -1258,7 +1601,7 @@ mod tests {
 
         let intact = ShardSet::load(&dir, 1).unwrap();
         assert!(!intact.had_manifest);
-        assert_eq!(intact.salvaged, 8);
+        assert_eq!(intact.salvaged, 3);
         assert_eq!(intact.dropped, 0);
 
         let victim = dir.join("shard-1.bin");
@@ -1282,8 +1625,7 @@ mod tests {
         std::fs::remove_file(dir.join("shard-1.bin")).unwrap();
 
         let set = ShardSet::load(&dir, 2).unwrap();
-        assert_eq!(set.total, 8);
-        assert_eq!(set.salvaged + set.dropped, set.total);
+        assert_eq!((set.salvaged, set.dropped, set.total), (2, 1, 3));
         assert!(set.warnings.iter().any(|w| w.contains("missing")));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1296,7 +1638,10 @@ mod tests {
         for &(t, e) in &sample_events() {
             w.record_event(t, e);
         }
-        assert!(w.error().is_some(), "first write faults and latches");
+        assert!(
+            w.error().is_some(),
+            "the first run's write faults and latches"
+        );
         let err = w.finish().unwrap_err();
         assert!(crate::hostio::is_injected(&err));
         // Whatever reached the disk is still a loadable prefix.
@@ -1305,8 +1650,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Writes `sample_events` (thread 0: five frames, thread 1: three)
-    /// into a fresh directory.
+    /// Writes `sample_events` (thread 0: two runs, thread 1: one) into a
+    /// fresh directory.
     fn write_sample(name: &str) -> PathBuf {
         let dir = tmp_dir(name);
         let mut w = ShardWriter::create(&HostIo::real(), &dir, usize::MAX).unwrap();
@@ -1333,7 +1678,7 @@ mod tests {
         assert_eq!(shard0.thread, ThreadId::new(0));
         assert_eq!(shard0.frame_count(), 0);
         assert!(shard0.torn);
-        assert_eq!((set.salvaged, set.dropped, set.total), (3, 5, 8));
+        assert_eq!((set.salvaged, set.dropped, set.total), (1, 2, 3));
         assert!(set.frames_in_order().all(|f| f.thread == ThreadId::new(1)));
         assert!(
             set.warnings
@@ -1348,12 +1693,13 @@ mod tests {
     /// The multiply in each checksum step carries a difference only
     /// upwards, so without the xorshift bit 63 of one word could cancel
     /// bit 63 of a later one. Flipping bit 63 of any two words of a
-    /// 4-entry `BATCH` frame (its addrs' top bytes, say) must tear it.
+    /// 4-entry batch frame (its 8-byte addrs' top bytes, say) must tear
+    /// it.
     #[test]
     fn flipping_the_top_bit_of_two_words_tears_the_frame() {
         let dir = tmp_dir("top-bits");
         let mut w = ShardWriter::create(&HostIo::real(), &dir, 64).unwrap();
-        let addrs = [0x10, 0x20, 0x30, 0x40].map(Addr::new);
+        let addrs = [0x10, 0x20, 0x30, 1 << 40].map(Addr::new);
         w.record_batch(
             ThreadId::new(0),
             [ShardBatchKind::Read; 4].into_iter(),
@@ -1365,7 +1711,7 @@ mod tests {
         let pristine = std::fs::read(&victim).unwrap();
         let body = FILE_HEADER_BYTES + FRAME_HEADER_BYTES;
         let words = (pristine.len() - body) / 8;
-        assert_eq!(words, 8);
+        assert_eq!(words, 7);
         for i in 0..words {
             for j in i + 1..words {
                 let mut bytes = pristine.clone();
@@ -1380,11 +1726,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Rewrites frame `k`'s `seq` and fixes up its checksum, so only the
-    /// rising-`seq` rule can reject it.
+    /// Rewrites frame `k`'s base `seq` and fixes up its checksum, so only
+    /// the rising-`seq` rule can reject it.
     fn set_seq(image: &mut [u8], k: usize, seq: u64) {
         let mut index = Vec::new();
-        assert_eq!(index_frames(image, &mut index).1, None);
+        assert_eq!(index_frames(image, ThreadId::MAIN, &mut index).1, None);
         let body = index[k] + FRAME_HEADER_BYTES;
         let end = index.get(k + 1).copied().unwrap_or(image.len());
         image[body..body + 8].copy_from_slice(&seq.to_le_bytes());
@@ -1397,15 +1743,15 @@ mod tests {
         let dir = write_sample("seq-rule");
         let victim = dir.join("shard-0.bin");
         let pristine = std::fs::read(&victim).unwrap();
-        // Thread 0 holds seqs 1, 2, 3, 7, 8. Frame 3 (seq 7) first
-        // repeats seq 3, then goes back to seq 2.
-        for seq in [3, 2] {
+        // Thread 0 holds the runs 1–3 and 7–8. The second run first
+        // starts at seq 3, inside the first, then at seq 1.
+        for seq in [3, 1] {
             let mut bytes = pristine.clone();
-            set_seq(&mut bytes, 3, seq);
+            set_seq(&mut bytes, 1, seq);
             std::fs::write(&victim, &bytes).unwrap();
             let set = ShardSet::load(&dir, 1).unwrap();
-            assert_eq!(set.shards[0].frame_count(), 3, "seq {seq}");
-            assert_eq!((set.salvaged, set.dropped, set.total), (6, 2, 8));
+            assert_eq!(set.shards[0].frame_count(), 1, "seq {seq}");
+            assert_eq!((set.salvaged, set.dropped, set.total), (2, 1, 3));
             assert!(
                 set.warnings[0].contains("seq does not rise"),
                 "{:?}",
@@ -1415,6 +1761,11 @@ mod tests {
             set.observe_metrics(&mut m);
             assert!(m.audit().is_ok());
         }
+        // Starting right at the end of the first run is fine.
+        let mut bytes = pristine.clone();
+        set_seq(&mut bytes, 1, 4);
+        std::fs::write(&victim, &bytes).unwrap();
+        assert_eq!(ShardSet::load(&dir, 1).unwrap().dropped, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1433,13 +1784,17 @@ mod tests {
         let dir = tmp_dir("merge");
         let mut w = ShardWriter::create(&HostIo::real(), &dir, 64).unwrap();
         let mut expected = Vec::new();
-        // Runs of one to four frames per thread, in an irregular thread
-        // order, with every fifth frame a two-entry batch.
+        // Runs of one to four deliveries per thread, in an irregular
+        // thread order, with every fifth delivery a two-entry batch.
         let mut x = 7u32;
         let mut n = 0u64;
+        let mut runs = 0;
+        let mut last = None;
         for _ in 0..60 {
             x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
             let t = ThreadId::new((x >> 16) % 4);
+            runs += usize::from(last != Some(t));
+            last = Some(t);
             for _ in 0..=(x >> 8) % 4 {
                 n += 1;
                 let addr = Addr::new(n * 10);
@@ -1454,12 +1809,12 @@ mod tests {
                 }
             }
         }
-        assert!(n > 100);
+        assert!(n > 100 && runs > 30);
         let summary = w.finish().unwrap();
-        assert_eq!((summary.frames, summary.shards), (n, 4));
+        assert_eq!((summary.frames, summary.shards), (runs as u64, 4));
 
         let set = ShardSet::load(&dir, 3).unwrap();
-        let seqs: Vec<u64> = set.frames_in_order().map(|f| f.seq).collect();
+        let seqs: Vec<u64> = deliveries(&set).iter().map(|d| d.0).collect();
         assert_eq!(seqs, (1..=n).collect::<Vec<_>>());
         let mut reads = Reads::default();
         set.replay(&mut reads);
@@ -1469,22 +1824,60 @@ mod tests {
 
     #[test]
     fn an_older_format_shard_is_unsupported_and_its_frames_dropped() {
-        let dir = write_sample("old-format");
-        let victim = dir.join("shard-1.bin");
-        let mut bytes = std::fs::read(&victim).unwrap();
-        bytes[..8].copy_from_slice(b"DRMSSHD1");
-        std::fs::write(&victim, &bytes).unwrap();
+        for old in [b"DRMSSHD1", b"DRMSSHD2"] {
+            let dir = write_sample("old-format");
+            let victim = dir.join("shard-1.bin");
+            let mut bytes = std::fs::read(&victim).unwrap();
+            bytes[..8].copy_from_slice(old);
+            std::fs::write(&victim, &bytes).unwrap();
 
+            let set = ShardSet::load(&dir, 2).unwrap();
+            assert_eq!((set.salvaged, set.dropped, set.total), (2, 1, 3));
+            assert_eq!(set.shards[1].frame_count(), 0);
+            let why = format!("unsupported shard format {}", old.escape_ascii());
+            assert!(
+                set.warnings
+                    .iter()
+                    .any(|w| w.contains("shard-1.bin") && w.contains(&why)),
+                "{:?}",
+                set.warnings
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Regression: a copy of `shard-1.bin` named `shard-01.bin` or
+    /// `shard-+1.bin` parsed as thread 1 too, so its frames replayed
+    /// twice. Only the canonical name loads; the look-alikes warn.
+    #[test]
+    fn a_look_alike_shard_name_is_ignored_with_a_warning() {
+        let dir = write_sample("look-alike");
+        let pristine = ShardSet::load(&dir, 2).unwrap();
+        let pristine_reads = {
+            let mut reads = Reads::default();
+            pristine.replay(&mut reads);
+            reads.0
+        };
+        for copy in ["shard-01.bin", "shard-+1.bin", "shard-x.bin"] {
+            std::fs::copy(dir.join("shard-1.bin"), dir.join(copy)).unwrap();
+        }
         let set = ShardSet::load(&dir, 2).unwrap();
-        assert_eq!((set.salvaged, set.dropped, set.total), (5, 3, 8));
-        assert_eq!(set.shards[1].frame_count(), 0);
-        assert!(
-            set.warnings
-                .iter()
-                .any(|w| w.contains("shard-1.bin")
-                    && w.contains("unsupported shard format DRMSSHD1")),
-            "{:?}",
-            set.warnings
+        assert_eq!(set.shards.len(), 2);
+        assert_eq!(
+            (set.salvaged, set.dropped, set.total),
+            (pristine.salvaged, 0, pristine.total)
+        );
+        assert_eq!(deliveries(&set), deliveries(&pristine));
+        let mut reads = Reads::default();
+        set.replay(&mut reads);
+        assert_eq!(reads.0, pristine_reads);
+        assert_eq!(
+            set.warnings,
+            [
+                "shard-+1.bin: not a shard-<thread>.bin name; ignored",
+                "shard-01.bin: not a shard-<thread>.bin name; ignored",
+                "shard-x.bin: not a shard-<thread>.bin name; ignored",
+            ]
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,16 +7,16 @@
 //! and every callback — including whole struct-of-arrays
 //! [`EventBatch`] flushes, persisted columnar without unrolling — is
 //! appended to the per-thread shard files. [`replay_shards_into`] is
-//! the offline other half: it walks a loaded [`ShardSet`] in global
-//! record order, decoding each frame in place, and delivers `BATCH`
-//! frames through [`Tool::observe_batch`] exactly as the VM did live,
-//! so a write-then-replay run reproduces the in-memory run
+//! the offline other half: it walks a loaded [`ShardSet`]'s runs in
+//! global record order, decoding each in place, and delivers every
+//! stored batch through [`Tool::observe_batch`] exactly as the VM did
+//! live, so a write-then-replay run reproduces the in-memory run
 //! byte-for-byte.
 
 use crate::batch::{BatchKind, EventBatch};
 use crate::tool::Tool;
 use drms_trace::shard::{
-    deliver_frame, ShardBatchKind, ShardEvent, ShardPayload, ShardSet, ShardSummary, ShardWriter,
+    deliver_event, ShardBatchKind, ShardEvent, ShardRecord, ShardSet, ShardSummary, ShardWriter,
 };
 use drms_trace::{Addr, BlockId, EventSink, RoutineId, SyncOp, ThreadId};
 use std::io;
@@ -109,8 +109,8 @@ impl Tool for ShardRecorder {
         0
     }
 
-    /// Native batch path: one frame persists the whole batch columnar,
-    /// preserving the struct-of-arrays layout end to end.
+    /// Native batch path: the whole batch is staged columnar into the
+    /// open run, preserving the struct-of-arrays layout end to end.
     fn observe_batch(&mut self, batch: &EventBatch) {
         let (kinds, addrs, lens) = batch.arrays();
         let kinds = kinds.iter().map(|k| match k {
@@ -123,28 +123,29 @@ impl Tool for ShardRecorder {
 
 /// Replays a loaded shard set into `tool` with the live run's delivery
 /// shape: single events arrive through their [`EventSink`] callbacks,
-/// `BATCH` frames arrive through [`Tool::observe_batch`] as one
-/// [`EventBatch`] each, reused and filled straight from the frame's
+/// stored batches arrive through [`Tool::observe_batch`] as one
+/// [`EventBatch`] each, reused and filled straight from the run's
 /// columns. Finishes the tool at the end.
 pub fn replay_shards_into<T: Tool + ?Sized>(set: &ShardSet, tool: &mut T) {
     let mut batch = EventBatch::default();
     for frame in set.frames_in_order() {
-        match frame.payload {
-            ShardPayload::Batch(columns) => {
-                let entries = columns.entries();
-                batch.clear();
-                batch.ensure_capacity(entries.len());
-                batch.set_thread(frame.thread);
-                for (kind, addr, len) in entries {
-                    let kind = match kind {
-                        ShardBatchKind::Read => BatchKind::Read,
-                        ShardBatchKind::Write => BatchKind::Write,
-                    };
-                    batch.push(kind, addr, len);
+        for record in frame.records() {
+            match record {
+                ShardRecord::Event(event) => deliver_event(frame.thread, event, tool),
+                ShardRecord::Batch(columns) => {
+                    batch.clear();
+                    batch.ensure_capacity(columns.len());
+                    batch.set_thread(frame.thread);
+                    columns.for_each_entry(|kind, addr, len| {
+                        let kind = match kind {
+                            ShardBatchKind::Read => BatchKind::Read,
+                            ShardBatchKind::Write => BatchKind::Write,
+                        };
+                        batch.push(kind, addr, len);
+                    });
+                    tool.observe_batch(&batch);
                 }
-                tool.observe_batch(&batch);
             }
-            ShardPayload::Event(_) => deliver_frame(frame, tool),
         }
     }
     tool.on_finish();
