@@ -21,6 +21,28 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 # non-reproducible failure, or any unshrinkable failure.
 cargo run --release -q -p drms-bench --bin repro -- sched-fuzz --seeds 16 --quick
 
+# Schedule-file gate: record a chaos schedule, replay it strictly to a
+# byte-identical report, and require a copy cut inside its last checksum
+# token to fail the replay with an error naming that line.
+sched_dir=target/repro/sched
+rm -rf "$sched_dir"
+mkdir -p "$sched_dir"
+target/release/aprof --workload producer_consumer --scale 1 --sched chaos,seed=3 \
+    --record-sched "$sched_dir/rec.sched" --report "$sched_dir/rec.report" > /dev/null
+target/release/aprof --workload producer_consumer --scale 1 \
+    --replay-sched "$sched_dir/rec.sched" --report "$sched_dir/replayed.report" > /dev/null
+cmp "$sched_dir/rec.report" "$sched_dir/replayed.report" \
+    || { echo "ci: replaying a recorded schedule changed the report" >&2; exit 1; }
+sched_lines=$(( $(wc -l < "$sched_dir/rec.sched") ))
+head -c -6 "$sched_dir/rec.sched" > "$sched_dir/torn.sched"
+torn_rc=0
+target/release/aprof --workload producer_consumer --scale 1 \
+    --replay-sched "$sched_dir/torn.sched" > /dev/null 2> "$sched_dir/torn.err" || torn_rc=$?
+[ "$torn_rc" -ne 0 ] \
+    || { echo "ci: replaying a torn schedule should exit nonzero" >&2; exit 1; }
+grep -q "line $sched_lines: " "$sched_dir/torn.err" \
+    || { echo "ci: the torn schedule's error does not name line $sched_lines" >&2; exit 1; }
+
 # Bench smoke gate: a tiny parallel sweep. The binary validates its own
 # BENCH_sweep.json against the drms-sweep-v2 schema (accounting:
 # completed + retries + quarantined == attempts) and exits non-zero

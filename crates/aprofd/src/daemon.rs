@@ -297,7 +297,7 @@ impl Daemon {
         // new IDs never collide with GC'd history.
         let mut tombstoned: BTreeSet<String> = BTreeSet::new();
         if let Ok(bytes) = std::fs::read(cfg.state_dir.join("gc.tombstones")) {
-            for rec in &journal::from_text_lossy(&bytes).records {
+            for rec in &journal::from_text_lossy(&bytes).value {
                 let Some(id) = rec.meta.strip_prefix("gc ") else {
                     continue;
                 };
@@ -476,7 +476,7 @@ impl Daemon {
         }
         let path = self.cfg.state_dir.join("gc.tombstones");
         let mut tombstones = match std::fs::read(&path) {
-            Ok(bytes) => journal::from_text_lossy(&bytes).records,
+            Ok(bytes) => journal::from_text_lossy(&bytes).value,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => {
                 eprintln!("aprofd: gc skipped, tombstone journal unreadable: {e}");
@@ -991,7 +991,7 @@ impl Daemon {
         };
         let salvaged = journal::from_text_lossy(&bytes);
         let mut cells = Vec::new();
-        for rec in &salvaged.records {
+        for rec in &salvaged.value {
             let mut tok = rec.meta.split(' ');
             if tok.next() != Some("cell") {
                 continue;
@@ -1018,7 +1018,7 @@ impl Daemon {
         let mut cells = 0usize;
         let mut quarantined = 0usize;
         let mut attempts = 0u64;
-        for rec in &salvaged.records {
+        for rec in &salvaged.value {
             if !rec.meta.starts_with("cell ") {
                 continue;
             }

@@ -973,7 +973,7 @@ pub fn resume_sweep(
     // Validate the (last) spec record for this family, if any.
     let want_payload = spec_payload(spec, opts);
     let spec_rec = salvaged
-        .records
+        .value
         .iter()
         .rfind(|r| r.meta == spec_meta(&spec.family));
     let family_started = match spec_rec {
@@ -996,7 +996,7 @@ pub fn resume_sweep(
     let mut slots = vec![None; grid.len()];
     let cell_prefix = format!("cell {} ", spec.family);
     if family_started {
-        for rec in &salvaged.records {
+        for rec in &salvaged.value {
             let Some(rest) = rec.meta.strip_prefix(cell_prefix.as_str()) else {
                 continue;
             };
@@ -1071,7 +1071,7 @@ pub fn resume_sweep(
         .metrics
         .add("journal.cells_rerun", report.rerun_cells as u64);
 
-    let mut writer = if bytes.is_empty() || salvaged.records.is_empty() && salvaged.is_damaged() {
+    let mut writer = if bytes.is_empty() || salvaged.value.is_empty() && salvaged.is_damaged() {
         // Nothing usable (empty file, or killed before the header hit
         // the disk): start the journal over.
         JournalWriter::create_with(&opts.io, path)?
@@ -1083,11 +1083,7 @@ pub fn resume_sweep(
             // records. Rewrite the journal to its salvaged prefix first
             // so interleaved appends from a resumed writer always extend
             // a clean file.
-            crate::artifact::atomic_write_with(
-                &opts.io,
-                path,
-                &journal::to_text(&salvaged.records),
-            )?;
+            crate::artifact::atomic_write_with(&opts.io, path, &journal::to_text(&salvaged.value))?;
             report.metrics.inc("journal.rewritten");
         }
         JournalWriter {

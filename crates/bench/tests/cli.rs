@@ -252,6 +252,38 @@ fn both_clis_reject_the_retired_blocks_decode_mode() {
 }
 
 #[test]
+fn malformed_fault_specs_exit_2_naming_the_element() {
+    for (out, element) in [
+        (
+            aprof(&["--workload", "minidb", "--faults", "seed=7,fd0:eio:after=9"]),
+            "`fd0:eio:after=9`",
+        ),
+        (
+            aprof(&[
+                "--workload",
+                "minidb",
+                "--host-faults",
+                "write:eio;write:nope",
+            ]),
+            "`write:nope`",
+        ),
+        (
+            repro(&[
+                "sweep",
+                "--quick",
+                "--host-faults",
+                "seed=1,seed=2,rename:eio",
+            ]),
+            "`seed=2`",
+        ),
+    ] {
+        assert_eq!(out.status.code(), Some(2));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(element), "{element}: {err}");
+    }
+}
+
+#[test]
 fn repro_sweep_refuses_journal_with_resume() {
     let dir = std::env::temp_dir().join(format!("drms-cli-journal-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

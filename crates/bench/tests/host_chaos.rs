@@ -218,13 +218,13 @@ fn short_writes_at_every_offset_of_a_record_salvage_with_audited_counters() {
             "cut at {cut}"
         );
         assert_eq!(
-            salvaged.records.len(),
+            salvaged.value.len(),
             records.len() - 1,
             "cut at {cut}: the valid prefix must survive exactly"
         );
         assert_eq!(
             m.counter("journal.cells_salvaged"),
-            salvaged.records.len() as u64
+            salvaged.value.len() as u64
         );
     }
 

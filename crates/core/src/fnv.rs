@@ -7,8 +7,10 @@
 //! the guest program cannot choose adversarially (ids are assigned
 //! densely by the VM). FNV-1a folds one byte per step with a multiply
 //! and xor, which the compiler unrolls to a handful of instructions for
-//! fixed-size keys.
+//! fixed-size keys. The fold is the workspace's one FNV-1a,
+//! [`drms_trace::lines::fnv1a_extend`], which inlines across crates.
 
+use drms_trace::lines::{fnv1a_extend, FNV_OFFSET};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a streaming hasher (64-bit).
@@ -17,9 +19,6 @@ pub struct FnvHasher(u64);
 
 /// `BuildHasher` plugging [`FnvHasher`] into `HashMap`.
 pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Default for FnvHasher {
     fn default() -> Self {
@@ -30,12 +29,7 @@ impl Default for FnvHasher {
 impl Hasher for FnvHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
+        self.0 = fnv1a_extend(self.0, bytes);
     }
 
     #[inline]

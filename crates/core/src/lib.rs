@@ -71,6 +71,5 @@ pub use diff::{diff_reports, regressions, RoutineChange, RoutineDelta};
 pub use drms::{DrmsConfig, DrmsProfiler};
 pub use naive::NaiveProfiler;
 pub use profile::{CostStats, InputBreakdown, ProfileReport, RoutineProfile};
-pub use report_io::ParseReportError;
 pub use rms::RmsProfiler;
 pub use variance::{drms_variance, RoutineVariance, VarianceReport};

@@ -16,26 +16,9 @@
 //! ```
 
 use crate::profile::{CostStats, ProfileReport};
-use drms_trace::{RoutineId, ThreadId};
+use drms_trace::{ParseLineError, RoutineId, ThreadId};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Error produced when parsing a serialized report.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseReportError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseReportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseReportError {}
 
 /// Serializes a report to the line-oriented text format.
 ///
@@ -89,8 +72,8 @@ pub fn to_text(report: &ProfileReport) -> String {
 /// order.
 ///
 /// # Errors
-/// Returns a [`ParseReportError`] naming the first malformed line.
-pub fn from_text(text: &str) -> Result<ProfileReport, ParseReportError> {
+/// Returns a [`ParseLineError`] naming the first malformed line.
+pub fn from_text(text: &str) -> Result<ProfileReport, ParseLineError> {
     let mut report = ProfileReport::new();
     let mut current: Option<(RoutineId, ThreadId)> = None;
     for (i, raw) in text.lines().enumerate() {
@@ -99,7 +82,7 @@ pub fn from_text(text: &str) -> Result<ProfileReport, ParseReportError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let err = |message: String| ParseReportError {
+        let err = |message: String| ParseLineError {
             line: line_no,
             message,
         };

@@ -1,19 +1,17 @@
 //! The workspace-wide error type.
 //!
 //! CLI and sweep code used to match on crate-specific error enums
-//! (`RunError` here, `KernelError` there, three different parse errors).
+//! (`RunError` here, `KernelError` there, a parse error per format).
 //! [`Error`] wraps them all behind one type with proper
 //! [`source`](std::error::Error::source) chains, so callers can `?` any
 //! workspace result and still drill down to the original failure when
 //! they need to.
 
-use drms_core::report_io::ParseReportError;
-use drms_trace::hostio::HostFaultSpecError;
+use drms_trace::faultspec::FaultSpecError;
 use drms_trace::journal::ParseJournalError;
+use drms_trace::lines::ParseLineError;
 use drms_trace::obs::MergeError;
-use drms_trace::sched::ParseSchedError;
-use drms_trace::ParseTraceError;
-use drms_vm::{FaultSpecError, KernelError, RunError};
+use drms_vm::{KernelError, RunError};
 use std::fmt;
 
 /// Any failure a `drms` profiling session, sweep, or tool run can hit.
@@ -36,16 +34,12 @@ pub enum Error {
     Run(RunError),
     /// A kernel/device operation failed outside a guest context.
     Kernel(KernelError),
-    /// A serialized event trace failed to parse.
-    Trace(ParseTraceError),
-    /// A serialized schedule failed to parse.
-    Sched(ParseSchedError),
-    /// A serialized profile report failed to parse.
-    Report(ParseReportError),
-    /// A fault-plan spec string was malformed.
+    /// A serialized event trace, schedule or profile report failed to
+    /// parse.
+    Parse(ParseLineError),
+    /// A kernel (`--faults`) or host (`--host-faults`) fault spec string
+    /// was malformed.
     Faults(FaultSpecError),
-    /// A host-fault spec string (`--host-faults`) was malformed.
-    HostFaults(HostFaultSpecError),
     /// A checkpoint journal was unusable (unreadable header, spec
     /// mismatch against the resuming sweep, …). Damaged *records* are
     /// not errors — the lossy salvage drops them and the supervisor
@@ -64,11 +58,8 @@ impl fmt::Display for Error {
         match self {
             Error::Run(_) => write!(f, "guest run failed"),
             Error::Kernel(_) => write!(f, "kernel operation failed"),
-            Error::Trace(_) => write!(f, "malformed event trace"),
-            Error::Sched(_) => write!(f, "malformed schedule"),
-            Error::Report(_) => write!(f, "malformed profile report"),
+            Error::Parse(_) => write!(f, "malformed trace, schedule or report text"),
             Error::Faults(_) => write!(f, "malformed fault plan"),
-            Error::HostFaults(_) => write!(f, "malformed host fault plan"),
             Error::Journal(_) => write!(f, "unusable checkpoint journal"),
             Error::Metrics(_) => write!(f, "metrics merge failed"),
             Error::Io(_) => write!(f, "artifact I/O failed"),
@@ -81,11 +72,8 @@ impl std::error::Error for Error {
         match self {
             Error::Run(e) => Some(e),
             Error::Kernel(e) => Some(e),
-            Error::Trace(e) => Some(e),
-            Error::Sched(e) => Some(e),
-            Error::Report(e) => Some(e),
+            Error::Parse(e) => Some(e),
             Error::Faults(e) => Some(e),
-            Error::HostFaults(e) => Some(e),
             Error::Journal(e) => Some(e),
             Error::Metrics(e) => Some(e),
             Error::Io(e) => Some(e),
@@ -105,33 +93,15 @@ impl From<KernelError> for Error {
     }
 }
 
-impl From<ParseTraceError> for Error {
-    fn from(e: ParseTraceError) -> Self {
-        Error::Trace(e)
-    }
-}
-
-impl From<ParseSchedError> for Error {
-    fn from(e: ParseSchedError) -> Self {
-        Error::Sched(e)
-    }
-}
-
-impl From<ParseReportError> for Error {
-    fn from(e: ParseReportError) -> Self {
-        Error::Report(e)
+impl From<ParseLineError> for Error {
+    fn from(e: ParseLineError) -> Self {
+        Error::Parse(e)
     }
 }
 
 impl From<FaultSpecError> for Error {
     fn from(e: FaultSpecError) -> Self {
         Error::Faults(e)
-    }
-}
-
-impl From<HostFaultSpecError> for Error {
-    fn from(e: HostFaultSpecError) -> Self {
-        Error::HostFaults(e)
     }
 }
 

@@ -56,17 +56,10 @@ impl RecordedRun {
     }
 }
 
-/// FNV-1a hash of `bytes` — the workspace's cheap, dependency-free
-/// fingerprint for byte-identity checks (reports, event streams, merged
-/// sweep output).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// The workspace's FNV-1a fingerprint for byte-identity checks
+/// (reports, event streams, merged sweep output), re-exported here for
+/// the sweep, service and benchmark code that fingerprints its output.
+pub use drms_trace::lines::fnv1a;
 
 /// Runs `program` under `config` with full instrumentation (drms
 /// profiler + trace recorder) and schedule recording, regardless of the

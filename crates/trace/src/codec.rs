@@ -11,32 +11,19 @@
 //!
 //! The trailing `~<hex>` token is an FNV-1a checksum of the payload
 //! before it, letting corrupted captures (truncated files, flipped
-//! bits) be detected line by line. Checksum-less lines are accepted for
-//! backward compatibility with hand-written traces; when the token is
-//! present it must match. [`from_text`] fails on the first bad line;
-//! [`from_text_lossy`] instead salvages the longest valid prefix so a
-//! damaged capture can still be replayed or merged.
+//! bits) be detected line by line. Lines are read by the shared
+//! checked-line core ([`crate::lines`]): checksum-less lines are
+//! accepted for hand-written traces, except a final line that also
+//! lacks its newline, which is torn. When the token is present it must
+//! match. [`from_text`] fails on the first bad line; [`from_text_lossy`]
+//! instead salvages the longest valid prefix so a damaged capture can
+//! still be replayed or merged.
 
 use crate::event::{Event, SyncOp, TimedEvent};
 use crate::ids::{Addr, BlockId, RoutineId, ThreadId};
+use crate::lines::{push_checked, read_lines, ParseLineError, SalvageKind, Salvaged};
 use std::fmt::Write as _;
-
-/// Error produced when parsing a serialized trace line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseTraceError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// Human-readable description of the problem.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseTraceError {}
+use std::str::{FromStr, SplitAsciiWhitespace};
 
 /// Serializes events to the line-oriented text format.
 ///
@@ -55,20 +42,9 @@ pub fn to_text(events: &[TimedEvent]) -> String {
     for ev in events {
         line.clear();
         write_event(&mut line, ev);
-        let _ = writeln!(out, "{line} ~{:x}", checksum(&line));
+        push_checked(&mut out, &line);
     }
     out
-}
-
-/// FNV-1a hash of a line payload (the bytes before the ` ~<hex>` token).
-/// Shared with the schedule codec in [`crate::sched`].
-pub(crate) fn checksum(payload: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in payload.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn write_event(out: &mut String, ev: &TimedEvent) {
@@ -119,149 +95,64 @@ fn write_event(out: &mut String, ev: &TimedEvent) {
 ///
 /// Blank lines and lines starting with `#` are skipped. Lines carrying
 /// a trailing `~<hex>` checksum are verified against their payload;
-/// lines without one are accepted unverified.
+/// lines without one are accepted unverified, unless the last line also
+/// lacks its newline (a torn write).
 ///
 /// # Errors
-/// Returns a [`ParseTraceError`] naming the first malformed line.
-pub fn from_text(text: &str) -> Result<Vec<TimedEvent>, ParseTraceError> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        out.push(parse_line(line, line_no)?);
+/// Returns a [`ParseLineError`] naming the first malformed line.
+pub fn from_text(text: &str) -> Result<Vec<TimedEvent>, ParseLineError> {
+    match read_lines(text, parse_event, Vec::push) {
+        (_, Some(e)) => Err(e),
+        (salvage, None) => Ok(salvage.value),
     }
-    Ok(out)
 }
 
-/// A trace recovered from damaged text by [`from_text_lossy`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SalvagedTrace {
-    /// Events of the longest valid prefix.
-    pub events: Vec<TimedEvent>,
-    /// Non-comment lines successfully parsed into events.
-    pub salvaged_lines: usize,
-    /// Non-comment lines dropped (the first malformed line and
-    /// everything after it).
-    pub dropped_lines: usize,
-    /// Non-comment, non-blank input lines seen — counted independently
-    /// of the salvage decisions, so `salvaged_lines + dropped_lines ==
-    /// total_lines` is a checkable invariant (blank and `#` comment
-    /// lines count in neither side nor the total).
-    pub total_lines: usize,
-    /// Human-readable descriptions of what was dropped and why
-    /// (empty when the whole text parsed cleanly).
-    pub warnings: Vec<String>,
-}
-
-impl SalvagedTrace {
-    /// Whether any line failed to parse (i.e. data was dropped).
-    pub fn is_damaged(&self) -> bool {
-        self.dropped_lines > 0
-    }
-
-    /// Records this salvage's accounting into `metrics` under the
-    /// `trace` prefix, where [`Metrics::audit`](crate::obs::Metrics::audit)
-    /// cross-checks `salvaged + dropped == total`.
-    pub fn observe_metrics(&self, metrics: &mut crate::obs::Metrics) {
-        metrics.record_salvage(
-            "trace",
-            self.salvaged_lines as u64,
-            self.dropped_lines as u64,
-            self.total_lines as u64,
-        );
-    }
+impl SalvageKind for Vec<TimedEvent> {
+    const METRIC_PREFIX: &'static str = "trace";
 }
 
 /// Parses as much of a damaged trace as possible: the longest prefix of
-/// well-formed lines, stopping at the first malformed or
+/// well-formed lines, stopping at the first malformed, torn or
 /// checksum-mismatched line.
 ///
 /// Everything from the first bad line onward is dropped — events after
 /// a corruption point cannot be trusted to belong where they appear —
-/// and described in [`SalvagedTrace::warnings`]. Never fails: feeding
-/// it arbitrary bytes yields an empty (or partial) event list.
-pub fn from_text_lossy(text: &str) -> SalvagedTrace {
-    let mut salvage = SalvagedTrace::default();
-    let mut first_error: Option<ParseTraceError> = None;
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        salvage.total_lines += 1;
-        if first_error.is_some() {
-            salvage.dropped_lines += 1;
-            continue;
-        }
-        match parse_line(line, line_no) {
-            Ok(ev) => {
-                salvage.events.push(ev);
-                salvage.salvaged_lines += 1;
-            }
-            Err(e) => {
-                salvage.dropped_lines += 1;
-                first_error = Some(e);
-            }
-        }
-    }
-    if let Some(e) = first_error {
-        salvage.warnings.push(format!(
-            "{e}; salvaged {} event(s), dropped {} line(s)",
-            salvage.salvaged_lines, salvage.dropped_lines
-        ));
-    }
-    salvage
+/// and described in [`Salvaged::warnings`]. Never fails: feeding it
+/// arbitrary bytes yields an empty (or partial) event list.
+pub fn from_text_lossy(text: &str) -> Salvaged<Vec<TimedEvent>> {
+    read_lines(text, parse_event, Vec::push).0
 }
 
-fn parse_line(line: &str, line_no: usize) -> Result<TimedEvent, ParseTraceError> {
-    let err = |message: String| ParseTraceError {
-        line: line_no,
-        message,
-    };
-    // Split off and verify the optional trailing `~<hex>` checksum.
-    let line = match line.rsplit_once('~') {
-        Some((head, hex)) if head.ends_with(char::is_whitespace) => {
-            let payload = head.trim_end();
-            let declared = u64::from_str_radix(hex, 16)
-                .map_err(|e| err(format!("bad checksum `{hex}`: {e}")))?;
-            let actual = checksum(payload);
-            if actual != declared {
-                return Err(err(format!(
-                    "checksum mismatch: line declares {declared:x}, payload hashes to {actual:x}"
-                )));
-            }
-            payload
-        }
-        _ => line,
-    };
-    let mut parts = line.split_ascii_whitespace();
-    let next_u64 = |what: &str, parts: &mut std::str::SplitAsciiWhitespace<'_>| {
-        parts
-            .next()
-            .ok_or_else(|| err(format!("missing {what}")))?
-            .parse::<u64>()
-            .map_err(|e| err(format!("bad {what}: {e}")))
-    };
-    let time = next_u64("time", &mut parts)?;
-    let thread = ThreadId::new(next_u64("thread", &mut parts)? as u32);
-    let cost = next_u64("cost", &mut parts)?;
-    let kind = parts.next().ok_or_else(|| err("missing kind".into()))?;
+/// Parses the next whitespace-separated field as a `T`, naming the field
+/// when it is missing, malformed or out of `T`'s range.
+fn field<T: FromStr>(parts: &mut SplitAsciiWhitespace<'_>, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    parts
+        .next()
+        .ok_or_else(|| format!("missing {what}"))?
+        .parse()
+        .map_err(|e| format!("bad {what}: {e}"))
+}
+
+/// Parses one line payload (checksum token already verified and removed).
+fn parse_event(line: &str) -> Result<TimedEvent, String> {
+    let parts = &mut line.split_ascii_whitespace();
+    let time = field(parts, "time")?;
+    let thread = ThreadId::new(field(parts, "thread")?);
+    let cost = field(parts, "cost")?;
+    let kind = parts.next().ok_or("missing kind")?;
     let event = match kind {
-        "call" | "ret" => {
-            let r = RoutineId::new(next_u64("routine", &mut parts)? as u32);
-            if kind == "call" {
-                Event::Call { routine: r }
-            } else {
-                Event::Return { routine: r }
-            }
-        }
+        "call" => Event::Call {
+            routine: RoutineId::new(field(parts, "routine")?),
+        },
+        "ret" => Event::Return {
+            routine: RoutineId::new(field(parts, "routine")?),
+        },
         "rd" | "wr" | "u2k" | "k2u" => {
-            let addr = Addr::new(next_u64("addr", &mut parts)?);
-            let len = next_u64("len", &mut parts)? as u32;
+            let addr = Addr::new(field(parts, "addr")?);
+            let len = field(parts, "len")?;
             match kind {
                 "rd" => Event::Read { addr, len },
                 "wr" => Event::Write { addr, len },
@@ -273,49 +164,45 @@ fn parse_line(line: &str, line_no: usize) -> Result<TimedEvent, ParseTraceError>
             let parent = parts
                 .next()
                 .map(|p| {
-                    p.parse::<u32>()
+                    p.parse()
                         .map(ThreadId::new)
-                        .map_err(|e| err(format!("bad parent: {e}")))
+                        .map_err(|e| format!("bad parent: {e}"))
                 })
                 .transpose()?;
             Event::ThreadStart { parent }
         }
         "texit" => Event::ThreadExit,
-        "bb" => {
-            let r = RoutineId::new(next_u64("routine", &mut parts)? as u32);
-            let b = BlockId::new(next_u64("block", &mut parts)? as u32);
-            Event::Block {
-                routine: r,
-                block: b,
-            }
-        }
+        "bb" => Event::Block {
+            routine: RoutineId::new(field(parts, "routine")?),
+            block: BlockId::new(field(parts, "block")?),
+        },
         "sync" => {
-            let op = parts.next().ok_or_else(|| err("missing sync op".into()))?;
+            let op = parts.next().ok_or("missing sync op")?;
             let sync = match op {
-                "semw" => SyncOp::SemWait(next_u64("sem", &mut parts)? as u32),
-                "sems" => SyncOp::SemSignal(next_u64("sem", &mut parts)? as u32),
-                "mtxl" => SyncOp::MutexLock(next_u64("mutex", &mut parts)? as u32),
-                "mtxu" => SyncOp::MutexUnlock(next_u64("mutex", &mut parts)? as u32),
+                "semw" => SyncOp::SemWait(field(parts, "sem")?),
+                "sems" => SyncOp::SemSignal(field(parts, "sem")?),
+                "mtxl" => SyncOp::MutexLock(field(parts, "mutex")?),
+                "mtxu" => SyncOp::MutexUnlock(field(parts, "mutex")?),
                 "cvw" => SyncOp::CondWait {
-                    cond: next_u64("cond", &mut parts)? as u32,
-                    mutex: next_u64("mutex", &mut parts)? as u32,
+                    cond: field(parts, "cond")?,
+                    mutex: field(parts, "mutex")?,
                 },
-                "cvs" => SyncOp::CondSignal(next_u64("cond", &mut parts)? as u32),
-                "cvb" => SyncOp::CondBroadcast(next_u64("cond", &mut parts)? as u32),
+                "cvs" => SyncOp::CondSignal(field(parts, "cond")?),
+                "cvb" => SyncOp::CondBroadcast(field(parts, "cond")?),
                 "spawn" => SyncOp::Spawn {
-                    child: ThreadId::new(next_u64("child", &mut parts)? as u32),
+                    child: ThreadId::new(field(parts, "child")?),
                 },
                 "join" => SyncOp::Join {
-                    child: ThreadId::new(next_u64("child", &mut parts)? as u32),
+                    child: ThreadId::new(field(parts, "child")?),
                 },
-                other => return Err(err(format!("unknown sync op `{other}`"))),
+                other => return Err(format!("unknown sync op `{other}`")),
             };
             Event::Sync { op: sync }
         }
-        other => return Err(err(format!("unknown event kind `{other}`"))),
+        other => return Err(format!("unknown event kind `{other}`")),
     };
     if let Some(extra) = parts.next() {
-        return Err(err(format!("trailing token `{extra}`")));
+        return Err(format!("trailing token `{extra}`"));
     }
     Ok(TimedEvent {
         time,
@@ -503,10 +390,10 @@ mod tests {
     fn lossy_parse_of_clean_text_has_no_warnings() {
         let evs = sample_events();
         let s = from_text_lossy(&to_text(&evs));
-        assert_eq!(s.events, evs);
+        assert_eq!(s.value, evs);
         assert!(!s.is_damaged());
-        assert_eq!(s.salvaged_lines, evs.len());
-        assert_eq!(s.dropped_lines, 0);
+        assert_eq!(s.salvaged, evs.len());
+        assert_eq!(s.dropped, 0);
     }
 
     #[test]
@@ -517,10 +404,10 @@ mod tests {
         let mut lines: Vec<String> = text.lines().map(String::from).collect();
         lines[4] = lines[4].replacen('w', "q", 1);
         let s = from_text_lossy(&lines.join("\n"));
-        assert_eq!(s.events, evs[..4].to_vec());
+        assert_eq!(s.value, evs[..4].to_vec());
         assert!(s.is_damaged());
-        assert_eq!(s.salvaged_lines, 4);
-        assert_eq!(s.dropped_lines, evs.len() - 4);
+        assert_eq!(s.salvaged, 4);
+        assert_eq!(s.dropped, evs.len() - 4);
         assert_eq!(s.warnings.len(), 1);
         assert!(s.warnings[0].contains("line 5"), "{}", s.warnings[0]);
         assert!(s.warnings[0].contains("salvaged 4"), "{}", s.warnings[0]);
@@ -533,23 +420,94 @@ mod tests {
         // Simulate a capture cut off mid-write: keep 60% of the bytes.
         let cut = &text[..text.len() * 6 / 10];
         let s = from_text_lossy(cut);
-        assert!(!s.events.is_empty(), "some events survive");
-        assert!(s.events.len() < evs.len(), "some events were lost");
-        assert_eq!(s.events, evs[..s.events.len()].to_vec(), "valid prefix");
+        assert!(!s.value.is_empty(), "some events survive");
+        assert!(s.value.len() < evs.len(), "some events were lost");
+        assert_eq!(s.value, evs[..s.value.len()].to_vec(), "valid prefix");
     }
 
     #[test]
     fn lossy_parse_of_garbage_is_empty_not_a_panic() {
         let s = from_text_lossy("not a trace\n\u{1F980} bytes ~zz\n");
-        assert!(s.events.is_empty());
+        assert!(s.value.is_empty());
         assert!(s.is_damaged());
-        assert_eq!(s.salvaged_lines, 0);
-        assert_eq!(s.dropped_lines, 2);
+        assert_eq!(s.salvaged, 0);
+        assert_eq!(s.dropped, 2);
     }
 
     #[test]
     fn checksum_less_lines_remain_accepted() {
         let evs = from_text("1 0 0 texit\n").unwrap();
         assert_eq!(evs[0].event, Event::ThreadExit);
+    }
+
+    /// Regression: a capture cut inside a line's checksum token used to
+    /// leave a checksum-less line that still parsed — `call 17` cut to
+    /// `call 1`, `rd 4096 16` cut to `rd 4096 1` — and both readers
+    /// returned that never-written event.
+    #[test]
+    fn a_cut_at_any_byte_never_yields_an_unwritten_event() {
+        let evs = vec![
+            TimedEvent::new(
+                1,
+                ThreadId::MAIN,
+                0,
+                Event::Call {
+                    routine: RoutineId::new(17),
+                },
+            ),
+            TimedEvent::new(
+                2,
+                ThreadId::MAIN,
+                1,
+                Event::Read {
+                    addr: Addr::new(4096),
+                    len: 16,
+                },
+            ),
+        ];
+        let text = to_text(&evs);
+        for cut in 0..=text.len() {
+            let prefix = &text[..cut];
+            let s = from_text_lossy(prefix);
+            assert_eq!(s.value, evs[..s.value.len()], "cut at {cut}");
+            assert_eq!(s.salvaged + s.dropped, s.total, "cut at {cut}");
+            match from_text(prefix) {
+                Ok(strict) => assert_eq!(strict, s.value, "cut at {cut}"),
+                Err(e) => assert_eq!(e.line, s.value.len() + 1, "cut at {cut}: {e}"),
+            }
+        }
+    }
+
+    /// Regression: `u32` fields were parsed as `u64` and truncated, so
+    /// `1 4294967296 0 texit` read as thread 0.
+    #[test]
+    fn u32_fields_reject_values_past_their_width() {
+        let max = u32::MAX;
+        for (line, field) in [
+            ("1 {} 0 texit", "thread"),
+            ("1 0 0 call {}", "routine"),
+            ("1 0 0 ret {}", "routine"),
+            ("1 0 0 rd 100 {}", "len"),
+            ("1 0 0 k2u 100 {}", "len"),
+            ("1 0 0 bb 0 {}", "block"),
+            ("1 0 0 tstart {}", "parent"),
+            ("1 0 0 sync semw {}", "sem"),
+            ("1 0 0 sync mtxl {}", "mutex"),
+            ("1 0 0 sync cvw 0 {}", "mutex"),
+            ("1 0 0 sync cvb {}", "cond"),
+            ("1 0 0 sync spawn {}", "child"),
+            ("1 0 0 sync join {}", "child"),
+        ] {
+            let at_max = format!("{}\n", line.replace("{}", &max.to_string()));
+            let events = from_text(&at_max).unwrap_or_else(|e| panic!("{at_max}: {e}"));
+            assert_eq!(
+                to_text(&events),
+                to_text(&from_text(&to_text(&events)).unwrap())
+            );
+            assert!(to_text(&events).starts_with(at_max.trim_end()), "{at_max}");
+            let past = format!("{}\n", line.replace("{}", "4294967296"));
+            let e = from_text(&past).unwrap_err();
+            assert!(e.message.contains(&format!("bad {field}")), "{past}: {e}");
+        }
     }
 }

@@ -20,29 +20,27 @@
 //!
 //! # Spec grammar
 //!
-//! A plan is written as comma- or semicolon-separated elements,
-//! mirroring the kernel `FaultPlan` grammar:
+//! A plan is written in the fault-spec grammar it shares with the kernel
+//! `FaultPlan` ([`crate::faultspec`]): comma- or semicolon-separated
+//! elements, an optional `seed=N`, and rules of the form
 //!
 //! ```text
-//! spec    := element ( (","|";") element )*
-//! element := "seed=" INT | rule
 //! rule    := op ":" kind [ ":" trigger ]
 //! op      := "create" | "write" | "fsync" | "rename" | "syncdir" | "any"
 //! kind    := "enospc" | "eio" | "torn"
-//! trigger := "once=" INT                 (the Nth matching op, 1-based)
-//!          | "every=" INT [ "+" INT ]    (period, optional phase)
-//!          | "after=" INT                (fires once ≥ INT bytes written)
-//!          | "p=" INT "/" INT            (probability, seeded)
+//! trigger := "once=" INT | "every=" INT [ "+" INT ] | "after=" INT | "p=" INT "/" INT
 //! ```
 //!
 //! Examples: `write:enospc:after=4096` (disk fills after 4 KiB),
 //! `fsync:eio:once=2` (the second fsync fails), `write:torn:once=3`
 //! (the third write lands only a prefix), `rename:eio` (every rename
-//! fails). A rule with no trigger fires on every matching operation.
+//! fails: a rule with no trigger means `every=1`). `after=` counts the
+//! bytes written through the [`HostIo`], so only this plan takes it.
 //! Operations are numbered from 1 per kind; `p=` draws consume a
 //! seeded xorshift generator, so a plan plus a seed reproduces the
 //! exact same fault sequence on every run.
 
+use crate::faultspec::{parse_spec, write_spec, FaultSpecError, FaultTrigger};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write as _};
@@ -125,68 +123,6 @@ impl fmt::Display for HostFaultKind {
     }
 }
 
-/// When a matching rule actually fires.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum HostTrigger {
-    /// Fires exactly once, on the `at`-th matching op (1-based).
-    Once {
-        /// 1-based matching-op index.
-        at: u64,
-    },
-    /// Fires on every `period`-th matching op, shifted by `phase`.
-    Every {
-        /// Period in matching ops.
-        period: u64,
-        /// Phase shift of the schedule.
-        phase: u64,
-    },
-    /// Fires on every matching op once at least `bytes` bytes have been
-    /// written through this [`HostIo`] — the slowly-filling-disk shape.
-    After {
-        /// Total-bytes-written threshold.
-        bytes: u64,
-    },
-    /// Fires with probability `num/den`, drawn from the plan's seeded
-    /// generator.
-    Prob {
-        /// Numerator.
-        num: u32,
-        /// Denominator.
-        den: u32,
-    },
-    /// Fires on every matching op.
-    Always,
-}
-
-impl HostTrigger {
-    fn fires(self, op: u64, bytes_written: u64, rng: &mut u64) -> bool {
-        match self {
-            HostTrigger::Once { at } => op == at,
-            HostTrigger::Every { period, phase } => {
-                period > 0 && op % period == phase % period.max(1)
-            }
-            HostTrigger::After { bytes } => bytes_written >= bytes,
-            HostTrigger::Prob { num, den } => {
-                den > 0 && (xorshift(rng) % u64::from(den)) < u64::from(num)
-            }
-            HostTrigger::Always => true,
-        }
-    }
-}
-
-impl fmt::Display for HostTrigger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HostTrigger::Once { at } => write!(f, ":once={at}"),
-            HostTrigger::Every { period, phase: 0 } => write!(f, ":every={period}"),
-            HostTrigger::Every { period, phase } => write!(f, ":every={period}+{phase}"),
-            HostTrigger::After { bytes } => write!(f, ":after={bytes}"),
-            HostTrigger::Prob { num, den } => write!(f, ":p={num}/{den}"),
-            HostTrigger::Always => Ok(()),
-        }
-    }
-}
-
 /// A tiny xorshift64* step: the only randomness `p=` triggers need, so
 /// the trace crate stays free of the VM's RNG.
 fn xorshift(state: &mut u64) -> u64 {
@@ -207,39 +143,13 @@ pub struct HostFaultRule {
     /// The fault to inject.
     pub kind: HostFaultKind,
     /// When to inject it.
-    pub trigger: HostTrigger,
+    pub trigger: FaultTrigger,
 }
 
 impl fmt::Display for HostFaultRule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.op {
-            Some(op) => write!(f, "{op}:{}{}", self.kind, self.trigger),
-            None => write!(f, "any:{}{}", self.kind, self.trigger),
-        }
-    }
-}
-
-/// A malformed host-fault spec string.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HostFaultSpecError {
-    /// The offending spec element.
-    pub element: String,
-    /// What is wrong with it.
-    pub message: String,
-}
-
-impl fmt::Display for HostFaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "host fault element `{}`: {}", self.element, self.message)
-    }
-}
-
-impl std::error::Error for HostFaultSpecError {}
-
-fn spec_err(element: &str, message: impl Into<String>) -> HostFaultSpecError {
-    HostFaultSpecError {
-        element: element.to_string(),
-        message: message.into(),
+        let op = self.op.map_or("any", HostOp::name);
+        write!(f, "{op}:{}:{}", self.kind, self.trigger)
     }
 }
 
@@ -265,105 +175,47 @@ impl HostFaultPlan {
     /// Parses the spec grammar (see the module docs).
     ///
     /// # Errors
-    /// [`HostFaultSpecError`] names the malformed element.
-    pub fn parse(spec: &str) -> Result<HostFaultPlan, HostFaultSpecError> {
-        let mut plan = HostFaultPlan::default();
-        for element in spec
-            .split([',', ';'])
-            .map(str::trim)
-            .filter(|e| !e.is_empty())
-        {
-            if let Some(seed) = element.strip_prefix("seed=") {
-                plan.seed = seed
-                    .parse()
-                    .map_err(|_| spec_err(element, "bad seed value"))?;
-                continue;
-            }
-            let mut parts = element.split(':');
-            let op_tok = parts.next().unwrap_or_default();
-            let op = match op_tok {
-                "create" => Some(HostOp::Create),
-                "write" => Some(HostOp::Write),
-                "fsync" => Some(HostOp::Fsync),
-                "rename" => Some(HostOp::Rename),
-                "syncdir" => Some(HostOp::SyncDir),
-                "any" => None,
-                other => return Err(spec_err(element, format!("unknown op `{other}`"))),
-            };
-            let kind = match parts.next() {
-                Some("enospc") => HostFaultKind::Enospc,
-                Some("eio") => HostFaultKind::Eio,
-                Some("torn") => HostFaultKind::Torn,
-                Some(other) => return Err(spec_err(element, format!("unknown kind `{other}`"))),
-                None => return Err(spec_err(element, "missing fault kind")),
-            };
-            let trigger = match parts.next() {
-                None => HostTrigger::Always,
-                Some(t) => parse_trigger(element, t)?,
-            };
-            if parts.next().is_some() {
-                return Err(spec_err(element, "trailing tokens after the trigger"));
-            }
-            plan.rules.push(HostFaultRule { op, kind, trigger });
-        }
-        if plan.rules.is_empty() {
-            return Err(spec_err(spec.trim(), "plan has no rules"));
-        }
-        Ok(plan)
+    /// [`FaultSpecError`] names the malformed element.
+    pub fn parse(spec: &str) -> Result<HostFaultPlan, FaultSpecError> {
+        let (seed, rules) = parse_spec(spec, |element, _| parse_rule(element))?;
+        Ok(HostFaultPlan {
+            seed: seed.unwrap_or(HostFaultPlan::default().seed),
+            rules,
+        })
     }
 }
 
-fn parse_trigger(element: &str, t: &str) -> Result<HostTrigger, HostFaultSpecError> {
-    if let Some(v) = t.strip_prefix("once=") {
-        let at = v
-            .parse()
-            .map_err(|_| spec_err(element, "bad once= value"))?;
-        if at == 0 {
-            return Err(spec_err(element, "once= is 1-based; 0 never fires"));
-        }
-        return Ok(HostTrigger::Once { at });
+fn parse_rule(element: &str) -> Result<HostFaultRule, String> {
+    let mut parts = element.split(':');
+    let op = match parts.next().unwrap_or_default() {
+        "create" => Some(HostOp::Create),
+        "write" => Some(HostOp::Write),
+        "fsync" => Some(HostOp::Fsync),
+        "rename" => Some(HostOp::Rename),
+        "syncdir" => Some(HostOp::SyncDir),
+        "any" => None,
+        other => return Err(format!("unknown op `{other}`")),
+    };
+    let kind = match parts.next() {
+        Some("enospc") => HostFaultKind::Enospc,
+        Some("eio") => HostFaultKind::Eio,
+        Some("torn") => HostFaultKind::Torn,
+        Some(other) => return Err(format!("unknown kind `{other}`")),
+        None => return Err("missing fault kind".to_owned()),
+    };
+    let trigger = match parts.next() {
+        None => FaultTrigger::ALWAYS,
+        Some(t) => FaultTrigger::parse(t)?,
+    };
+    if parts.next().is_some() {
+        return Err("trailing tokens after the trigger".to_owned());
     }
-    if let Some(v) = t.strip_prefix("every=") {
-        let (period, phase) = match v.split_once('+') {
-            Some((p, ph)) => (p, ph.parse().ok()),
-            None => (v, Some(0)),
-        };
-        let period: u64 = period
-            .parse()
-            .map_err(|_| spec_err(element, "bad every= period"))?;
-        let phase = phase.ok_or_else(|| spec_err(element, "bad every= phase"))?;
-        if period == 0 {
-            return Err(spec_err(element, "every=0 never fires"));
-        }
-        return Ok(HostTrigger::Every { period, phase });
-    }
-    if let Some(v) = t.strip_prefix("after=") {
-        let bytes = v
-            .parse()
-            .map_err(|_| spec_err(element, "bad after= value"))?;
-        return Ok(HostTrigger::After { bytes });
-    }
-    if let Some(v) = t.strip_prefix("p=") {
-        let (num, den) = v
-            .split_once('/')
-            .ok_or_else(|| spec_err(element, "p= needs num/den"))?;
-        let num: u32 = num.parse().map_err(|_| spec_err(element, "bad p= num"))?;
-        let den: u32 = den.parse().map_err(|_| spec_err(element, "bad p= den"))?;
-        if den == 0 || num > den {
-            return Err(spec_err(element, "p= needs 0 <= num <= den, den > 0"));
-        }
-        return Ok(HostTrigger::Prob { num, den });
-    }
-    Err(spec_err(element, format!("unknown trigger `{t}`")))
+    Ok(HostFaultRule { op, kind, trigger })
 }
 
 impl fmt::Display for HostFaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "seed={}", self.seed)?;
-        for rule in &self.rules {
-            write!(f, ",{rule}")?;
-        }
-        Ok(())
+        write_spec(f, self.seed, &self.rules)
     }
 }
 
@@ -419,12 +271,14 @@ impl FaultState {
             *c
         };
         let bytes = self.bytes_written;
-        let plan = self.plan.as_mut()?;
+        let plan = self.plan.as_ref()?;
+        let rng = &mut self.rng;
         for rule in &plan.rules {
             if rule.op.is_some_and(|o| o != op) {
                 continue;
             }
-            if rule.trigger.fires(at, bytes, &mut self.rng) {
+            let draw = |num: u32, den: u32| xorshift(rng) % u64::from(den) < u64::from(num);
+            if rule.trigger.fires(at, bytes, draw) {
                 self.injected += 1;
                 return Some((rule.kind, at));
             }
@@ -474,8 +328,8 @@ impl HostIo {
     /// handle.
     ///
     /// # Errors
-    /// [`HostFaultSpecError`] on a malformed spec.
-    pub fn from_spec(spec: &str) -> Result<HostIo, HostFaultSpecError> {
+    /// [`FaultSpecError`] on a malformed spec.
+    pub fn from_spec(spec: &str) -> Result<HostIo, FaultSpecError> {
         Ok(HostIo::with_faults(HostFaultPlan::parse(spec)?))
     }
 
@@ -646,11 +500,19 @@ mod tests {
             "write:eio:every=0",
             "write:eio:p=3/2",
             "seed=x,write:eio",
+            "seed=1,seed=2,write:eio",
             "write:eio:once=1:extra",
         ] {
             let err = HostFaultPlan::parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad}");
         }
+    }
+
+    #[test]
+    fn a_rule_without_a_trigger_means_every_op() {
+        let plan = HostFaultPlan::parse("rename:eio").unwrap();
+        assert_eq!(plan.rules[0].trigger, FaultTrigger::ALWAYS);
+        assert_eq!(plan.to_string(), "seed=1,rename:eio:every=1");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! was durably written when the process is killed mid-grid.
 //!
 //! The format is a length-framed sibling of the `.trace`/`.sched` line
-//! codecs and reuses their FNV-1a checksum and lossy-prefix-salvage
-//! idioms, extended to multi-line payloads:
+//! codecs and reuses their checked-line core ([`crate::lines`]): the
+//! FNV-1a checksum, the ` ~<hex>` header token and the [`Salvaged`]
+//! result, extended to multi-line payloads:
 //!
 //! ```text
 //! # drms-journal v1
@@ -29,11 +30,13 @@
 //!
 //! [`from_text`] fails on the first damaged record; [`from_text_lossy`]
 //! salvages the longest valid prefix — everything before the first
-//! corrupt or torn record — mirroring the trace/sched codecs. A journal
+//! corrupt or torn record — mirroring the trace/sched codecs. Its
+//! length-framed record parser and `@rec` loss estimate stay its own:
+//! a record is not a line. A journal
 //! is append-only: re-recording a unit of work appends a fresh record,
 //! and readers let the *last* record for a key win.
 
-use crate::codec::checksum;
+use crate::lines::{fnv1a, push_checked, verify_token, SalvageKind, Salvaged};
 use crate::obs::Metrics;
 
 /// The first line of every journal file.
@@ -79,10 +82,9 @@ pub fn encode_record(meta: &str, payload: &str) -> String {
     );
     let header = format!("@rec {meta} %{}", payload.len());
     let mut out = String::with_capacity(header.len() + payload.len() + 32);
-    out.push_str(&header);
-    out.push_str(&format!(" ~{:x}\n", checksum(&header)));
+    push_checked(&mut out, &header);
     out.push_str(payload);
-    out.push_str(&format!("\n@end ~{:x}\n", checksum(payload)));
+    out.push_str(&format!("\n@end ~{:x}\n", fnv1a(payload.as_bytes())));
     out
 }
 
@@ -100,7 +102,7 @@ pub fn to_text(records: &[JournalRecord]) -> String {
 pub fn from_text(text: &str) -> Result<Vec<JournalRecord>, ParseJournalError> {
     let salvaged = from_text_lossy(text.as_bytes());
     match salvaged.warnings.first() {
-        None => Ok(salvaged.records),
+        None => Ok(salvaged.value),
         Some(w) => Err(ParseJournalError {
             record: salvaged.salvaged + 1,
             message: w.clone(),
@@ -108,45 +110,14 @@ pub fn from_text(text: &str) -> Result<Vec<JournalRecord>, ParseJournalError> {
     }
 }
 
-/// Result of a lossy journal parse: the longest valid prefix of records
-/// plus the salvage accounting, mirroring
-/// [`SalvagedTrace`](crate::codec::SalvagedTrace) /
-/// [`SalvagedSchedule`](crate::sched::SalvagedSchedule).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SalvagedJournal {
-    /// Records recovered from the valid prefix.
-    pub records: Vec<JournalRecord>,
-    /// `records.len()`, for symmetric accounting.
-    pub salvaged: usize,
-    /// Records lost to the damaged suffix (counted by `@rec` headers
-    /// seen after the first corruption).
-    pub dropped: usize,
-    /// `salvaged + dropped`.
-    pub total: usize,
-    /// One human-readable warning per detected problem (at most one for
-    /// a prefix salvage: everything after the first tear is dropped).
-    pub warnings: Vec<String>,
-}
+impl SalvageKind for Vec<JournalRecord> {
+    const METRIC_PREFIX: &'static str = "journal";
 
-impl SalvagedJournal {
-    /// Whether anything was lost (or the file header itself was bad).
-    pub fn is_damaged(&self) -> bool {
-        !self.warnings.is_empty()
-    }
-
-    /// Folds the salvage accounting into `metrics` under the `journal`
-    /// prefix: `journal.lines.salvaged/dropped/total` (cross-checked by
-    /// [`Metrics::audit`]) plus the headline `journal.cells_salvaged`
-    /// counter used by resume reporting.
-    pub fn observe_metrics(&self, metrics: &mut Metrics) {
-        metrics.record_salvage(
-            "journal",
-            self.salvaged as u64,
-            self.dropped as u64,
-            self.total as u64,
-        );
-        metrics.add("journal.cells_salvaged", self.salvaged as u64);
-        if self.is_damaged() {
+    /// The headline `journal.cells_salvaged` counter used by resume
+    /// reporting, and `journal.damaged` when anything was lost.
+    fn observe_more(salvage: &Salvaged<Self>, metrics: &mut Metrics) {
+        metrics.add("journal.cells_salvaged", salvage.salvaged as u64);
+        if salvage.is_damaged() {
             metrics.inc("journal.damaged");
         }
     }
@@ -161,9 +132,9 @@ impl SalvagedJournal {
 /// any other: it is decoded lossily (to U+FFFD), which breaks the
 /// length framing or checksum of the record it lands in and tears the
 /// journal there.
-pub fn from_text_lossy(bytes: &[u8]) -> SalvagedJournal {
+pub fn from_text_lossy(bytes: &[u8]) -> Salvaged<Vec<JournalRecord>> {
     let text = &*String::from_utf8_lossy(bytes);
-    let mut out = SalvagedJournal::default();
+    let mut out = Salvaged::<Vec<JournalRecord>>::default();
     let mut pos = 0usize;
 
     // File header line (tolerate a missing trailing newline on it only
@@ -213,7 +184,7 @@ pub fn from_text_lossy(bytes: &[u8]) -> SalvagedJournal {
         }
         match parse_record_at(text, line, pos) {
             Ok((rec, next)) => {
-                out.records.push(rec);
+                out.value.push(rec);
                 pos = next;
             }
             Err(msg) => {
@@ -224,7 +195,7 @@ pub fn from_text_lossy(bytes: &[u8]) -> SalvagedJournal {
         }
     }
 
-    out.salvaged = out.records.len();
+    out.salvaged = out.value.len();
     // Count the records we failed to recover: every @rec header in the
     // damaged suffix. The torn record itself counts once even when its
     // header line is what got corrupted beyond recognition. Skipped
@@ -249,16 +220,13 @@ fn parse_record_at(
     line: &str,
     payload_start: usize,
 ) -> Result<(JournalRecord, usize), String> {
-    let (header_payload, want_sum) = match line.rsplit_once(" ~") {
-        Some((p, sum)) => (p, sum),
-        None => return Err(format!("record header without checksum: `{line}`")),
+    let header_payload = match verify_token(line) {
+        Ok(Some(p)) => p,
+        Ok(None) => return Err(format!("record header without checksum: `{line}`")),
+        Err(_) => return Err(format!("record header checksum mismatch: `{line}`")),
     };
     if !header_payload.starts_with("@rec ") {
         return Err(format!("expected `@rec` header, found `{line}`"));
-    }
-    match u64::from_str_radix(want_sum, 16) {
-        Ok(sum) if sum == checksum(header_payload) => {}
-        _ => return Err(format!("record header checksum mismatch: `{line}`")),
     }
     let body = &header_payload["@rec ".len()..];
     let (meta, len_tok) = match body.rsplit_once(" %") {
@@ -287,7 +255,7 @@ fn parse_record_at(
         None => return Err("record trailer truncated".to_string()),
     };
     pos = next;
-    let want = format!("@end ~{:x}", checksum(payload));
+    let want = format!("@end ~{:x}", fnv1a(payload.as_bytes()));
     if trailer != want {
         return Err(format!(
             "payload checksum mismatch: expected `{want}`, found `{trailer}`"
@@ -354,20 +322,20 @@ mod tests {
         let text = to_text(&sample());
         let s = from_text_lossy(text.as_bytes());
         assert!(!s.is_damaged(), "{:?}", s.warnings);
-        assert_eq!(s.records[1].payload, sample()[1].payload);
+        assert_eq!(s.value[1].payload, sample()[1].payload);
     }
 
     #[test]
     fn truncation_at_every_byte_salvages_a_prefix_and_never_panics() {
         let text = to_text(&sample());
-        let full = from_text_lossy(text.as_bytes()).records;
+        let full = from_text_lossy(text.as_bytes()).value;
         let mut seen_lens = Vec::new();
         for cut in 0..=text.len() {
             let s = from_text_lossy(&text.as_bytes()[..cut]);
-            assert!(s.records.len() <= full.len());
-            assert_eq!(s.records[..], full[..s.records.len()], "cut at {cut}");
+            assert!(s.value.len() <= full.len());
+            assert_eq!(s.value[..], full[..s.value.len()], "cut at {cut}");
             assert_eq!(s.salvaged + s.dropped, s.total, "cut at {cut}");
-            seen_lens.push(s.records.len());
+            seen_lens.push(s.value.len());
         }
         assert_eq!(*seen_lens.last().unwrap(), full.len());
         assert!(seen_lens.contains(&1), "partial salvage seen");
@@ -382,7 +350,7 @@ mod tests {
         bytes[idx] = b'X';
         let corrupted = String::from_utf8(bytes).unwrap();
         let s = from_text_lossy(corrupted.as_bytes());
-        assert_eq!(s.records.len(), 1, "only the first record survives");
+        assert_eq!(s.value.len(), 1, "only the first record survives");
         assert!(s.is_damaged());
         // 2 real records lost + 1 fake `@rec` line inside the lost
         // payload: the estimate errs toward reporting loss.
@@ -394,7 +362,7 @@ mod tests {
     fn bad_file_header_salvages_nothing() {
         let text = to_text(&sample()).replace(FILE_HEADER, "# not a journal");
         let s = from_text_lossy(text.as_bytes());
-        assert!(s.records.is_empty());
+        assert!(s.value.is_empty());
         assert!(s.is_damaged());
         assert_eq!(s.dropped, 4, "3 real records + 1 fake header line");
     }
@@ -423,5 +391,15 @@ mod tests {
         assert_eq!(m.counter("journal.cells_salvaged"), s.salvaged as u64);
         assert_eq!(m.counter("journal.damaged"), 1);
         assert_eq!(m.audit(), Ok(()));
+    }
+
+    /// Pins a record's bytes: journals written before the line core was
+    /// shared must still resume.
+    #[test]
+    fn encoded_records_keep_their_bytes() {
+        assert_eq!(
+            encode_record("cell 0 ok", "size 2\n"),
+            "@rec cell 0 ok %7 ~c8dc45624b8c626f\nsize 2\n\n@end ~4d0f9febbab417c8\n"
+        );
     }
 }

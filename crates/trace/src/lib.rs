@@ -15,7 +15,10 @@
 //!   consumer-side trait implemented by profilers, with `switchThread`
 //!   notifications synthesized between events of different threads;
 //! * [`codec`] — a plain-text serialization of traces for golden tests and
-//!   offline analysis.
+//!   offline analysis, read through the checked-line core in [`lines`]
+//!   that the schedule, journal and shard formats share;
+//! * [`faultspec`] — the fault-trigger grammar shared by the kernel and
+//!   host fault plans.
 //!
 //! The design mirrors the paper's model: the profiler is given per-thread
 //! traces of timestamped operations, which are logically merged into one
@@ -38,9 +41,11 @@
 
 pub mod codec;
 pub mod event;
+pub mod faultspec;
 pub mod hostio;
 pub mod ids;
 pub mod journal;
+pub mod lines;
 pub mod merge;
 pub mod obs;
 pub mod replay;
@@ -49,15 +54,17 @@ pub mod shard;
 pub mod stats;
 pub mod trace;
 
-pub use codec::{from_text, from_text_lossy, to_text, ParseTraceError, SalvagedTrace};
+pub use codec::{from_text, from_text_lossy, to_text};
 pub use event::{Event, SyncOp, TimedEvent};
-pub use hostio::{HostFaultPlan, HostFaultSpecError, HostIo};
+pub use faultspec::{FaultSpecError, FaultTrigger};
+pub use hostio::{HostFaultPlan, HostIo};
 pub use ids::{Addr, BlockId, NameTable, RoutineId, ThreadId};
-pub use journal::{JournalRecord, ParseJournalError, SalvagedJournal};
+pub use journal::{JournalRecord, ParseJournalError};
+pub use lines::{fnv1a, ParseLineError, Salvaged};
 pub use merge::{merge_traces, merge_traces_with_ties, TieBreaker};
 pub use obs::{Histogram, MergeError, Metrics};
 pub use replay::{replay, EventSink};
-pub use sched::{PreemptCause, SalvagedSchedule, SchedDecision, Schedule};
+pub use sched::{PreemptCause, SchedDecision, Schedule};
 pub use shard::{
     SalvagedShard, ShardBatch, ShardBatchKind, ShardEvent, ShardFrame, ShardRecord, ShardSet,
     ShardSummary, ShardWriter,

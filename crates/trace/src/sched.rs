@@ -21,12 +21,14 @@
 //!
 //! Cause mnemonics: `q` quantum expiry, `s` sync-point preemption, `k`
 //! kernel-transfer preemption, `b` thread blocked, `y` thread yielded,
-//! `x` thread exited, `a` run aborted mid-slice. [`from_text`] fails on
-//! the first bad line; [`from_text_lossy`] salvages the longest valid
-//! prefix and reports how many lines were kept vs dropped.
+//! `x` thread exited, `a` run aborted mid-slice. Lines are read by the
+//! shared checked-line core ([`crate::lines`]), with the event codec's
+//! rules for checksum-less and torn lines. [`from_text`] fails on the
+//! first bad line; [`from_text_lossy`] salvages the longest valid prefix
+//! and reports how many lines were kept vs dropped.
 
-use crate::codec::checksum;
 use crate::ids::ThreadId;
+use crate::lines::{push_checked, read_lines, ParseLineError, SalvageKind, Salvaged};
 use std::fmt;
 
 /// Why a scheduling slice ended.
@@ -213,23 +215,6 @@ impl Schedule {
     }
 }
 
-/// Error produced when parsing a serialized schedule.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseSchedError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// Human-readable description of the problem.
-    pub message: String,
-}
-
-impl fmt::Display for ParseSchedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseSchedError {}
-
 /// Serializes a schedule to the line-oriented text format.
 ///
 /// # Example
@@ -243,189 +228,81 @@ impl std::error::Error for ParseSchedError {}
 /// ```
 pub fn to_text(schedule: &Schedule) -> String {
     let mut out = String::from("# drms-sched v1\n");
-    let quantum_line = format!("quantum {}", schedule.quantum);
-    out.push_str(&format!("{quantum_line} ~{:x}\n", checksum(&quantum_line)));
+    push_checked(&mut out, &format!("quantum {}", schedule.quantum));
     for d in &schedule.decisions {
         let line = format!("{} {} {}", d.thread.index(), d.steps, d.cause.token());
-        out.push_str(&format!("{line} ~{:x}\n", checksum(&line)));
+        push_checked(&mut out, &line);
     }
     out
 }
 
-/// Splits off and verifies the optional trailing `~<hex>` checksum,
-/// returning the payload.
-fn verify_checksum(line: &str, line_no: usize) -> Result<&str, ParseSchedError> {
-    let err = |message: String| ParseSchedError {
-        line: line_no,
-        message,
-    };
-    match line.rsplit_once('~') {
-        Some((head, hex)) if head.ends_with(char::is_whitespace) => {
-            let payload = head.trim_end();
-            let declared = u64::from_str_radix(hex, 16)
-                .map_err(|e| err(format!("bad checksum `{hex}`: {e}")))?;
-            let actual = checksum(payload);
-            if actual != declared {
-                return Err(err(format!(
-                    "checksum mismatch: line declares {declared:x}, payload hashes to {actual:x}"
-                )));
-            }
-            Ok(payload)
-        }
-        _ => Ok(line),
-    }
+/// One schedule line: the `quantum N` header or a decision.
+enum SchedLine {
+    Quantum(u32),
+    Decision(SchedDecision),
 }
 
-fn parse_decision(payload: &str, line_no: usize) -> Result<SchedDecision, ParseSchedError> {
-    let err = |message: String| ParseSchedError {
-        line: line_no,
-        message,
-    };
-    let mut parts = payload.split_ascii_whitespace();
-    let thread = parts
-        .next()
-        .ok_or_else(|| err("missing thread".into()))?
-        .parse::<u32>()
-        .map_err(|e| err(format!("bad thread: {e}")))?;
-    let steps = parts
-        .next()
-        .ok_or_else(|| err("missing steps".into()))?
-        .parse::<u32>()
-        .map_err(|e| err(format!("bad steps: {e}")))?;
-    let cause_tok = parts.next().ok_or_else(|| err("missing cause".into()))?;
-    let cause = PreemptCause::from_token(cause_tok)
-        .ok_or_else(|| err(format!("unknown cause `{cause_tok}`")))?;
-    if let Some(extra) = parts.next() {
-        return Err(err(format!("trailing token `{extra}`")));
+/// Parses one line payload (checksum token already verified and removed).
+fn parse_line(payload: &str) -> Result<SchedLine, String> {
+    if let Some(q) = payload.strip_prefix("quantum ") {
+        let quantum = q.trim().parse().map_err(|e| format!("bad quantum: {e}"))?;
+        return Ok(SchedLine::Quantum(quantum));
     }
-    Ok(SchedDecision {
-        thread: ThreadId::new(thread),
+    let mut parts = payload.split_ascii_whitespace();
+    let mut number = |what: &str| {
+        parts
+            .next()
+            .ok_or_else(|| format!("missing {what}"))?
+            .parse::<u32>()
+            .map_err(|e| format!("bad {what}: {e}"))
+    };
+    let thread = ThreadId::new(number("thread")?);
+    let steps = number("steps")?;
+    let cause_tok = parts.next().ok_or("missing cause")?;
+    let cause = PreemptCause::from_token(cause_tok)
+        .ok_or_else(|| format!("unknown cause `{cause_tok}`"))?;
+    if let Some(extra) = parts.next() {
+        return Err(format!("trailing token `{extra}`"));
+    }
+    Ok(SchedLine::Decision(SchedDecision {
+        thread,
         steps,
         cause,
-    })
+    }))
 }
 
-/// Parses one non-comment line: either the `quantum N` header or a
-/// decision. Returns `(quantum, None)` or `(None, decision)`.
-fn parse_sched_line(
-    line: &str,
-    line_no: usize,
-) -> Result<(Option<u32>, Option<SchedDecision>), ParseSchedError> {
-    let payload = verify_checksum(line, line_no)?;
-    if let Some(q) = payload.strip_prefix("quantum ") {
-        let quantum = q.trim().parse::<u32>().map_err(|e| ParseSchedError {
-            line: line_no,
-            message: format!("bad quantum: {e}"),
-        })?;
-        return Ok((Some(quantum), None));
+fn keep(schedule: &mut Schedule, line: SchedLine) {
+    match line {
+        SchedLine::Quantum(q) => schedule.quantum = q,
+        SchedLine::Decision(d) => schedule.push(d),
     }
-    Ok((None, Some(parse_decision(payload, line_no)?)))
 }
 
 /// Parses the text format back into a [`Schedule`].
 ///
 /// Blank lines and `#` comments are skipped. Lines carrying a `~<hex>`
-/// checksum are verified; lines without one are accepted unverified.
+/// checksum are verified; lines without one are accepted unverified,
+/// unless the last line also lacks its newline (a torn write).
 ///
 /// # Errors
-/// Returns a [`ParseSchedError`] naming the first malformed line.
-pub fn from_text(text: &str) -> Result<Schedule, ParseSchedError> {
-    let mut schedule = Schedule::default();
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match parse_sched_line(line, line_no)? {
-            (Some(q), _) => schedule.quantum = q,
-            (_, Some(d)) => schedule.push(d),
-            _ => unreachable!("parse_sched_line yields a quantum or a decision"),
-        }
+/// Returns a [`ParseLineError`] naming the first malformed line.
+pub fn from_text(text: &str) -> Result<Schedule, ParseLineError> {
+    match read_lines(text, parse_line, keep) {
+        (_, Some(e)) => Err(e),
+        (salvage, None) => Ok(salvage.value),
     }
-    Ok(schedule)
 }
 
-/// A schedule recovered from damaged text by [`from_text_lossy`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SalvagedSchedule {
-    /// The longest valid prefix of the schedule.
-    pub schedule: Schedule,
-    /// Non-comment lines successfully parsed.
-    pub salvaged_lines: usize,
-    /// Non-comment lines dropped (the first malformed line and
-    /// everything after it).
-    pub dropped_lines: usize,
-    /// Non-comment, non-blank input lines seen — counted independently
-    /// of the salvage decisions, so `salvaged_lines + dropped_lines ==
-    /// total_lines` is a checkable invariant (blank and `#` comment
-    /// lines count in neither side nor the total).
-    pub total_lines: usize,
-    /// Human-readable description of what was dropped and why (empty
-    /// when the whole text parsed cleanly).
-    pub warnings: Vec<String>,
-}
-
-impl SalvagedSchedule {
-    /// Whether any line failed to parse (i.e. data was dropped).
-    pub fn is_damaged(&self) -> bool {
-        self.dropped_lines > 0
-    }
-
-    /// Records this salvage's accounting into `metrics` under the
-    /// `sched` prefix, where [`Metrics::audit`](crate::obs::Metrics::audit)
-    /// cross-checks `salvaged + dropped == total`.
-    pub fn observe_metrics(&self, metrics: &mut crate::obs::Metrics) {
-        metrics.record_salvage(
-            "sched",
-            self.salvaged_lines as u64,
-            self.dropped_lines as u64,
-            self.total_lines as u64,
-        );
-    }
+impl SalvageKind for Schedule {
+    const METRIC_PREFIX: &'static str = "sched";
 }
 
 /// Parses as much of a damaged schedule as possible: the longest prefix
 /// of well-formed lines. Decisions after a corruption point cannot be
 /// trusted to belong where they appear, so everything from the first bad
 /// line onward is dropped and counted. Never fails.
-pub fn from_text_lossy(text: &str) -> SalvagedSchedule {
-    let mut salvage = SalvagedSchedule::default();
-    let mut first_error: Option<ParseSchedError> = None;
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        salvage.total_lines += 1;
-        if first_error.is_some() {
-            salvage.dropped_lines += 1;
-            continue;
-        }
-        match parse_sched_line(line, line_no) {
-            Ok((Some(q), _)) => {
-                salvage.schedule.quantum = q;
-                salvage.salvaged_lines += 1;
-            }
-            Ok((_, Some(d))) => {
-                salvage.schedule.push(d);
-                salvage.salvaged_lines += 1;
-            }
-            Ok(_) => unreachable!("parse_sched_line yields a quantum or a decision"),
-            Err(e) => {
-                salvage.dropped_lines += 1;
-                first_error = Some(e);
-            }
-        }
-    }
-    if let Some(e) = first_error {
-        salvage.warnings.push(format!(
-            "{e}; salvaged {} line(s), dropped {}",
-            salvage.salvaged_lines, salvage.dropped_lines
-        ));
-    }
-    salvage
+pub fn from_text_lossy(text: &str) -> Salvaged<Schedule> {
+    read_lines(text, parse_line, keep).0
 }
 
 #[cfg(test)]
@@ -527,9 +404,9 @@ mod tests {
         let clean = from_text_lossy(&text);
         assert!(!clean.is_damaged());
         // header + decisions all count as salvaged lines
-        assert_eq!(clean.salvaged_lines, 1 + s.decisions.len());
-        assert_eq!(clean.dropped_lines, 0);
-        assert_eq!(clean.schedule, s);
+        assert_eq!(clean.salvaged, 1 + s.decisions.len());
+        assert_eq!(clean.dropped, 0);
+        assert_eq!(clean.value, s);
 
         // Corrupt the second decision line (lines[0] is the `#` header
         // comment, [1] the quantum, [2..] decisions); it and everything
@@ -538,9 +415,9 @@ mod tests {
         lines[3] = lines[3].replacen(' ', "_", 1);
         let damaged = from_text_lossy(&lines.join("\n"));
         assert!(damaged.is_damaged());
-        assert_eq!(damaged.schedule.decisions.len(), 1);
-        assert_eq!(damaged.salvaged_lines, 2, "quantum + one decision");
-        assert_eq!(damaged.dropped_lines, 5);
+        assert_eq!(damaged.value.decisions.len(), 1);
+        assert_eq!(damaged.salvaged, 2, "quantum + one decision");
+        assert_eq!(damaged.dropped, 5);
         assert_eq!(damaged.warnings.len(), 1);
         assert!(
             damaged.warnings[0].contains("salvaged 2"),
@@ -557,7 +434,34 @@ mod tests {
     #[test]
     fn lossy_parse_of_garbage_never_panics() {
         let s = from_text_lossy("complete nonsense\n\u{1F980}\n");
-        assert!(s.schedule.is_empty());
+        assert!(s.value.is_empty());
         assert!(s.is_damaged());
+    }
+
+    /// Regression: a schedule cut inside `quantum 50 ~…` read as
+    /// `quantum 5` in both readers.
+    #[test]
+    fn a_cut_at_any_byte_never_yields_an_unwritten_line() {
+        let full = sample();
+        let text = to_text(&full);
+        for cut in 0..=text.len() {
+            let prefix = &text[..cut];
+            let s = from_text_lossy(prefix);
+            let d = &s.value.decisions;
+            assert_eq!(d[..], full.decisions[..d.len()], "cut at {cut}");
+            let quantum_kept = s.salvaged > d.len();
+            assert_eq!(
+                s.salvaged,
+                usize::from(quantum_kept) + d.len(),
+                "cut at {cut}"
+            );
+            let want_quantum = if quantum_kept { full.quantum } else { 0 };
+            assert_eq!(s.value.quantum, want_quantum, "cut at {cut}");
+            assert_eq!(s.salvaged + s.dropped, s.total, "cut at {cut}");
+            match from_text(prefix) {
+                Ok(strict) => assert_eq!(strict, s.value, "cut at {cut}"),
+                Err(e) => assert_eq!(e.line, s.salvaged + 2, "cut at {cut}: {e}"),
+            }
+        }
     }
 }

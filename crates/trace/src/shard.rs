@@ -96,6 +96,7 @@
 use crate::event::SyncOp;
 use crate::hostio::HostIo;
 use crate::ids::{Addr, BlockId, RoutineId, ThreadId};
+use crate::lines::{fnv1a, fnv1a_extend, verify_token, FNV_OFFSET, FNV_PRIME};
 use crate::obs::Metrics;
 use crate::replay::EventSink;
 use std::cmp::Reverse;
@@ -178,18 +179,6 @@ fn has_a(kind: u8) -> bool {
     (A_KINDS >> kind) & 1 != 0
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` one at a time into the FNV-1a state `hash`. From
-/// [`FNV_OFFSET`] this is the text codec's per-line checksum, which the
-/// `MANIFEST` lines carry.
-fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
 /// A frame's checksum: FNV-1a over the payload's little-endian `u64`
 /// words, each step followed by a xorshift, then its tail bytes (see the
 /// module docs for why any one differing word always shows).
@@ -200,7 +189,7 @@ fn frame_checksum(payload: &[u8]) -> u64 {
         let h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(FNV_PRIME);
         h ^ (h >> 32)
     });
-    fnv1a_bytes(hash, tail)
+    fnv1a_extend(hash, tail)
 }
 
 /// Kind of one batched read/write entry; the discriminant is its record
@@ -946,10 +935,7 @@ impl ShardWriter {
             summary.frames += shard.frames;
             summary.bytes += shard.bytes;
             summary.shards += 1;
-            let line = format!("{} {} {}", shard.name, shard.frames, shard.bytes);
-            let sum = fnv1a_bytes(FNV_OFFSET, line.as_bytes());
-            manifest.push_str(&line);
-            manifest.push_str(&format!(" ~{sum:016x}\n"));
+            manifest.push_str(&manifest_line(&shard.name, shard.frames, shard.bytes));
         }
         let tmp = self.dir.join("MANIFEST.tmp");
         let target = self.dir.join(MANIFEST_FILE);
@@ -1106,6 +1092,13 @@ fn parse_shard(
     (shard, tear)
 }
 
+/// One `MANIFEST` row: `<name> <frames> <bytes> ~<16 hex digits>` and a
+/// newline, checksummed like a trace line but zero-padded.
+fn manifest_line(name: &str, frames: u64, bytes: u64) -> String {
+    let body = format!("{name} {frames} {bytes}");
+    format!("{body} ~{:016x}\n", fnv1a(body.as_bytes()))
+}
+
 /// Parses the manifest text into `(name, frames, bytes)` rows. `None`
 /// means the manifest as a whole cannot be trusted (it is written
 /// atomically, so a damaged one is corruption, not a torn tail).
@@ -1119,11 +1112,7 @@ fn parse_manifest(text: &str) -> Option<Vec<(String, u64, u64)>> {
         if line.is_empty() {
             continue;
         }
-        let (body, sum) = line.rsplit_once(" ~")?;
-        let sum = u64::from_str_radix(sum, 16).ok()?;
-        if fnv1a_bytes(FNV_OFFSET, body.as_bytes()) != sum {
-            return None;
-        }
+        let body = verify_token(line).ok()??;
         let mut parts = body.split(' ');
         let name = parts.next()?.to_owned();
         let frames = parts.next()?.parse().ok()?;
@@ -1880,5 +1869,20 @@ mod tests {
             ]
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Pins the manifest row's bytes: a spill written before the line
+    /// core was shared must still load with its manifest.
+    #[test]
+    fn manifest_rows_keep_their_bytes() {
+        let line = manifest_line("shard-0.bin", 2, 57);
+        assert_eq!(line, "shard-0.bin 2 57 ~9de0f0b60c40a8e9\n");
+        let text = format!("drms shard manifest v1\n{line}");
+        assert_eq!(
+            parse_manifest(&text),
+            Some(vec![("shard-0.bin".to_owned(), 2, 57)])
+        );
+        let torn = &text[..text.len() - 2];
+        assert_eq!(parse_manifest(torn), None, "a cut token fails to verify");
     }
 }

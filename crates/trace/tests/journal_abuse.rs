@@ -26,8 +26,8 @@ fn sample() -> Vec<JournalRecord> {
 
 /// Counters fed to the registry must always satisfy the audit
 /// invariant `salvaged + dropped == total`.
-fn assert_accounting(s: &drms_trace::journal::SalvagedJournal) {
-    assert_eq!(s.salvaged, s.records.len());
+fn assert_accounting(s: &drms_trace::Salvaged<Vec<JournalRecord>>) {
+    assert_eq!(s.salvaged, s.value.len());
     assert_eq!(s.salvaged + s.dropped, s.total);
     let mut m = Metrics::new();
     s.observe_metrics(&mut m);
@@ -49,10 +49,7 @@ fn duplicate_end_trailer_is_skipped_not_fatal() {
     text.push_str(&encode_record(&records[2].meta, &records[2].payload));
 
     let s = from_text_lossy(text.as_bytes());
-    assert_eq!(
-        s.records, records,
-        "records after the stray trailer survive"
-    );
+    assert_eq!(s.value, records, "records after the stray trailer survive");
     assert_eq!(s.dropped, 0, "a stray trailer costs no records");
     assert!(s.is_damaged());
     assert!(
@@ -75,7 +72,7 @@ fn truncation_mid_record_during_drain_salvages_prefix() {
     let text = to_text(&sample());
     let cut = text.find("cost 20").expect("payload of record 3") + 4;
     let s = from_text_lossy(&text.as_bytes()[..cut]);
-    assert_eq!(s.records, sample()[..2], "valid prefix survives the tear");
+    assert_eq!(s.value, sample()[..2], "valid prefix survives the tear");
     assert_eq!(s.salvaged, 2);
     assert_eq!(s.dropped, 1, "exactly the torn record is lost");
     assert_accounting(&s);
@@ -96,7 +93,7 @@ fn stray_trailer_plus_torn_tail_accounts_for_both() {
     text.push_str(&torn[..torn.len() - 9]); // tear inside the trailer
 
     let s = from_text_lossy(text.as_bytes());
-    assert_eq!(s.records, records[..2]);
+    assert_eq!(s.value, records[..2]);
     assert_eq!(s.dropped, 1);
     assert!(s.warnings.len() >= 2, "{:?}", s.warnings);
     assert_accounting(&s);
@@ -121,14 +118,14 @@ fn interleaved_append_after_rewrite_survives_the_next_salvage() {
     let mut naive = torn.to_string();
     naive.push_str(&encode_record(&records[2].meta, &records[2].payload));
     let s = from_text_lossy(naive.as_bytes());
-    assert_eq!(s.records, records[..1], "append behind a tear is lost");
+    assert_eq!(s.value, records[..1], "append behind a tear is lost");
     assert_eq!(s.dropped, 2, "the torn record and the appended one");
     assert_accounting(&s);
 
     // The resume discipline: rewrite to the salvaged prefix, then append.
     let salvaged = from_text_lossy(torn.as_bytes());
-    assert_eq!(salvaged.records, records[..1]);
-    let mut healed = to_text(&salvaged.records);
+    assert_eq!(salvaged.value, records[..1]);
+    let mut healed = to_text(&salvaged.value);
     healed.push_str(&encode_record(&records[2].meta, &records[2].payload));
     let reparsed = from_text(&healed).expect("healed journal parses strictly");
     assert_eq!(reparsed, vec![records[0].clone(), records[2].clone()]);
@@ -198,13 +195,13 @@ fn seeded_random_byte_damage_salvages_the_intact_prefix() {
         assert_accounting(&s);
         let intact = ends.iter().filter(|&&e| e <= first).count();
         assert!(
-            s.records.len() >= intact,
+            s.value.len() >= intact,
             "{label}: salvaged {} of the {intact} records before the damage",
-            s.records.len()
+            s.value.len()
         );
         assert_eq!(
-            s.records[..],
-            records[..s.records.len()],
+            s.value[..],
+            records[..s.value.len()],
             "{label}: salvaged records must be a prefix of the written ones"
         );
     }

@@ -1,9 +1,9 @@
 //! Lossy-salvage accounting regression tests, shared between the trace
 //! codec and the schedule codec.
 //!
-//! The invariant under test: `salvaged_lines + dropped_lines` must
+//! The invariant under test: `salvaged + dropped` must
 //! exactly equal the number of non-comment, non-blank input lines
-//! (`total_lines`, counted independently of the salvage decisions), for
+//! (`total`, counted independently of the salvage decisions), for
 //! every corruption shape — trailing garbage, mid-file corruption, and
 //! comment/blank-only inputs. [`Metrics::audit`] enforces the same
 //! relation at run time through `observe_metrics`.
@@ -106,15 +106,15 @@ fn trace_salvage_accounts_for_every_countable_line() {
         let expected = countable_lines(&text);
         let s = codec::from_text_lossy(&text);
         assert_eq!(
-            s.salvaged_lines + s.dropped_lines,
+            s.salvaged + s.dropped,
             expected,
             "{shape}: salvaged {} + dropped {} != countable {expected}",
-            s.salvaged_lines,
-            s.dropped_lines
+            s.salvaged,
+            s.dropped
         );
-        assert_eq!(s.total_lines, expected, "{shape}: total_lines drifted");
-        assert_eq!(s.events.len(), s.salvaged_lines, "{shape}");
-        assert_eq!(s.is_damaged(), s.dropped_lines > 0, "{shape}");
+        assert_eq!(s.total, expected, "{shape}: total drifted");
+        assert_eq!(s.value.len(), s.salvaged, "{shape}");
+        assert_eq!(s.is_damaged(), s.dropped > 0, "{shape}");
     }
 }
 
@@ -126,31 +126,25 @@ fn sched_salvage_accounts_for_every_countable_line() {
         let expected = countable_lines(&text);
         let s = sched::from_text_lossy(&text);
         assert_eq!(
-            s.salvaged_lines + s.dropped_lines,
+            s.salvaged + s.dropped,
             expected,
             "{shape}: salvaged {} + dropped {} != countable {expected}",
-            s.salvaged_lines,
-            s.dropped_lines
+            s.salvaged,
+            s.dropped
         );
-        assert_eq!(s.total_lines, expected, "{shape}: total_lines drifted");
-        assert_eq!(s.is_damaged(), s.dropped_lines > 0, "{shape}");
+        assert_eq!(s.total, expected, "{shape}: total drifted");
+        assert_eq!(s.is_damaged(), s.dropped > 0, "{shape}");
     }
 }
 
 #[test]
 fn comment_and_blank_lines_count_in_neither_side() {
     let s = codec::from_text_lossy("# only\n\n  \t \n# comments\n");
-    assert_eq!(
-        (s.salvaged_lines, s.dropped_lines, s.total_lines),
-        (0, 0, 0)
-    );
-    assert!(s.events.is_empty());
+    assert_eq!((s.salvaged, s.dropped, s.total), (0, 0, 0));
+    assert!(s.value.is_empty());
     assert!(!s.is_damaged());
     let s = sched::from_text_lossy("\n# q 50\n\n");
-    assert_eq!(
-        (s.salvaged_lines, s.dropped_lines, s.total_lines),
-        (0, 0, 0)
-    );
+    assert_eq!((s.salvaged, s.dropped, s.total), (0, 0, 0));
     assert!(!s.is_damaged());
 }
 

@@ -10,27 +10,27 @@
 //!
 //! # Spec grammar
 //!
-//! A plan is written as comma- or semicolon-separated elements:
+//! A plan is written in the fault-spec grammar it shares with the host
+//! fault plan ([`drms_trace::faultspec`]): comma- or semicolon-separated
+//! elements, an optional `seed=N`, and rules of the form
 //!
 //! ```text
-//! spec    := element ( (","|";") element )*
-//! element := "seed=" INT | rule
 //! rule    := selector* kind [ ":" trigger ]
 //! selector:= ("fd" INT | "in" | "out") ":"
 //! kind    := "shortread" | "shortwrite" | "eintr" | "eagain" | "eio"
-//! trigger := "every=" INT [ "+" INT ]   (period, optional phase)
-//!          | "p=" INT "/" INT           (probability num/den)
-//!          | "once=" INT                (a single 1-based op index)
+//! trigger := "every=" INT [ "+" INT ] | "p=" INT "/" INT | "once=" INT
 //! ```
 //!
 //! Examples: `fd0:shortread:every=3`, `in:eintr:p=1/8`,
-//! `seed=42,fd1:eio:once=100`. A rule with no trigger fires on every
-//! matching operation. Transfer operations are numbered from 1 per
-//! file descriptor; `every=N` fires on ops `N, 2N, 3N, …` and
-//! `every=N+P` shifts that schedule by `P`.
+//! `seed=42,fd1:eio:once=100`. A rule with no trigger means `every=1`:
+//! it fires on every matching operation. Transfer operations are
+//! numbered from 1 per file descriptor. The kernel counts no bytes, so
+//! the host plan's `after=` trigger is rejected here.
 
 use crate::kernel::Direction;
 use crate::rng::SmallRng;
+use drms_trace::faultspec::{parse_spec, write_spec};
+pub use drms_trace::faultspec::{FaultSpecError, FaultTrigger};
 use std::fmt;
 
 /// What kind of fault to inject on a matching operation.
@@ -68,43 +68,6 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// When a matching rule actually fires.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum FaultTrigger {
-    /// Fires on every `period`-th matching op, shifted by `phase`.
-    Every { period: u64, phase: u64 },
-    /// Fires with probability `num/den`, drawn from the plan's seeded
-    /// generator.
-    Prob { num: u32, den: u32 },
-    /// Fires exactly once, on the `at`-th matching op (1-based).
-    Once { at: u64 },
-}
-
-impl FaultTrigger {
-    /// Whether the trigger fires for the `op`-th matching operation
-    /// (1-based). `Prob` triggers consume one draw from `rng`.
-    fn fires(self, op: u64, rng: &mut SmallRng) -> bool {
-        match self {
-            FaultTrigger::Every { period, phase } => {
-                period > 0 && op % period == phase % period.max(1)
-            }
-            FaultTrigger::Prob { num, den } => den > 0 && rng.gen_ratio(num, den),
-            FaultTrigger::Once { at } => op == at,
-        }
-    }
-}
-
-impl fmt::Display for FaultTrigger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultTrigger::Every { period, phase: 0 } => write!(f, "every={period}"),
-            FaultTrigger::Every { period, phase } => write!(f, "every={period}+{phase}"),
-            FaultTrigger::Prob { num, den } => write!(f, "p={num}/{den}"),
-            FaultTrigger::Once { at } => write!(f, "once={at}"),
-        }
-    }
-}
-
 /// One fault-injection rule: which operations it matches and what it
 /// injects when its trigger fires.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -139,27 +102,6 @@ impl fmt::Display for FaultRule {
     }
 }
 
-/// A malformed fault-spec string.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultSpecError {
-    /// What was wrong, mentioning the offending element.
-    pub message: String,
-}
-
-impl fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad fault spec: {}", self.message)
-    }
-}
-
-impl std::error::Error for FaultSpecError {}
-
-fn spec_error(message: impl Into<String>) -> FaultSpecError {
-    FaultSpecError {
-        message: message.into(),
-    }
-}
-
 /// A seeded, reproducible fault-injection schedule.
 ///
 /// Rules are evaluated in order; the first matching rule whose trigger
@@ -178,33 +120,15 @@ impl FaultPlan {
     /// # Errors
     /// Returns [`FaultSpecError`] naming the malformed element.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultSpecError> {
-        let mut plan = FaultPlan::default();
-        let mut seed_seen = false;
-        for element in spec
-            .split([',', ';'])
-            .map(str::trim)
-            .filter(|e| !e.is_empty())
-        {
-            if let Some(seed) = element.strip_prefix("seed=") {
-                if seed_seen {
-                    return Err(spec_error(format!(
-                        "`{element}`: duplicate seed element (seed already set to {})",
-                        plan.seed
-                    )));
-                }
-                seed_seen = true;
-                plan.seed = seed
-                    .parse()
-                    .map_err(|_| spec_error(format!("`{element}`: seed must be an integer")))?;
-                continue;
-            }
-            plan.rules.push(parse_rule(element)?);
-        }
-        if plan.rules.is_empty() {
-            return Err(spec_error("no rules given"));
-        }
-        check_rule_consistency(&plan.rules)?;
-        Ok(plan)
+        let (seed, rules) = parse_spec(spec, |element, earlier| {
+            let rule = parse_rule(element)?;
+            check_rule_consistency(&rule, earlier)?;
+            Ok(rule)
+        })?;
+        Ok(FaultPlan {
+            seed: seed.unwrap_or_default(),
+            rules,
+        })
     }
 }
 
@@ -223,26 +147,24 @@ fn covers(a: &FaultRule, b: &FaultRule) -> bool {
     (a.fd.is_none() || a.fd == b.fd) && (a.class.is_none() || a.class == b.class)
 }
 
-/// Rejects duplicate and contradictory (unreachable) rules: since the
-/// first matching rule that fires wins, a later rule shadowed by an
-/// equally-general, always-firing earlier rule is dead configuration —
-/// almost certainly a typo in the spec — and an exact duplicate can
-/// only ever lose the race to its first copy.
-fn check_rule_consistency(rules: &[FaultRule]) -> Result<(), FaultSpecError> {
-    for (i, rule) in rules.iter().enumerate() {
-        for earlier in &rules[..i] {
-            if earlier == rule {
-                return Err(spec_error(format!(
-                    "duplicate rule `{rule}`: an identical earlier rule already decides \
-                     these operations"
-                )));
-            }
-            if covers(earlier, rule) && always_fires(earlier.trigger) {
-                return Err(spec_error(format!(
-                    "rule `{rule}` can never fire: earlier rule `{earlier}` matches the \
-                     same operations and always fires first"
-                )));
-            }
+/// Rejects a rule that duplicates or is shadowed by an earlier one:
+/// since the first matching rule that fires wins, a later rule shadowed
+/// by an equally-general, always-firing earlier rule is dead
+/// configuration — almost certainly a typo in the spec — and an exact
+/// duplicate can only ever lose the race to its first copy.
+fn check_rule_consistency(rule: &FaultRule, earlier: &[FaultRule]) -> Result<(), String> {
+    for prev in earlier {
+        if prev == rule {
+            return Err(format!(
+                "duplicate rule `{rule}`: an identical earlier rule already decides \
+                 these operations"
+            ));
+        }
+        if covers(prev, rule) && always_fires(prev.trigger) {
+            return Err(format!(
+                "rule `{rule}` can never fire: earlier rule `{prev}` matches the \
+                 same operations and always fires first"
+            ));
         }
     }
     Ok(())
@@ -250,32 +172,23 @@ fn check_rule_consistency(rules: &[FaultRule]) -> Result<(), FaultSpecError> {
 
 impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "seed={}", self.seed)?;
-        for rule in &self.rules {
-            write!(f, ",{rule}")?;
-        }
-        Ok(())
+        write_spec(f, self.seed, &self.rules)
     }
 }
 
-fn parse_rule(element: &str) -> Result<FaultRule, FaultSpecError> {
+fn parse_rule(element: &str) -> Result<FaultRule, String> {
     let mut fd = None;
     let mut class = None;
     let mut kind = None;
     let mut trigger = None;
     for token in element.split(':').map(str::trim) {
+        let selector = token.starts_with("fd") || token == "in" || token == "out";
+        if selector && kind.is_some() {
+            return Err("selector after kind".to_owned());
+        }
         if let Some(n) = token.strip_prefix("fd") {
-            if kind.is_some() {
-                return Err(spec_error(format!("`{element}`: selector after kind")));
-            }
-            fd = Some(
-                n.parse()
-                    .map_err(|_| spec_error(format!("`{element}`: bad fd number `{token}`")))?,
-            );
-        } else if token == "in" || token == "out" {
-            if kind.is_some() {
-                return Err(spec_error(format!("`{element}`: selector after kind")));
-            }
+            fd = Some(n.parse().map_err(|_| format!("bad fd number `{token}`"))?);
+        } else if selector {
             class = Some(if token == "in" {
                 Direction::Input
             } else {
@@ -283,27 +196,29 @@ fn parse_rule(element: &str) -> Result<FaultRule, FaultSpecError> {
             });
         } else if let Some(k) = parse_kind(token) {
             if kind.is_some() {
-                return Err(spec_error(format!("`{element}`: more than one fault kind")));
+                return Err("more than one fault kind".to_owned());
             }
             kind = Some(k);
         } else if kind.is_some() && trigger.is_none() {
-            trigger = Some(parse_trigger(element, token)?);
+            trigger = Some(match FaultTrigger::parse(token)? {
+                FaultTrigger::After { .. } => {
+                    return Err(format!(
+                        "`{token}` is a host-fault trigger; kernel rules take every=, p= or once="
+                    ))
+                }
+                t => t,
+            });
         } else {
-            return Err(spec_error(format!(
-                "`{element}`: unknown token `{token}` (expected fd<N>, in, out, a fault \
-                 kind, or a trigger)"
-            )));
+            return Err(format!(
+                "unknown token `{token}` (expected fd<N>, in, out, a fault kind, or a trigger)"
+            ));
         }
     }
-    let kind = kind.ok_or_else(|| spec_error(format!("`{element}`: missing fault kind")))?;
     Ok(FaultRule {
         fd,
         class,
-        kind,
-        trigger: trigger.unwrap_or(FaultTrigger::Every {
-            period: 1,
-            phase: 0,
-        }),
+        kind: kind.ok_or("missing fault kind")?,
+        trigger: trigger.unwrap_or(FaultTrigger::ALWAYS),
     })
 }
 
@@ -316,51 +231,6 @@ fn parse_kind(token: &str) -> Option<FaultKind> {
         "eio" => Some(FaultKind::Eio),
         _ => None,
     }
-}
-
-fn parse_trigger(element: &str, token: &str) -> Result<FaultTrigger, FaultSpecError> {
-    let int = |s: &str, what: &str| -> Result<u64, FaultSpecError> {
-        s.parse()
-            .map_err(|_| spec_error(format!("`{element}`: bad {what} `{s}`")))
-    };
-    if let Some(rest) = token.strip_prefix("every=") {
-        let (period, phase) = match rest.split_once('+') {
-            Some((p, ph)) => (int(p, "period")?, int(ph, "phase")?),
-            None => (int(rest, "period")?, 0),
-        };
-        if period == 0 {
-            return Err(spec_error(format!("`{element}`: period must be ≥ 1")));
-        }
-        return Ok(FaultTrigger::Every { period, phase });
-    }
-    if let Some(rest) = token
-        .strip_prefix("p=")
-        .or_else(|| token.strip_prefix("prob="))
-    {
-        let (num, den) = rest
-            .split_once('/')
-            .ok_or_else(|| spec_error(format!("`{element}`: probability must be num/den")))?;
-        let num = int(num, "probability numerator")? as u32;
-        let den = int(den, "probability denominator")? as u32;
-        if den == 0 || num > den {
-            return Err(spec_error(format!(
-                "`{element}`: probability must satisfy 0 ≤ num/den ≤ 1 with den ≥ 1"
-            )));
-        }
-        return Ok(FaultTrigger::Prob { num, den });
-    }
-    if let Some(rest) = token.strip_prefix("once=") {
-        let at = int(rest, "op index")?;
-        if at == 0 {
-            return Err(spec_error(format!(
-                "`{element}`: op indices are 1-based; once=0 never fires"
-            )));
-        }
-        return Ok(FaultTrigger::Once { at });
-    }
-    Err(spec_error(format!(
-        "`{element}`: unknown trigger `{token}` (expected every=, p=, or once=)"
-    )))
 }
 
 /// Runtime evaluation state for a [`FaultPlan`]: the plan plus the
@@ -381,8 +251,9 @@ impl FaultState {
     /// Decides the fault (if any) for the `op`-th transfer (1-based) on
     /// `fd` in direction `dir`. First matching rule that fires wins.
     pub fn decide(&mut self, fd: i64, dir: Direction, op: u64) -> Option<FaultKind> {
+        let rng = &mut self.rng;
         for rule in &self.plan.rules {
-            if rule.matches(fd, dir) && rule.trigger.fires(op, &mut self.rng) {
+            if rule.matches(fd, dir) && rule.trigger.fires(op, 0, |n, d| rng.gen_ratio(n, d)) {
                 return Some(rule.kind);
             }
         }
@@ -490,9 +361,35 @@ mod tests {
             "eio:once=0",
             "shortread:eintr",
             "shortread:fd0",
+            "fd0:eio:after=4096",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` should be rejected");
         }
+    }
+
+    /// Pins the canonical form: every journal's spec record binds it, so
+    /// a journal written before the grammar was shared must still resume.
+    #[test]
+    fn display_keeps_its_bytes() {
+        let plan = FaultPlan::parse(
+            "seed=7,fd0:in:shortread:every=3+1,out:shortwrite:p=1/4,eio:once=9,fd1:eagain",
+        )
+        .unwrap();
+        assert_eq!(
+            plan.to_string(),
+            "seed=7,fd0:in:shortread:every=3+1,out:shortwrite:p=1/4,eio:once=9,fd1:eagain:every=1"
+        );
+    }
+
+    /// Regression: `p=` operands were truncated to `u32`, so the first
+    /// spec was accepted as `p=1/2` and the second rejected as an
+    /// out-of-range probability.
+    #[test]
+    fn p_operands_past_u32_are_rejected_by_name() {
+        let e = FaultPlan::parse("eintr:p=4294967297/4294967298").unwrap_err();
+        assert!(e.message.starts_with("bad p= num"), "{e}");
+        let e = FaultPlan::parse("eintr:p=1/4294967296").unwrap_err();
+        assert!(e.message.starts_with("bad p= den"), "{e}");
     }
 
     #[test]
@@ -603,13 +500,17 @@ mod tests {
             period: 3,
             phase: 0,
         };
-        let fired: Vec<u64> = (1..=9).filter(|&op| t.fires(op, &mut rng)).collect();
+        let fired: Vec<u64> = (1..=9)
+            .filter(|&op| t.fires(op, 0, |n, d| rng.gen_ratio(n, d)))
+            .collect();
         assert_eq!(fired, vec![3, 6, 9]);
         let t = FaultTrigger::Every {
             period: 3,
             phase: 1,
         };
-        let fired: Vec<u64> = (1..=9).filter(|&op| t.fires(op, &mut rng)).collect();
+        let fired: Vec<u64> = (1..=9)
+            .filter(|&op| t.fires(op, 0, |n, d| rng.gen_ratio(n, d)))
+            .collect();
         assert_eq!(fired, vec![1, 4, 7]);
     }
 
@@ -617,7 +518,9 @@ mod tests {
     fn once_trigger_fires_exactly_once() {
         let mut rng = SmallRng::seed_from_u64(0);
         let t = FaultTrigger::Once { at: 4 };
-        let fired: Vec<u64> = (1..=8).filter(|&op| t.fires(op, &mut rng)).collect();
+        let fired: Vec<u64> = (1..=8)
+            .filter(|&op| t.fires(op, 0, |n, d| rng.gen_ratio(n, d)))
+            .collect();
         assert_eq!(fired, vec![4]);
     }
 

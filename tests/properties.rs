@@ -358,15 +358,14 @@ fn corrupted_trace_text_never_panics() {
         let _ = codec::from_text(&corrupted);
         // Lossy parsing salvages a prefix no longer than the original...
         let salvage = codec::from_text_lossy(&corrupted);
-        assert!(salvage.events.len() <= merged.len(), "case {case}");
-        // ...whose fully-intact lines are exactly the original prefix
-        // (the final salvaged event of a truncated text may itself be a
-        // truncated-but-well-formed line, so compare all but the last).
-        let intact = salvage.events.len().saturating_sub(1);
-        assert_eq!(&salvage.events[..intact], &merged[..intact], "case {case}");
+        assert!(salvage.value.len() <= merged.len(), "case {case}");
+        // ...which is exactly the original prefix: a final line cut
+        // inside its checksum token is torn, never a shorter event...
+        let n = salvage.value.len();
+        assert_eq!(&salvage.value[..], &merged[..n], "case {case}");
         // ...and which the analysis pipeline accepts without panicking.
         let mut prof = DrmsProfiler::new(DrmsConfig::full());
-        replay(&salvage.events, &mut prof);
+        replay(&salvage.value, &mut prof);
         let _ = prof.into_report();
     }
 }
