@@ -52,6 +52,18 @@ grep -q "line $sched_lines: " "$sched_dir/torn.err" \
 cargo run --release -q -p drms-bench --bin repro -- sweep --quick --jobs 2 \
     --bench-out target/repro/BENCH_sweep.json
 
+# Reproduction gate: the full default grid must regenerate the committed
+# BENCH_sweep.json and BENCH_sweep.metrics.json byte for byte. They are
+# the yardstick that every change to the sweep, the supervisor, the VM
+# or the profiler is held to.
+mkdir -p target/repro/full
+target/release/repro sweep --jobs 2 \
+    --bench-out target/repro/full/BENCH_sweep.json > /dev/null
+cmp BENCH_sweep.json target/repro/full/BENCH_sweep.json \
+    || { echo "ci: repro sweep no longer reproduces the committed BENCH_sweep.json" >&2; exit 1; }
+cmp BENCH_sweep.metrics.json target/repro/full/BENCH_sweep.metrics.json \
+    || { echo "ci: repro sweep no longer reproduces the committed BENCH_sweep.metrics.json" >&2; exit 1; }
+
 # Perf gate: the fast interpreter core must stay fast and observably
 # equivalent. The quick sweep runs once decoded (the default: fused
 # dispatch, batched delivery) and once legacy (--decode off --batch 1);

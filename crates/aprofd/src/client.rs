@@ -1,16 +1,17 @@
 //! The retrying client `aprofctl` is built on.
 //!
-//! Retry discipline mirrors the supervisor's: exponential backoff with
-//! **seeded FNV-1a jitter** — deterministic for a given (address,
-//! request, attempt), so a fleet of clients spreads out without any
-//! wall-clock or RNG seed, and a replayed script sleeps the same
-//! milliseconds every time. When the server sheds with an
+//! Retry discipline is the supervisor's own
+//! [`backoff_ms`](drms_bench::supervisor::backoff_ms): exponential
+//! backoff with **seeded FNV-1a jitter** — deterministic for a given
+//! (address, request, attempt), so a fleet of clients spreads out
+//! without any wall-clock or RNG seed, and a replayed script sleeps the
+//! same milliseconds every time. When the server sheds with an
 //! `X-Retry-After-Ms` hint, the client honors the hint (plus its own
 //! jitter) instead of its blind schedule — back-pressure is
 //! server-shaped, thundering-herd-avoidance is client-shaped.
 
 use crate::http::{roundtrip, Reply};
-use drms::sched::fnv1a;
+use drms_bench::supervisor;
 use std::time::Duration;
 
 /// A retrying client for one daemon address.
@@ -87,20 +88,16 @@ impl Client {
     }
 
     /// The deterministic backoff before attempt `attempt + 1`, in
-    /// milliseconds — the supervisor's exact idiom (half-capped
-    /// exponential plus FNV-1a jitter over a stable key), keyed here by
-    /// address, request, and attempt number.
+    /// milliseconds: the supervisor's
+    /// [`backoff_ms`](supervisor::backoff_ms), keyed by address and
+    /// request.
     pub fn backoff_ms(&self, what: &str, attempt: u32) -> u64 {
-        if self.backoff_base_ms == 0 {
-            return 0;
-        }
-        let exp = self
-            .backoff_base_ms
-            .saturating_mul(1u64 << (attempt.saturating_sub(1)).min(16));
-        let capped = exp.min(self.backoff_cap_ms).max(1);
-        let key = format!("{}:{what}:{attempt}", self.addr);
-        let jitter = fnv1a(key.as_bytes()) % (capped / 2 + 1);
-        (capped / 2 + jitter).min(self.backoff_cap_ms)
+        supervisor::backoff_ms(
+            self.backoff_base_ms,
+            self.backoff_cap_ms,
+            &format!("{}:{what}", self.addr),
+            attempt,
+        )
     }
 
     /// Performs `method path` with retries: transport failures and shed
@@ -169,6 +166,15 @@ mod tests {
             c.backoff_ms("/healthz", 3),
             "jitter is keyed by the request"
         );
+        // The exact sleeps under the default policy, pinned: a change
+        // to the shared formula or to the client's key shows here.
+        for (what, pinned) in [
+            ("/jobs", [46, 80, 183, 216, 610, 1174, 1331, 1279]),
+            ("/healthz", [38, 78, 154, 267, 679, 1021, 1499, 1479]),
+        ] {
+            let slept: Vec<u64> = (1..=8).map(|a| c.backoff_ms(what, a)).collect();
+            assert_eq!(slept, pinned, "{what}");
+        }
     }
 
     #[test]

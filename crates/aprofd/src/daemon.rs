@@ -40,15 +40,16 @@
 use crate::http::{Request, RequestError, Response, MAX_REQUESTS_PER_CONN};
 use crate::queue::{Admission, AdmissionQueue, QueueConfig};
 use crate::spec::{job_id, JobSpec};
-use drms::analysis::{sweep_snapshot, CostPlot, InputMetric};
+use drms::analysis::{sweep_snapshot, InputMetric};
 use drms::trace::hostio::HostIo;
 use drms::trace::journal;
 use drms::trace::Metrics;
 use drms_bench::artifact::atomic_write_with;
 use drms_bench::supervisor::{
-    decode_cell_payload, profile_cell, resume_sweep, JournalWriter, PreemptSignal, SupervisedRun,
+    profile_cell, read_cells, resume_sweep, CellOutcome, JournalWriter, PreemptSignal,
+    SupervisedRun,
 };
-use drms_bench::sweep::{family_workload, FamilyBench, SweepBench, SweepCell};
+use drms_bench::sweep::{focus_plot, FamilyBench, SweepBench, SweepCell, SweepSpec};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -972,9 +973,25 @@ impl Daemon {
             }
             _ => {
                 // Live accounting straight from the journal: cells land
-                // there (fsynced) the moment they finish.
+                // there (fsynced) the moment they finish. Each grid slot
+                // counts once, its latest record winning, as on resume.
+                let spec = e.spec.sweep_spec();
                 drop(inner);
-                let (cells, attempts, quarantined) = self.live_accounting(id);
+                let slots: BTreeMap<usize, CellOutcome> =
+                    self.live_outcomes(id, &spec).into_iter().collect();
+                let (mut cells, mut attempts, mut quarantined) = (0, 0u64, 0);
+                for outcome in slots.values() {
+                    match outcome {
+                        CellOutcome::Completed(c) => {
+                            cells += 1;
+                            attempts += u64::from(c.attempts);
+                        }
+                        CellOutcome::Quarantined(q) => {
+                            quarantined += 1;
+                            attempts += u64::from(q.attempts);
+                        }
+                    }
+                }
                 let _ = writeln!(out, "cells {cells}/{total}");
                 let _ = writeln!(out, "attempts {attempts}");
                 let _ = writeln!(out, "quarantined {quarantined}");
@@ -983,67 +1000,40 @@ impl Daemon {
         Response::ok(out)
     }
 
-    /// Salvages the job's journal (tolerating the torn tail of a live
-    /// append) and decodes its completed cells in record order.
-    fn live_cells(&self, id: &str) -> Vec<(usize, SweepCell)> {
-        let Ok(bytes) = std::fs::read(self.job_path(id, "journal")) else {
-            return Vec::new();
-        };
-        let salvaged = journal::from_text_lossy(&bytes);
-        let mut cells = Vec::new();
-        for rec in &salvaged.value {
-            let mut tok = rec.meta.split(' ');
-            if tok.next() != Some("cell") {
-                continue;
-            }
-            let (Some(_family), Some(idx), Some("ok")) = (tok.next(), tok.next(), tok.next())
-            else {
-                continue;
-            };
-            let Ok(idx) = idx.parse::<usize>() else {
-                continue;
-            };
-            if let Ok(cell) = decode_cell_payload(&rec.payload) {
-                cells.push((idx, cell));
-            }
+    /// The job's cell outcomes in record order, read by the supervisor's
+    /// own reader ([`read_cells`]) from the salvaged journal, so the torn
+    /// tail of a live append is tolerated. Empty before the first
+    /// dispatch creates the journal.
+    fn live_outcomes(&self, id: &str, spec: &SweepSpec) -> Vec<(usize, CellOutcome)> {
+        match std::fs::read(self.job_path(id, "journal")) {
+            Ok(bytes) => read_cells(spec, &journal::from_text_lossy(&bytes).value).0,
+            Err(_) => Vec::new(),
         }
-        cells
     }
 
-    fn live_accounting(&self, id: &str) -> (usize, u64, usize) {
-        let Ok(bytes) = std::fs::read(self.job_path(id, "journal")) else {
-            return (0, 0, 0);
-        };
-        let salvaged = journal::from_text_lossy(&bytes);
-        let mut cells = 0usize;
-        let mut quarantined = 0usize;
-        let mut attempts = 0u64;
-        for rec in &salvaged.value {
-            if !rec.meta.starts_with("cell ") {
-                continue;
-            }
-            if rec.meta.ends_with(" ok") {
-                cells += 1;
-                if let Ok(c) = decode_cell_payload(&rec.payload) {
-                    attempts += c.attempts as u64;
-                }
-            } else if rec.meta.ends_with(" quarantined") {
-                quarantined += 1;
-            }
-        }
-        (cells, attempts, quarantined)
+    /// The completed cells of [`live_outcomes`](Self::live_outcomes) in
+    /// record order: the cursor of `/jobs/{id}/events` and
+    /// `/jobs/{id}/report?since=N` counts these.
+    fn live_cells(&self, id: &str, spec: &SweepSpec) -> Vec<(usize, SweepCell)> {
+        self.live_outcomes(id, spec)
+            .into_iter()
+            .filter_map(|(idx, outcome)| match outcome {
+                CellOutcome::Completed(cell) => Some((idx, *cell)),
+                CellOutcome::Quarantined(_) => None,
+            })
+            .collect()
     }
 
     /// Snapshot (`/jobs/{id}/report`) and delta
     /// (`/jobs/{id}/report?since=N`) rendering of a live run, straight
     /// from the journal. Done jobs serve their final artifact.
     fn job_report(&self, id: &str, since: Option<u64>) -> Response {
-        let (state, family, total) = {
+        let (state, spec, total) = {
             let inner = self.inner.lock().unwrap();
             let Some(e) = inner.entries.get(id) else {
                 return Response::text(404, format!("no such job `{id}`\n"));
             };
-            (e.state.clone(), e.spec.family.clone(), e.spec.grid_len())
+            (e.state.clone(), e.spec.sweep_spec(), e.spec.grid_len())
         };
         if since.is_none() && state == JobState::Done {
             return match std::fs::read_to_string(self.job_path(id, "report.txt")) {
@@ -1063,34 +1053,25 @@ impl Daemon {
                 state.as_str(),
             ));
         }
-        let cells = self.live_cells(id);
+        let cells = self.live_cells(id, &spec);
         let mut out = String::new();
         let _ = writeln!(out, "cursor {}", cells.len());
-        let skip = since.unwrap_or(0) as usize;
-        for (idx, cell) in cells.iter().skip(skip) {
-            let _ = writeln!(
-                out,
-                "cell {idx} size {} seed {} attempts {} shadow_bytes {}",
-                cell.size, cell.seed, cell.attempts, cell.shadow_bytes
-            );
-        }
+        cell_lines(&mut out, &cells, since.unwrap_or(0) as usize);
         if since.is_none() {
             // Full snapshot: the partial drms plot of the family's focus
-            // routine (worst-case cost per input, mirroring
-            // `SweepResult::focus_plot`) plus the current fit,
-            // re-rendered on every poll as the model converges.
-            let mut worst: BTreeMap<u64, u64> = BTreeMap::new();
-            if let Some(focus) = family_workload(&family, 1).and_then(|w| w.focus) {
-                for (_, cell) in &cells {
-                    let profile = cell.report.merged_routine(focus);
-                    for (input, cost) in CostPlot::of(&profile, InputMetric::Drms).points {
-                        let e = worst.entry(input).or_insert(cost);
-                        *e = (*e).max(cost);
-                    }
-                }
-            }
-            let points: Vec<(u64, u64)> = worst.into_iter().collect();
-            out.push_str(&sweep_snapshot(&family, &points, cells.len(), total));
+            // routine plus the current fit, re-rendered on every poll as
+            // the model converges.
+            let plot = focus_plot(
+                &spec.family,
+                cells.iter().map(|(_, c)| c),
+                InputMetric::Drms,
+            );
+            out.push_str(&sweep_snapshot(
+                &spec.family,
+                &plot.points,
+                cells.len(),
+                total,
+            ));
         }
         Response::ok(out)
     }
@@ -1113,15 +1094,15 @@ impl Daemon {
         let since = since.unwrap_or(0) as usize;
         let steps = (self.cfg.poll_timeout.as_millis() / POLL_STEP.as_millis()).max(1) as u64;
         for step in 0u64.. {
-            let state = {
+            let (state, spec) = {
                 let inner = self.inner.lock().unwrap();
                 match inner.entries.get(id) {
-                    Some(e) => e.state.clone(),
+                    Some(e) => (e.state.clone(), e.spec.sweep_spec()),
                     None => return Response::text(404, format!("no such job `{id}`\n")),
                 }
             };
             let terminal = matches!(state, JobState::Done | JobState::Failed(_));
-            let cells = self.live_cells(id);
+            let cells = self.live_cells(id, &spec);
             let expired = step + 1 >= steps;
             if cells.len() > since
                 || terminal
@@ -1132,13 +1113,7 @@ impl Daemon {
                 let mut out = String::new();
                 let _ = writeln!(out, "cursor {}", cells.len());
                 let _ = writeln!(out, "state {}", state.as_str());
-                for (idx, cell) in cells.iter().skip(since) {
-                    let _ = writeln!(
-                        out,
-                        "cell {idx} size {} seed {} attempts {} shadow_bytes {}",
-                        cell.size, cell.seed, cell.attempts, cell.shadow_bytes
-                    );
-                }
+                cell_lines(&mut out, &cells, since);
                 return Response::ok(out);
             }
             std::thread::sleep(POLL_STEP);
@@ -1151,17 +1126,39 @@ impl Daemon {
     /// A bucket-layout mismatch between cells surfaces as the typed
     /// [`drms::Error::Metrics`] chain, not a panic.
     fn job_metrics(&self, id: &str) -> Response {
-        if !self.inner.lock().unwrap().entries.contains_key(id) {
+        let Some(spec) = self
+            .inner
+            .lock()
+            .unwrap()
+            .entries
+            .get(id)
+            .map(|e| e.spec.sweep_spec())
+        else {
             return Response::text(404, format!("no such job `{id}`\n"));
-        }
+        };
         let mut merged = Metrics::new();
-        for (_, cell) in self.live_cells(id) {
+        for (_, cell) in self.live_cells(id, &spec) {
             if let Err(e) = merged.merge(&cell.metrics) {
                 let err = drms::Error::from(e);
                 return Response::text(500, render_error_chain(&err));
             }
         }
         Response::ok(merged.to_prometheus())
+    }
+}
+
+/// Renders each live cell past the caller's cursor `since` as one
+/// `cell <idx> size <s> seed <s> attempts <n> shadow_bytes <b>` line.
+fn cell_lines(out: &mut String, cells: &[(usize, SweepCell)], since: usize) {
+    for (idx, cell) in cells.iter().skip(since) {
+        let _ = writeln!(
+            out,
+            "cell {idx} size {} seed {} attempts {} shadow_bytes {}",
+            cell.size,
+            cell.seed,
+            cell.attempts,
+            cell.metrics.gauge("shadow.bytes")
+        );
     }
 }
 

@@ -2,12 +2,15 @@
 //! loop and worker pool the `aprofd` binary runs) exercised over real
 //! sockets by the same retrying `Client` that backs `aprofctl`.
 
+use drms::trace::journal::{self, JournalRecord};
 use drms::trace::HostIo;
 use drms_aprofd::client::Client;
 use drms_aprofd::daemon::{serve, Daemon, DaemonConfig, JobState};
 use drms_aprofd::queue::QueueConfig;
 use drms_aprofd::spec::{job_id, JobSpec};
-use drms_bench::supervisor::{run_supervised_with, JournalWriter};
+use drms_bench::supervisor::{
+    profile_cell, run_supervised_with, Attempt, CellCtx, JournalWriter, Runner,
+};
 use drms_bench::sweep::{FamilyBench, SweepBench};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -334,6 +337,62 @@ fn restart_resumes_a_torn_journal_to_identical_artifacts() {
         resumed_metrics, baseline_metrics,
         "metrics artifact diverged"
     );
+}
+
+/// A re-run cell appends a fresh record behind its old one, so a live
+/// journal can hold several records for one grid slot. The live status
+/// counts each slot once, its latest record winning as on resume, while
+/// the events cursor keeps counting completed records.
+#[test]
+fn live_status_counts_each_grid_slot_once() {
+    let dir = state_dir("live-slots");
+    let spec_text = "family stream\nsizes 4,8\n";
+    let s = start(&dir, 0, QueueConfig::default());
+    let id = submit(&s, spec_text);
+    s.stop();
+
+    // Real records of the job's grid: one run whose every cell fails
+    // fatally, one that profiles.
+    let spec = JobSpec::parse(spec_text).expect("spec");
+    let journaled = |name: &str, runner: &Runner<'_>| {
+        let path = dir.join(name);
+        let mut writer = JournalWriter::create_with(&HostIo::real(), &path).expect("journal");
+        let opts = spec.supervisor_options();
+        run_supervised_with(&spec.sweep_spec(), &opts, Some(&mut writer), runner);
+        journal::from_text(&std::fs::read_to_string(&path).unwrap()).expect("clean journal")
+    };
+    let failed = journaled("failed.journal", &|_: &CellCtx| {
+        Attempt::Fatal("injected".into())
+    });
+    let profiled = journaled("profiled.journal", &profile_cell);
+    let find = |records: &[JournalRecord], meta: &str| {
+        records.iter().find(|r| r.meta == meta).expect(meta).clone()
+    };
+    let q0 = find(&failed, "cell stream 0 quarantined");
+    let records = [
+        find(&failed, "spec stream"),
+        q0.clone(),
+        find(&failed, "cell stream 1 quarantined"),
+        q0,
+        find(&profiled, "cell stream 1 ok"),
+    ];
+    std::fs::write(
+        dir.join(format!("job-{id}.journal")),
+        journal::to_text(&records),
+    )
+    .unwrap();
+
+    // An admit-only daemon over that state: the job stays queued, so
+    // every view is rendered live from the journal.
+    let s2 = start(&dir, 0, QueueConfig::default());
+    let get = |path: String| s2.client().request("GET", &path, "").expect("reply").body;
+    let status = get(format!("/jobs/{id}"));
+    assert!(status.contains("state queued"), "{status}");
+    assert!(status.contains("cells 1/2\n"), "{status}");
+    assert!(status.contains("quarantined 1\n"), "{status}");
+    let events = get(format!("/jobs/{id}/events?since=0"));
+    assert!(events.contains("cursor 1\n"), "{events}");
+    s2.stop();
 }
 
 #[test]

@@ -101,7 +101,7 @@ use drms::ProfileSession;
 use drms_bench::artifact::atomic_write;
 use drms_bench::run_error_exit_code;
 use drms_bench::supervisor::{profile_cell, run_supervised_with, SupervisorOptions};
-use drms_bench::sweep::SweepSpec;
+use drms_bench::sweep::{focus_plot, SweepSpec};
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
@@ -619,7 +619,10 @@ fn run_size_sweep(name: &str, sizes: &[i64], cli: &Cli) {
             .unwrap_or_default();
         println!(
             "  size {:>6} seed {}: {} basic blocks, {} threads{note}",
-            cell.size, cell.seed, cell.stats.basic_blocks, cell.stats.threads
+            cell.size,
+            cell.seed,
+            cell.metrics.counter("vm.basic_blocks"),
+            cell.metrics.gauge("vm.threads")
         );
     }
     for q in &result.quarantined {
@@ -628,7 +631,7 @@ fn run_size_sweep(name: &str, sizes: &[i64], cli: &Cli) {
             q.size, q.seed, q.attempts, q.panics, q.error
         );
     }
-    let plot = result.focus_plot(InputMetric::Drms);
+    let plot = focus_plot(family, &result.cells, InputMetric::Drms);
     if !plot.points.is_empty() {
         println!(
             "{}",

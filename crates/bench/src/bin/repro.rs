@@ -1063,7 +1063,7 @@ fn sweep_bench(opts: &Options) {
     use drms_bench::supervisor::{
         profile_cell, resume_sweep, JournalWriter, SupervisedRun, SupervisorOptions,
     };
-    use drms_bench::sweep::{validate_bench_json, FamilyBench, SweepBench, SweepSpec};
+    use drms_bench::sweep::{focus_plot, validate_bench_json, FamilyBench, SweepBench, SweepSpec};
     // Artifact writes must fail typed, not panic: under --host-faults
     // the CI chaos gate asserts a clean nonzero exit with the fault
     // named, and the atomic temp+rename discipline guarantees the
@@ -1204,7 +1204,7 @@ fn sweep_bench(opts: &Options) {
                 p.spec.family, q.size, q.seed, q.attempts, q.error
             );
         }
-        let plot = p.focus_plot(InputMetric::Drms);
+        let plot = focus_plot(&p.spec.family, &p.cells, InputMetric::Drms);
         let fit = best_fit(&plot.points, 0.02);
         println!(
             "           focus drms plot: {} points, fit {fit}",

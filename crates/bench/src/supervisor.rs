@@ -35,12 +35,9 @@ use crate::sweep::{family_workload, QuarantinedCell, SweepCell, SweepResult, Swe
 use drms::core::report_io;
 use drms::sched::fnv1a;
 use drms::trace::hostio::HostIo;
-use drms::trace::journal::{self, ParseJournalError};
+use drms::trace::journal::{self, JournalRecord, ParseJournalError};
 use drms::trace::Metrics;
-use drms::vm::{
-    DecodeMode, DecodedProgram, EventBatch, EventCounters, FaultCounters, FaultPlan, RunConfig,
-    RunError, RunStats,
-};
+use drms::vm::{DecodeMode, DecodedProgram, EventBatch, FaultPlan, RunConfig, RunError};
 use drms::workloads::Workload;
 use drms::{Error, ProfileSession};
 use std::collections::HashMap;
@@ -364,8 +361,6 @@ pub fn profile_cell(ctx: &CellCtx) -> Attempt {
         size: ctx.size,
         seed: ctx.seed,
         secs: start.elapsed().as_secs_f64(),
-        shadow_bytes: outcome.shadow_bytes,
-        stats: outcome.stats,
         report: outcome.report,
         metrics: outcome.metrics,
         error: outcome.error.map(|e| e.to_string()),
@@ -385,20 +380,30 @@ pub enum CellOutcome {
     Quarantined(QuarantinedCell),
 }
 
-/// Deterministic backoff before attempt `attempt + 1`: exponential in
-/// the attempt number, jittered by an FNV-1a hash of the cell identity —
-/// reproducible for a given spec, decorrelated across cells.
-fn backoff_ms(opts: &SupervisorOptions, family: &str, size: i64, seed: u64, attempt: u32) -> u64 {
-    if opts.backoff_base_ms == 0 {
+impl CellOutcome {
+    /// The `(size, seed)` grid cell this outcome belongs to.
+    fn cell(&self) -> (i64, u64) {
+        match self {
+            CellOutcome::Completed(c) => (c.size, c.seed),
+            CellOutcome::Quarantined(q) => (q.size, q.seed),
+        }
+    }
+}
+
+/// Deterministic backoff before attempt `attempt + 1`, in milliseconds:
+/// `base_ms` doubled per attempt and capped at `cap_ms`, then jittered
+/// within its upper half by an FNV-1a hash of `<key>:<attempt>` —
+/// reproducible for a given key, decorrelated across keys, never the
+/// clock. `base_ms == 0` disables sleeping. The supervisor keys it by
+/// cell (`family:size:seed`), aprofd's client by address and request.
+pub fn backoff_ms(base_ms: u64, cap_ms: u64, key: &str, attempt: u32) -> u64 {
+    if base_ms == 0 {
         return 0;
     }
-    let exp = opts
-        .backoff_base_ms
-        .saturating_mul(1u64 << (attempt - 1).min(16));
-    let capped = exp.min(opts.backoff_cap_ms).max(1);
-    let key = format!("{family}:{size}:{seed}:{attempt}");
-    let jitter = fnv1a(key.as_bytes()) % (capped / 2 + 1);
-    (capped / 2 + jitter).min(opts.backoff_cap_ms)
+    let exp = base_ms.saturating_mul(1u64 << attempt.saturating_sub(1).min(16));
+    let capped = exp.min(cap_ms).max(1);
+    let jitter = fnv1a(format!("{key}:{attempt}").as_bytes()) % (capped / 2 + 1);
+    (capped / 2 + jitter).min(cap_ms)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -463,7 +468,12 @@ fn supervise_cell(
                 error: failure,
             });
         }
-        let ms = backoff_ms(opts, family, size, seed, attempt);
+        let ms = backoff_ms(
+            opts.backoff_base_ms,
+            opts.backoff_cap_ms,
+            &format!("{family}:{size}:{seed}"),
+            attempt,
+        );
         if ms > 0 {
             std::thread::sleep(Duration::from_millis(ms));
         }
@@ -532,15 +542,6 @@ fn csv(values: &[u64]) -> String {
         .join(",")
 }
 
-fn uncsv(tok: &str) -> Result<Vec<u64>, String> {
-    if tok == "-" {
-        return Ok(Vec::new());
-    }
-    tok.split(',')
-        .map(|v| v.parse().map_err(|_| format!("bad number `{v}`")))
-        .collect()
-}
-
 /// One line of error text: abort reasons are single-line by
 /// construction, but the journal's line-oriented cell codec must not
 /// trust that.
@@ -573,13 +574,9 @@ fn cell_meta(family: &str, index: usize, outcome: &CellOutcome) -> String {
 
 fn encode_cell_payload(cell: &SweepCell) -> String {
     let mut out = String::new();
-    let s = &cell.stats;
-    let e = &s.events_by_kind;
-    let f = &s.faults;
     let _ = writeln!(out, "size {}", cell.size);
     let _ = writeln!(out, "seed {}", cell.seed);
     let _ = writeln!(out, "secs {}", cell.secs);
-    let _ = writeln!(out, "shadow_bytes {}", cell.shadow_bytes);
     let _ = writeln!(out, "attempts {}", cell.attempts);
     let _ = writeln!(out, "panics {}", cell.panics);
     let _ = writeln!(
@@ -587,26 +584,6 @@ fn encode_cell_payload(cell: &SweepCell) -> String {
         "error {}",
         cell.error.as_deref().map_or("-".to_string(), one_line)
     );
-    let _ = writeln!(out, "stats.instructions {}", s.instructions);
-    let _ = writeln!(out, "stats.basic_blocks {}", s.basic_blocks);
-    let _ = writeln!(out, "stats.per_thread_blocks {}", csv(&s.per_thread_blocks));
-    let _ = writeln!(out, "stats.per_thread_nanos {}", csv(&s.per_thread_nanos));
-    let _ = writeln!(out, "stats.thread_switches {}", s.thread_switches);
-    let _ = writeln!(out, "stats.syscalls {}", s.syscalls);
-    let _ = writeln!(out, "stats.threads {}", s.threads);
-    let _ = writeln!(out, "stats.guest_pages {}", s.guest_pages);
-    let _ = writeln!(out, "stats.guest_bytes {}", s.guest_bytes);
-    let _ = writeln!(out, "stats.events {}", s.events);
-    let by_kind: Vec<u64> = e.by_kind().iter().map(|&(_, v)| v).collect();
-    let _ = writeln!(out, "stats.events_by_kind {}", csv(&by_kind));
-    let faults = [
-        f.short_reads,
-        f.short_writes,
-        f.transient_errors,
-        f.device_failures,
-        f.errno_returns,
-    ];
-    let _ = writeln!(out, "stats.faults {}", csv(&faults));
     let metrics = cell.metrics.to_lines();
     let _ = writeln!(out, "metrics {}", metrics.lines().count());
     out.push_str(&metrics);
@@ -664,62 +641,16 @@ impl<'a> PayloadLines<'a> {
 }
 
 /// Decodes one journaled `cell … ok` payload back into a [`SweepCell`].
-///
-/// Public for journal consumers beyond resume: the `aprofd` daemon
-/// renders live snapshot/delta reports and per-job metrics straight
-/// from the on-disk journal of a running sweep.
-pub fn decode_cell_payload(payload: &str) -> Result<SweepCell, String> {
+fn decode_cell_payload(payload: &str) -> Result<SweepCell, String> {
     let mut p = PayloadLines::new(payload);
     let size: i64 = p.num("size")?;
     let seed: u64 = p.num("seed")?;
     let secs: f64 = p.num("secs")?;
-    let shadow_bytes: u64 = p.num("shadow_bytes")?;
     let attempts: u32 = p.num("attempts")?;
     let panics: u32 = p.num("panics")?;
     let error = match p.field("error")? {
         "-" => None,
         e => Some(e.to_string()),
-    };
-    let mut stats = RunStats {
-        instructions: p.num("stats.instructions")?,
-        basic_blocks: p.num("stats.basic_blocks")?,
-        per_thread_blocks: uncsv(p.field("stats.per_thread_blocks")?)?,
-        per_thread_nanos: uncsv(p.field("stats.per_thread_nanos")?)?,
-        thread_switches: p.num("stats.thread_switches")?,
-        syscalls: p.num("stats.syscalls")?,
-        threads: p.num("stats.threads")?,
-        guest_pages: p.num("stats.guest_pages")?,
-        guest_bytes: p.num("stats.guest_bytes")?,
-        events: p.num("stats.events")?,
-        ..RunStats::default()
-    };
-    let by_kind = uncsv(p.field("stats.events_by_kind")?)?;
-    if by_kind.len() != 11 {
-        return Err(format!("expected 11 event kinds, got {}", by_kind.len()));
-    }
-    stats.events_by_kind = EventCounters {
-        thread_start: by_kind[0],
-        thread_exit: by_kind[1],
-        thread_switch: by_kind[2],
-        call: by_kind[3],
-        ret: by_kind[4],
-        read: by_kind[5],
-        write: by_kind[6],
-        sync: by_kind[7],
-        block: by_kind[8],
-        kernel_to_user: by_kind[9],
-        user_to_kernel: by_kind[10],
-    };
-    let faults = uncsv(p.field("stats.faults")?)?;
-    if faults.len() != 5 {
-        return Err(format!("expected 5 fault counters, got {}", faults.len()));
-    }
-    stats.faults = FaultCounters {
-        short_reads: faults[0],
-        short_writes: faults[1],
-        transient_errors: faults[2],
-        device_failures: faults[3],
-        errno_returns: faults[4],
     };
     let metric_lines: usize = p.num("metrics")?;
     let mut metric_text = String::new();
@@ -747,8 +678,6 @@ pub fn decode_cell_payload(payload: &str) -> Result<SweepCell, String> {
         size,
         seed,
         secs,
-        shadow_bytes,
-        stats,
         report,
         metrics,
         error,
@@ -766,6 +695,60 @@ fn decode_quarantine_payload(payload: &str) -> Result<QuarantinedCell, String> {
         panics: p.num("panics")?,
         error: p.field("error")?.to_string(),
     })
+}
+
+/// Reads `spec`'s cell records out of salvaged journal `records`: parses
+/// each `cell <family> <idx> <status>` meta, decodes its payload and
+/// checks it against the grid. Returns the usable `(grid index,
+/// outcome)` pairs in record order, plus one warning per cell record it
+/// had to skip. A later pair for an index supersedes an earlier one (the
+/// journal is append-only: a re-run appends a fresh record).
+///
+/// The one reader of cell records: [`resume_sweep`] adopts the pairs,
+/// and the `aprofd` daemon renders a running job's live views from them.
+pub fn read_cells(
+    spec: &SweepSpec,
+    records: &[JournalRecord],
+) -> (Vec<(usize, CellOutcome)>, Vec<String>) {
+    let grid = spec.grid();
+    let cell_prefix = format!("cell {} ", spec.family);
+    let (mut cells, mut warnings) = (Vec::new(), Vec::new());
+    for rec in records {
+        let Some(rest) = rec.meta.strip_prefix(cell_prefix.as_str()) else {
+            continue;
+        };
+        let mut tok = rest.split(' ');
+        let (idx, status) = match (
+            tok.next().and_then(|t| t.parse::<usize>().ok()),
+            tok.next(),
+            tok.next(),
+        ) {
+            (Some(i), Some(s), None) => (i, s),
+            _ => {
+                warnings.push(format!("unparseable cell meta `{}`", rec.meta));
+                continue;
+            }
+        };
+        if idx >= grid.len() {
+            warnings.push(format!("cell index {idx} outside the grid"));
+            continue;
+        }
+        let decoded = match status {
+            "ok" => decode_cell_payload(&rec.payload).map(|c| CellOutcome::Completed(Box::new(c))),
+            "quarantined" => decode_quarantine_payload(&rec.payload).map(CellOutcome::Quarantined),
+            other => Err(format!("unknown cell status `{other}`")),
+        };
+        match decoded {
+            Ok(outcome) if outcome.cell() != grid[idx] => warnings.push(format!(
+                "cell {idx} payload {:?} disagrees with the grid {:?}; re-running",
+                outcome.cell(),
+                grid[idx]
+            )),
+            Ok(outcome) => cells.push((idx, outcome)),
+            Err(e) => warnings.push(format!("cell {idx} payload unusable ({e}); re-running")),
+        }
+    }
+    (cells, warnings)
 }
 
 // ---------------------------------------------------------------------------
@@ -991,63 +974,13 @@ pub fn resume_sweep(
         None => false,
     };
 
-    // Adopt salvaged cells. Later records win (append-only journal:
-    // a re-run simply appends a fresh record for the same index).
+    // Adopt salvaged cells; later records win.
     let mut slots = vec![None; grid.len()];
-    let cell_prefix = format!("cell {} ", spec.family);
     if family_started {
-        for rec in &salvaged.value {
-            let Some(rest) = rec.meta.strip_prefix(cell_prefix.as_str()) else {
-                continue;
-            };
-            let mut tok = rest.split(' ');
-            let (idx, status) = match (
-                tok.next().and_then(|t| t.parse::<usize>().ok()),
-                tok.next(),
-                tok.next(),
-            ) {
-                (Some(i), Some(s), None) => (i, s),
-                _ => {
-                    report
-                        .warnings
-                        .push(format!("unparseable cell meta `{}`", rec.meta));
-                    continue;
-                }
-            };
-            if idx >= grid.len() {
-                report
-                    .warnings
-                    .push(format!("cell index {idx} outside the grid"));
-                continue;
-            }
-            let decoded = match status {
-                "ok" => {
-                    decode_cell_payload(&rec.payload).map(|c| CellOutcome::Completed(Box::new(c)))
-                }
-                "quarantined" => {
-                    decode_quarantine_payload(&rec.payload).map(CellOutcome::Quarantined)
-                }
-                other => Err(format!("unknown cell status `{other}`")),
-            };
-            match decoded {
-                Ok(outcome) => {
-                    let (size, seed) = (outcome_size(&outcome), outcome_seed(&outcome));
-                    if (size, seed) != grid[idx] {
-                        report.warnings.push(format!(
-                            "cell {idx} payload ({size}, {seed}) disagrees with the grid \
-                             {:?}; re-running",
-                            grid[idx]
-                        ));
-                        continue;
-                    }
-                    slots[idx] = Some(outcome);
-                }
-                Err(e) => {
-                    report
-                        .warnings
-                        .push(format!("cell {idx} payload unusable ({e}); re-running"));
-                }
-            }
+        let (cells, warnings) = read_cells(spec, &salvaged.value);
+        report.warnings.extend(warnings);
+        for (idx, outcome) in cells {
+            slots[idx] = Some(outcome);
         }
     }
 
@@ -1118,20 +1051,6 @@ pub fn resume_sweep(
     Ok((run, report))
 }
 
-fn outcome_size(o: &CellOutcome) -> i64 {
-    match o {
-        CellOutcome::Completed(c) => c.size,
-        CellOutcome::Quarantined(q) => q.size,
-    }
-}
-
-fn outcome_seed(o: &CellOutcome) -> u64 {
-    match o {
-        CellOutcome::Completed(c) => c.seed,
-        CellOutcome::Quarantined(q) => q.seed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1139,23 +1058,29 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_bounded_and_grows() {
         let opts = SupervisorOptions::default();
-        let a1 = backoff_ms(&opts, "stream", 4, 1, 1);
-        let a2 = backoff_ms(&opts, "stream", 4, 1, 1);
-        assert_eq!(a1, a2, "same cell, same attempt, same backoff");
-        for attempt in 1..8 {
-            let ms = backoff_ms(&opts, "stream", 4, 1, attempt);
-            assert!(ms >= 1 && ms <= opts.backoff_cap_ms, "{ms}");
-        }
-        let other = backoff_ms(&opts, "stream", 4, 2, 1);
-        assert!(
-            a1 != other || a1 <= opts.backoff_cap_ms,
-            "jitter varies by cell"
+        let (base, cap) = (opts.backoff_base_ms, opts.backoff_cap_ms);
+        let a1 = backoff_ms(base, cap, "stream:4:1", 1);
+        assert_eq!(
+            a1,
+            backoff_ms(base, cap, "stream:4:1", 1),
+            "same cell, same backoff"
         );
-        let zero = SupervisorOptions {
-            backoff_base_ms: 0,
-            ..SupervisorOptions::default()
-        };
-        assert_eq!(backoff_ms(&zero, "stream", 4, 1, 1), 0);
+        for attempt in 1..8 {
+            let ms = backoff_ms(base, cap, "stream:4:1", attempt);
+            assert!(ms >= 1 && ms <= cap, "{ms}");
+        }
+        let other = backoff_ms(base, cap, "stream:4:2", 1);
+        assert!(a1 != other || a1 <= cap, "jitter varies by cell");
+        assert_eq!(backoff_ms(0, cap, "stream:4:1", 1), 0);
+        // The exact sleeps of two cells (`supervise_cell` keys a cell as
+        // `family:size:seed`) under the default policy, pinned.
+        for (cell, pinned) in [
+            ("stream:4:1", [2, 9, 19, 39, 61, 95, 132, 159]),
+            ("minidb:16:2", [3, 6, 17, 23, 51, 100, 243, 210]),
+        ] {
+            let slept: Vec<u64> = (1..=8).map(|a| backoff_ms(base, cap, cell, a)).collect();
+            assert_eq!(slept, pinned, "{cell}");
+        }
     }
 
     #[test]
@@ -1164,10 +1089,15 @@ mod tests {
         let result = run_supervised_with(&spec, &SupervisorOptions::default(), None, &profile_cell);
         let cell = &result.cells[0];
         let payload = encode_cell_payload(cell);
+        assert!(
+            !payload
+                .lines()
+                .any(|l| l.starts_with("stats.") || l.starts_with("shadow_bytes")),
+            "run counters live only in the metrics section:\n{payload}"
+        );
         let back = decode_cell_payload(&payload).unwrap();
         assert_eq!(back.size, cell.size);
         assert_eq!(back.seed, cell.seed);
-        assert_eq!(back.stats, cell.stats);
         assert_eq!(back.report, cell.report);
         assert_eq!(back.metrics, cell.metrics);
         assert_eq!(back.error, cell.error);

@@ -5,7 +5,7 @@
 //! self-contained and deterministic, so a sweep — workload family ×
 //! size grid × seed set — is embarrassingly parallel: this module fans
 //! the cells out across a scoped thread pool, collects a
-//! `(ProfileReport, RunStats)` pair per cell, and merges them into cost
+//! `(ProfileReport, Metrics)` pair per cell, and merges them into cost
 //! plots and variance tables.
 //!
 //! Determinism is preserved by construction: each worker writes its
@@ -27,15 +27,14 @@
 //! change a perf trajectory to beat; the wall-clock side (speedup,
 //! per-cell seconds) lives in a [`timings sibling`](SweepBench::timings_json)
 //! so the bench JSON itself stays byte-reproducible. [`validate_bench_json`]
-//! re-parses an emitted file — current v2 or legacy v1 — and checks it
-//! against its schema: the offline CI gate.
+//! re-parses an emitted file and checks it against its schema: the
+//! offline CI gate.
 
 use crate::supervisor::{profile_cell, run_supervised_with, JournalWriter, SupervisorOptions};
 use drms::analysis::{CostPlot, InputMetric};
 use drms::core::{drms_variance, report_io, ProfileReport, VarianceReport};
 use drms::sched::fnv1a;
 use drms::trace::Metrics;
-use drms::vm::RunStats;
 use drms::workloads::{imgpipe, minidb, patterns, sorting, Workload};
 use std::fmt::Write as _;
 
@@ -117,14 +116,12 @@ pub struct SweepCell {
     pub seed: u64,
     /// Wall-clock seconds of the profiled run.
     pub secs: f64,
-    /// Shadow bytes held by the profiler after the run.
-    pub shadow_bytes: u64,
-    /// Finalized run statistics.
-    pub stats: RunStats,
     /// The (possibly partial) drms profile.
     pub report: ProfileReport,
     /// The run's observability registry (deterministic counters, gauges
-    /// and histograms — see [`drms::trace::Metrics`]).
+    /// and histograms — see [`drms::trace::Metrics`]), the cell's one
+    /// record of its run counters: `vm.instructions`, `vm.events.total`,
+    /// `vm.basic_blocks`, `vm.threads`, `shadow.bytes` and the rest.
     pub metrics: Metrics,
     /// Rendered abort reason, if the guest failed.
     pub error: Option<String>,
@@ -217,28 +214,6 @@ impl SweepResult {
         fnv1a(self.merged_report_text().as_bytes())
     }
 
-    /// Merged cost plot of the family's focus routine under `metric`:
-    /// the union of every cell's plot, keeping the worst-case cost per
-    /// input size (the paper's plot semantics).
-    pub fn focus_plot(&self, metric: InputMetric) -> CostPlot {
-        let mut worst: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-        if let Some(w) = family_workload(&self.spec.family, 1) {
-            if let Some(focus) = w.focus {
-                for cell in &self.cells {
-                    let profile = cell.report.merged_routine(focus);
-                    for (input, cost) in CostPlot::of(&profile, metric).points {
-                        let e = worst.entry(input).or_insert(cost);
-                        *e = (*e).max(cost);
-                    }
-                }
-            }
-        }
-        CostPlot {
-            metric,
-            points: worst.into_iter().collect(),
-        }
-    }
-
     /// Per-routine drms variance across all cells (completed runs only),
     /// the sweep analogue of the chaos scan's variance table.
     pub fn variance(&self) -> VarianceReport {
@@ -253,17 +228,26 @@ impl SweepResult {
 
     /// Total guest instructions across all cells.
     pub fn instructions(&self) -> u64 {
-        self.cells.iter().map(|c| c.stats.instructions).sum()
+        self.cells
+            .iter()
+            .map(|c| c.metrics.counter("vm.instructions"))
+            .sum()
     }
 
     /// Total instrumentation events across all cells.
     pub fn events(&self) -> u64 {
-        self.cells.iter().map(|c| c.stats.events).sum()
+        self.cells
+            .iter()
+            .map(|c| c.metrics.counter("vm.events.total"))
+            .sum()
     }
 
     /// Total shadow bytes across all cells.
     pub fn shadow_bytes(&self) -> u64 {
-        self.cells.iter().map(|c| c.shadow_bytes).sum()
+        self.cells
+            .iter()
+            .map(|c| c.metrics.gauge("shadow.bytes"))
+            .sum()
     }
 
     /// Total supervisor attempts across completed and quarantined cells.
@@ -327,6 +311,31 @@ impl SweepResult {
     }
 }
 
+/// Merged cost plot of `family`'s focus routine under `metric`: the
+/// union of every cell's plot, keeping the worst-case cost per input
+/// size (the paper's plot semantics). Empty for an unknown family or
+/// one without a focus routine.
+pub fn focus_plot<'a>(
+    family: &str,
+    cells: impl IntoIterator<Item = &'a SweepCell>,
+    metric: InputMetric,
+) -> CostPlot {
+    let mut worst: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
+    if let Some(focus) = family_workload(family, 1).and_then(|w| w.focus) {
+        for cell in cells {
+            let profile = cell.report.merged_routine(focus);
+            for (input, cost) in CostPlot::of(&profile, metric).points {
+                let e = worst.entry(input).or_insert(cost);
+                *e = (*e).max(cost);
+            }
+        }
+    }
+    CostPlot {
+        metric,
+        points: worst.into_iter().collect(),
+    }
+}
+
 /// Runs the sweep described by `spec` under the crash-safe supervisor
 /// with default failure policy (3 attempts per cell, exponential
 /// backoff, no deadline).
@@ -347,15 +356,11 @@ pub fn run_sweep(spec: &SweepSpec) -> SweepResult {
 
 /// Schema tag of `BENCH_sweep.json`; bump when the layout changes.
 ///
-/// v2 (vs [`BENCH_SCHEMA_V1`]) drops every wall-clock field — those
-/// move to the [timings sibling](SweepBench::timings_json) — and adds
-/// the supervisor's attempt accounting and quarantine lists, making the
+/// v2 carries no wall-clock field — those live in the
+/// [timings sibling](SweepBench::timings_json) — and records the
+/// supervisor's attempt accounting and quarantine lists, making the
 /// bench JSON itself byte-deterministic for a given spec.
 pub const BENCH_SCHEMA: &str = "drms-sweep-v2";
-
-/// The previous bench schema; [`validate_bench_json`] still accepts it
-/// so archived baselines keep validating.
-pub const BENCH_SCHEMA_V1: &str = "drms-sweep-v1";
 
 /// One family's serial + parallel measurement pair inside a
 /// [`SweepBench`].
@@ -563,10 +568,10 @@ impl SweepBench {
                     c.size,
                     c.seed,
                     c.attempts,
-                    c.stats.instructions,
-                    c.stats.events,
-                    c.stats.basic_blocks,
-                    c.shadow_bytes,
+                    c.metrics.counter("vm.instructions"),
+                    c.metrics.counter("vm.events.total"),
+                    c.metrics.counter("vm.basic_blocks"),
+                    c.metrics.gauge("shadow.bytes"),
                     match &c.error {
                         Some(e) => json_str(e),
                         None => "null".to_string(),
@@ -673,7 +678,13 @@ impl SweepBench {
 
 // ---------------------------------------------------------------------------
 // Schema validation: a minimal JSON reader (the workspace is offline and
-// dependency-free, so no serde) plus the drms-sweep-v1 checks.
+// dependency-free, so no serde) plus the drms-sweep-v2 checks.
+
+/// Deepest array/object nesting [`validate_bench_json`] parses. A v2
+/// blob nests five containers deep (root, `families`, a family, its
+/// `cells`, a cell); the bound keeps a hostile blob from recursing the
+/// parser off the end of its stack.
+const MAX_JSON_DEPTH: usize = 8;
 
 /// A parsed JSON value — just enough of the data model for validation.
 #[derive(Clone, Debug, PartialEq)]
@@ -713,7 +724,7 @@ impl<'a> JsonParser<'a> {
             bytes: text.as_bytes(),
             pos: 0,
         };
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing data at byte {}", p.pos));
@@ -751,11 +762,16 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value that sits `depth` arrays/objects deep.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -830,14 +846,14 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         if self.eat(b']') {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             if self.eat(b']') {
                 return Ok(Json::Arr(items));
             }
@@ -845,7 +861,7 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         if self.eat(b'}') {
@@ -855,7 +871,7 @@ impl<'a> JsonParser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.expect(b':')?;
-            let value = self.value()?;
+            let value = self.value(depth)?;
             fields.push((key, value));
             if self.eat(b'}') {
                 return Ok(Json::Obj(fields));
@@ -865,24 +881,18 @@ impl<'a> JsonParser<'a> {
     }
 }
 
-/// Validates a `BENCH_sweep.json` blob against its schema — current
-/// [`BENCH_SCHEMA`] (v2) or legacy [`BENCH_SCHEMA_V1`], dispatched on
-/// the blob's own `schema` tag so archived baselines keep validating.
-///
-/// v2 checks include the supervisor's attempt accounting
-/// (`completed + retries + quarantined == attempts`, at the top level
-/// and per family); v1 checks include the serial-vs-parallel
-/// divergence verdicts that schema recorded inline.
+/// Validates a `BENCH_sweep.json` blob against [`BENCH_SCHEMA`],
+/// including the supervisor's attempt accounting (`completed + retries
+/// + quarantined == attempts`, at the top level and per family).
 ///
 /// # Errors
-/// A human-readable description of the first violation: parse failure,
-/// unknown schema tag, missing or mistyped field, empty family list,
-/// broken accounting, or (v1) a recorded divergence.
+/// A human-readable description of the first violation: parse failure
+/// (including nesting deeper than the schema's), unknown schema tag,
+/// missing or mistyped field, empty family list, or broken accounting.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let root = JsonParser::parse(text)?;
     match root.get("schema") {
         Some(Json::Str(s)) if s == BENCH_SCHEMA => validate_v2(&root),
-        Some(Json::Str(s)) if s == BENCH_SCHEMA_V1 => validate_v1(&root),
         other => Err(format!("bad schema tag: {other:?}")),
     }
 }
@@ -993,84 +1003,6 @@ fn validate_v2(root: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn validate_v1(root: &Json) -> Result<(), String> {
-    let jobs = root
-        .get("jobs")
-        .and_then(Json::num)
-        .ok_or("missing numeric `jobs`")?;
-    if jobs < 1.0 {
-        return Err(format!("jobs must be >= 1, got {jobs}"));
-    }
-    for key in [
-        "wall_secs_serial",
-        "wall_secs_parallel",
-        "speedup",
-        "instructions",
-        "instructions_per_sec",
-        "events",
-        "events_per_sec",
-        "shadow_bytes",
-    ] {
-        let v = root
-            .get(key)
-            .and_then(Json::num)
-            .ok_or_else(|| format!("missing numeric `{key}`"))?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!("`{key}` must be a finite non-negative number"));
-        }
-    }
-    if root.get("divergence") != Some(&Json::Bool(false)) {
-        return Err("serial and parallel sweeps diverged".to_string());
-    }
-    let Some(Json::Arr(families)) = root.get("families") else {
-        return Err("missing `families` array".to_string());
-    };
-    if families.is_empty() {
-        return Err("`families` is empty".to_string());
-    }
-    for fam in families {
-        let name = match fam.get("family") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("family entry without a `family` name".to_string()),
-        };
-        if fam.get("divergence") != Some(&Json::Bool(false)) {
-            return Err(format!("family `{name}` diverged"));
-        }
-        match fam.get("fingerprint") {
-            Some(Json::Str(f)) if f.starts_with("0x") && f.len() == 18 => {}
-            other => return Err(format!("family `{name}`: bad fingerprint {other:?}")),
-        }
-        let Some(Json::Arr(cells)) = fam.get("cells") else {
-            return Err(format!("family `{name}`: missing `cells` array"));
-        };
-        if cells.is_empty() {
-            return Err(format!("family `{name}`: no cells"));
-        }
-        for cell in cells {
-            for key in [
-                "size",
-                "seed",
-                "secs",
-                "instructions",
-                "events",
-                "basic_blocks",
-                "shadow_bytes",
-            ] {
-                if cell.get(key).and_then(Json::num).is_none() {
-                    return Err(format!("family `{name}`: cell missing numeric `{key}`"));
-                }
-            }
-            match cell.get("error") {
-                Some(Json::Null) | Some(Json::Str(_)) => {}
-                other => {
-                    return Err(format!("family `{name}`: bad cell error field {other:?}"));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1143,7 +1075,7 @@ mod tests {
     fn focus_plot_merges_worst_case_points() {
         let spec = SweepSpec::new("stream", &[4, 8], 1);
         let result = run_sweep(&spec);
-        let plot = result.focus_plot(InputMetric::Drms);
+        let plot = focus_plot("stream", &result.cells, InputMetric::Drms);
         let inputs: Vec<u64> = plot.points.iter().map(|p| p.0).collect();
         assert!(inputs.contains(&4) && inputs.contains(&8), "{inputs:?}");
         let sorted = {
@@ -1202,49 +1134,10 @@ mod tests {
         assert_ne!(bad_family_sum, good);
         let err = validate_bench_json(&bad_family_sum).unwrap_err();
         assert!(err.contains("attempts"), "{err}");
-        let no_schema = good.replace(BENCH_SCHEMA, "drms-sweep-v0");
-        assert!(validate_bench_json(&no_schema).is_err());
-    }
-
-    #[test]
-    fn legacy_v1_blobs_still_validate() {
-        let v1 = format!(
-            r#"{{
-  "schema": "{BENCH_SCHEMA_V1}",
-  "jobs": 2,
-  "wall_secs_serial": 0.5,
-  "wall_secs_parallel": 0.3,
-  "speedup": 1.6667,
-  "instructions": 1000,
-  "instructions_per_sec": 3333.3,
-  "events": 500,
-  "events_per_sec": 1666.7,
-  "shadow_bytes": 4096,
-  "divergence": false,
-  "families": [
-    {{
-      "family": "stream",
-      "sizes": [4],
-      "seeds": [0],
-      "serial_secs": 0.5,
-      "parallel_secs": 0.3,
-      "speedup": 1.6667,
-      "fingerprint": "0x0123456789abcdef",
-      "divergence": false,
-      "cells": [
-        {{"size": 4, "seed": 0, "secs": 0.3, "instructions": 1000,
-          "events": 500, "basic_blocks": 100, "shadow_bytes": 4096,
-          "error": null}}
-      ]
-    }}
-  ]
-}}
-"#
-        );
-        validate_bench_json(&v1).expect("archived v1 baselines keep validating");
-        let diverged = v1.replace("\"divergence\": false", "\"divergence\": true");
-        let err = validate_bench_json(&diverged).unwrap_err();
-        assert!(err.contains("diverged"), "{err}");
+        for tag in ["drms-sweep-v0", "drms-sweep-v1"] {
+            let err = validate_bench_json(&good.replace(BENCH_SCHEMA, tag)).unwrap_err();
+            assert!(err.contains("bad schema tag"), "{tag}: {err}");
+        }
     }
 
     #[test]
@@ -1288,5 +1181,9 @@ mod tests {
         assert_eq!(v.get("e"), Some(&Json::Bool(true)));
         assert!(JsonParser::parse("{\"a\": }").is_err());
         assert!(JsonParser::parse("[1, 2] trailing").is_err());
+        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonParser::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = JsonParser::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
     }
 }

@@ -435,3 +435,34 @@ fn a_non_utf8_byte_tears_the_journal_instead_of_failing_the_resume() {
         .expect("the resume rewrote the invalid byte away");
     let _ = std::fs::remove_file(&path);
 }
+
+/// A cell record in an older payload layout, one that still carried the
+/// run counters outside the metrics section, does not decode: resume
+/// warns and re-runs the cell, exactly as it does a torn one.
+#[test]
+fn cell_payloads_in_an_older_layout_are_re_run() {
+    let spec = SweepSpec::new("stream", &[4, 8], 1).seeds(&[1]);
+    let opts = fast_opts();
+    let path = temp_path("older-layout");
+    let mut writer = JournalWriter::create_with(&HostIo::real(), &path).unwrap();
+    let baseline = run_supervised_with(&spec, &opts, Some(&mut writer), &profile_cell);
+    drop(writer);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut records = drms::trace::journal::from_text(&text).unwrap();
+    for rec in records.iter_mut().filter(|r| r.meta.ends_with(" ok")) {
+        rec.payload = rec
+            .payload
+            .replacen("\nattempts ", "\nshadow_bytes 0\nattempts ", 1);
+    }
+    std::fs::write(&path, drms::trace::journal::to_text(&records)).unwrap();
+
+    let (resumed, report) = resume(&spec, &opts, &path, &profile_cell).unwrap();
+    assert_eq!(report.rerun_cells, 2);
+    let unusable = report
+        .warnings
+        .iter()
+        .filter(|w| w.contains("payload unusable"));
+    assert_eq!(unusable.count(), 2, "{:?}", report.warnings);
+    assert_eq!(resumed.merged_report_text(), baseline.merged_report_text());
+    let _ = std::fs::remove_file(&path);
+}
