@@ -10,6 +10,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
+# perfbench is its own package (its manifest has its own [workspace]), so
+# the two steps above never reach it, yet it compiles against the
+# workspace's API: lint and format-check it on its own.
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 # Doc links must resolve, and public docs must not link private items:
 # deleting or renaming a documented item fails here, not in a reader's
 # browser.

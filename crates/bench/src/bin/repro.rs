@@ -93,6 +93,25 @@ struct Options {
     metrics_out: Option<PathBuf>,
 }
 
+fn usage() -> ! {
+    eprintln!("usage: repro <fig4|fig5|fig6|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|sched|faults|all|sched-fuzz|sched-shrink|sweep|replay-shards DIR> [--threads N] [--scale S] [--out DIR] [--seeds N] [--quick] [--sched FILE] [--jobs N] [--bench-out FILE] [--journal FILE] [--resume FILE] [--max-attempts N] [--deadline-ms N] [--decode off|fused] [--batch N] [--host-faults SPEC] [--report FILE] [--metrics FILE]");
+    std::process::exit(2)
+}
+
+/// The value of flag `what` (its name and operand, e.g. `--jobs N`):
+/// the next argument, parsed. A missing or malformed value is a usage
+/// error, exit 2, like every other bad invocation.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, what: &str) -> T {
+    let Some(v) = args.next() else {
+        eprintln!("missing value for {what}");
+        usage()
+    };
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("bad value `{v}` for {what}");
+        usage()
+    })
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut experiment = None;
@@ -117,51 +136,27 @@ fn main() {
         metrics_out: None,
     };
     while let Some(arg) = args.next() {
+        let args = &mut args;
         match arg.as_str() {
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads N");
-            }
-            "--scale" => {
-                opts.scale = args.next().and_then(|v| v.parse().ok()).expect("--scale S");
-            }
-            "--out" => {
-                opts.out = PathBuf::from(args.next().expect("--out DIR"));
-            }
-            "--seeds" => {
-                opts.seeds = args.next().and_then(|v| v.parse().ok()).expect("--seeds N");
-            }
+            "--threads" => opts.threads = value(args, "--threads N"),
+            "--scale" => opts.scale = value(args, "--scale S"),
+            "--out" => opts.out = value(args, "--out DIR"),
+            "--seeds" => opts.seeds = value(args, "--seeds N"),
             "--quick" => opts.quick = true,
-            "--sched" => opts.sched = Some(args.next().expect("--sched FILE")),
-            "--jobs" => {
-                opts.jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
-            }
-            "--bench-out" => {
-                opts.bench_out = PathBuf::from(args.next().expect("--bench-out FILE"));
-            }
-            "--journal" => {
-                opts.journal = Some(PathBuf::from(args.next().expect("--journal FILE")));
-            }
-            "--resume" => {
-                opts.resume = Some(PathBuf::from(args.next().expect("--resume FILE")));
-            }
+            "--sched" => opts.sched = Some(value(args, "--sched FILE")),
+            "--jobs" => opts.jobs = value(args, "--jobs N"),
+            "--bench-out" => opts.bench_out = value(args, "--bench-out FILE"),
+            "--journal" => opts.journal = Some(value(args, "--journal FILE")),
+            "--resume" => opts.resume = Some(value(args, "--resume FILE")),
             "--max-attempts" => {
-                opts.max_attempts = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-attempts N");
+                opts.max_attempts = value(args, "--max-attempts N");
                 if opts.max_attempts == 0 {
                     eprintln!("--max-attempts must be >= 1 (0 would never run a cell)");
                     std::process::exit(2);
                 }
             }
             "--deadline-ms" => {
-                let ms = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--deadline-ms N");
+                let ms = value(args, "--deadline-ms N");
                 if ms == 0 {
                     eprintln!("--deadline-ms must be >= 1 (0 expires before the run starts)");
                     std::process::exit(2);
@@ -169,14 +164,14 @@ fn main() {
                 opts.deadline_ms = Some(ms);
             }
             "--decode" => {
-                let v = args.next().expect("--decode off|fused");
+                let v: String = value(args, "--decode off|fused");
                 opts.decode = Some(v.parse().unwrap_or_else(|e| {
                     eprintln!("--decode: {e}");
                     std::process::exit(2);
                 }));
             }
             "--batch" => {
-                let n: usize = args.next().and_then(|v| v.parse().ok()).expect("--batch N");
+                let n = value(args, "--batch N");
                 if n == 0 {
                     eprintln!("--batch must be >= 1 (0 could never buffer an event)");
                     std::process::exit(2);
@@ -184,7 +179,7 @@ fn main() {
                 opts.batch = Some(n);
             }
             "--host-faults" => {
-                let spec = args.next().expect("--host-faults SPEC");
+                let spec: String = value(args, "--host-faults SPEC");
                 match drms::trace::hostio::HostIo::from_spec(&spec) {
                     Ok(io) => {
                         eprintln!("repro: CHAOS MODE — injecting host faults from `{spec}`");
@@ -196,12 +191,8 @@ fn main() {
                     }
                 }
             }
-            "--report" => {
-                opts.report_out = Some(PathBuf::from(args.next().expect("--report FILE")));
-            }
-            "--metrics" => {
-                opts.metrics_out = Some(PathBuf::from(args.next().expect("--metrics FILE")));
-            }
+            "--report" => opts.report_out = Some(value(args, "--report FILE")),
+            "--metrics" => opts.metrics_out = Some(value(args, "--metrics FILE")),
             other if experiment.is_none() => experiment = Some(other.to_owned()),
             // One operand after the experiment name (the shard directory
             // of `replay-shards DIR`); the dispatch arm validates it.
@@ -221,8 +212,7 @@ fn main() {
         std::process::exit(2);
     }
     let Some(experiment) = experiment else {
-        eprintln!("usage: repro <fig4|fig5|fig6|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|sched|faults|all|sched-fuzz|sched-shrink|sweep|replay-shards DIR> [--threads N] [--scale S] [--out DIR] [--seeds N] [--quick] [--sched FILE] [--jobs N] [--bench-out FILE] [--journal FILE] [--resume FILE] [--max-attempts N] [--deadline-ms N] [--decode off|fused] [--batch N] [--host-faults SPEC] [--report FILE] [--metrics FILE]");
-        std::process::exit(2);
+        usage()
     };
     fs::create_dir_all(&opts.out).expect("create output dir");
     match experiment.as_str() {

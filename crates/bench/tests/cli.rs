@@ -309,3 +309,22 @@ fn repro_sweep_refuses_journal_with_resume() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Regression: a missing or malformed flag value used to panic (exit
+/// 101). It is a usage error like any other: the usage line and exit 2.
+#[test]
+fn repro_flag_value_errors_exit_2_without_a_panic() {
+    for args in [
+        &["sweep", "--jobs", "abc"][..],
+        &["sweep", "--max-attempts", "x"],
+        &["sweep", "--batch"],
+        &["sweep", "--out"],
+        &["fig4", "--threads", "-1"],
+    ] {
+        let out = repro(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains("usage: repro"), "{args:?}: {err}");
+    }
+}

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use drms_vm::{
         replay_shards_into, run_program, run_program_with, BatchKind, DecodeMode, DecodeStats,
         DecodedProgram, Device, EventBatch, FaultPlan, NullTool, Operand, Program, ProgramBuilder,
-        RunConfig, RunStats, SchedPolicy, ShardRecorder, SyscallNo, Tool, Vm,
+        RunConfig, RunStats, SchedPolicy, SyscallNo, Tool, Vm,
     };
     pub use drms_workloads::Workload;
 }

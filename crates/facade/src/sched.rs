@@ -18,22 +18,26 @@
 //! * [`shrink_failing_schedule`] delta-debugs a failing schedule down to
 //!   a minimal set of forced preemption points that still reproduces the
 //!   same failure class, using relaxed replay.
+//!
+//! Every profiled run of the harness is a [`ProfileSession`] run, so its
+//! outcome carries the same metrics (`run.aborts` included) as any other
+//! profiled run.
 
-use drms_core::{report_io, DrmsConfig, DrmsProfiler, VarianceReport};
+use drms_core::{report_io, VarianceReport};
 use drms_trace::{codec, merge_traces};
 use drms_vm::{
-    MultiTool, NullTool, Program, RunConfig, RunError, SchedDecision, SchedPolicy, Schedule, Tool,
-    TraceRecorder, Vm,
+    NullTool, Program, RunConfig, RunError, SchedDecision, SchedPolicy, Schedule, TraceRecorder, Vm,
 };
 use std::sync::Arc;
 
-use crate::ProfileOutcome;
+use crate::{Error, ProfileOutcome, ProfileSession};
 
 /// A profiled run together with the schedule that produced it and the
 /// canonical serializations used for byte-level comparison.
 #[derive(Clone, Debug)]
 pub struct RecordedRun {
-    /// Profile, stats and abort reason (if any) of the run.
+    /// Profile, stats, metrics and abort reason (if any) of the run. Its
+    /// recorded schedule lives in [`RecordedRun::schedule`] instead.
     pub outcome: ProfileOutcome,
     /// Every scheduling decision of the run.
     pub schedule: Arc<Schedule>,
@@ -63,50 +67,39 @@ pub use drms_trace::lines::fnv1a;
 
 /// Runs `program` under `config` with full instrumentation (drms
 /// profiler + trace recorder) and schedule recording, regardless of the
-/// policy in `config`.
+/// policy in `config`: a [`ProfileSession`] with one extra tool.
 ///
 /// # Errors
 /// Only setup failures ([`RunError::Validate`],
-/// [`RunError::ScheduleMissing`]) are returned as `Err`; run-time aborts
-/// land in [`ProfileOutcome::error`] with the partial profile and the
-/// schedule up to the failure point preserved.
-pub fn record_run(program: &Program, config: &RunConfig) -> Result<RecordedRun, RunError> {
-    let config = RunConfig {
-        record_sched: true,
-        ..config.clone()
-    };
-    let mut profiler = DrmsProfiler::new(DrmsConfig::full());
+/// [`RunError::ScheduleMissing`], as [`Error::Run`]) are returned as
+/// `Err`; run-time aborts land in [`ProfileOutcome::error`] with the
+/// partial profile and the schedule up to the failure point preserved.
+pub fn record_run(program: &Program, config: &RunConfig) -> Result<RecordedRun, Error> {
     let mut recorder = TraceRecorder::new();
-    let mut vm = Vm::new(program, config)?;
-    let (error, shadow_bytes, metrics) = {
-        let mut fan = MultiTool::new();
-        fan.push(&mut profiler).push(&mut recorder);
-        let error = vm.run(&mut fan).err();
-        let mut metrics = vm.metrics();
-        fan.observe_metrics(&mut metrics);
-        (error, fan.shadow_bytes(), metrics)
-    };
-    let stats = vm.stats().clone();
-    let schedule = Arc::new(
-        vm.take_recorded_schedule()
-            .expect("record_sched was set, so a schedule was recorded"),
-    );
-    let report = profiler.into_report();
-    let report_text = report_io::to_text(&report);
+    let outcome = ProfileSession::new(program)
+        .config(config.clone())
+        .record_sched()
+        .tool(&mut recorder)
+        .run()?;
+    let (outcome, schedule) = take_schedule(outcome);
+    let report_text = report_io::to_text(&outcome.report);
     let events = codec::to_text(&merge_traces(recorder.into_traces()));
     Ok(RecordedRun {
-        outcome: ProfileOutcome {
-            report,
-            stats,
-            error,
-            schedule: None,
-            shadow_bytes,
-            metrics,
-        },
+        outcome,
         schedule,
         events,
         report_text,
     })
+}
+
+/// Moves a recording session's schedule out of its outcome, so the
+/// harness keeps it in one place.
+fn take_schedule(mut outcome: ProfileOutcome) -> (ProfileOutcome, Arc<Schedule>) {
+    let schedule = outcome
+        .schedule
+        .take()
+        .expect("record_sched was set, so a schedule was recorded");
+    (outcome, Arc::new(schedule))
 }
 
 /// Replays `schedule` against `program` with full instrumentation.
@@ -122,7 +115,7 @@ pub fn replay_run(
     base: &RunConfig,
     schedule: Arc<Schedule>,
     relaxed: bool,
-) -> Result<RecordedRun, RunError> {
+) -> Result<RecordedRun, Error> {
     let config = RunConfig {
         policy: SchedPolicy::Replay { relaxed },
         replay: Some(schedule),
@@ -175,7 +168,7 @@ impl DeterminismCheck {
 pub fn check_replay_determinism(
     program: &Program,
     config: &RunConfig,
-) -> Result<DeterminismCheck, RunError> {
+) -> Result<DeterminismCheck, Error> {
     let recorded = record_run(program, config)?;
     let replayed = replay_run(program, config, Arc::clone(&recorded.schedule), false)?;
     Ok(DeterminismCheck { recorded, replayed })
@@ -186,7 +179,7 @@ pub fn check_replay_determinism(
 pub struct ChaosRun {
     /// The chaos seed of this run.
     pub seed: u64,
-    /// Profile, stats and abort reason (if any).
+    /// Profile, stats, metrics and abort reason (if any).
     pub outcome: ProfileOutcome,
     /// The recorded schedule — a ready-made repro when the run failed.
     pub schedule: Arc<Schedule>,
@@ -226,40 +219,22 @@ impl ChaosScan {
 ///
 /// # Errors
 /// Setup failures only, as in [`record_run`].
-pub fn chaos_scan(
-    program: &Program,
-    base: &RunConfig,
-    seeds: &[u64],
-) -> Result<ChaosScan, RunError> {
+pub fn chaos_scan(program: &Program, base: &RunConfig, seeds: &[u64]) -> Result<ChaosScan, Error> {
     let mut runs = Vec::with_capacity(seeds.len());
     for &seed in seeds {
         let config = RunConfig {
             policy: SchedPolicy::Chaos { seed },
-            record_sched: true,
             replay: None,
             ..base.clone()
         };
-        let mut profiler = DrmsProfiler::new(DrmsConfig::full());
-        let mut vm = Vm::new(program, config)?;
-        let error = vm.run(&mut profiler).err();
-        let stats = vm.stats().clone();
-        let shadow_bytes = profiler.shadow_bytes();
-        let mut metrics = vm.metrics();
-        profiler.observe_metrics(&mut metrics);
-        let schedule = Arc::new(
-            vm.take_recorded_schedule()
-                .expect("record_sched was set, so a schedule was recorded"),
-        );
+        let outcome = ProfileSession::new(program)
+            .config(config)
+            .record_sched()
+            .run()?;
+        let (outcome, schedule) = take_schedule(outcome);
         runs.push(ChaosRun {
             seed,
-            outcome: ProfileOutcome {
-                report: profiler.into_report(),
-                stats,
-                error,
-                schedule: None,
-                shadow_bytes,
-                metrics,
-            },
+            outcome,
             schedule,
         });
     }
@@ -457,6 +432,9 @@ mod tests {
             Some(RunError::Deadlock { .. })
         ));
         assert!(check.holds(), "a failing run must replay exactly too");
+        for run in [&check.recorded, &check.replayed] {
+            assert_eq!(run.outcome.metrics.counter("run.aborts"), 1);
+        }
     }
 
     #[test]
@@ -472,6 +450,12 @@ mod tests {
             assert!(
                 !f.schedule.is_empty(),
                 "failures ship a replayable schedule"
+            );
+            assert_eq!(
+                f.outcome.metrics.counter("run.aborts"),
+                1,
+                "seed {}: the abort is counted",
+                f.seed
             );
         }
     }

@@ -16,7 +16,7 @@ use drms_trace::shard::{ShardWriter, DEFAULT_SPILL_THRESHOLD};
 use drms_trace::HostIo;
 use drms_vm::{
     DecodeMode, DecodedProgram, EventBatch, FaultPlan, MultiTool, Program, RunConfig, SchedPolicy,
-    Schedule, ShardRecorder, Tool, Vm,
+    Schedule, Tool, Vm,
 };
 use drms_workloads::Workload;
 use std::path::PathBuf;
@@ -232,13 +232,11 @@ impl<'p, 't> ProfileSession<'p, 't> {
     /// returned as `Err`.
     pub fn run(mut self) -> Result<ProfileOutcome, Error> {
         let mut profiler = DrmsProfiler::new(self.drms);
-        let mut shard_rec = match self.trace_dir.take() {
-            Some(dir) => {
-                let writer = ShardWriter::create(&self.trace_io, &dir, self.spill_threshold)?;
-                Some(ShardRecorder::new(writer))
-            }
-            None => None,
-        };
+        let mut shards = self
+            .trace_dir
+            .take()
+            .map(|dir| ShardWriter::create(&self.trace_io, &dir, self.spill_threshold))
+            .transpose()?;
         let mut vm = match self.decoded.take() {
             Some(d) => Vm::with_decoded(self.program, self.config, d)?,
             None => Vm::new(self.program, self.config)?,
@@ -246,7 +244,7 @@ impl<'p, 't> ProfileSession<'p, 't> {
         if let Some(buf) = self.batch_buf.as_mut() {
             vm.install_batch(std::mem::take(*buf));
         }
-        let (error, shadow_bytes, mut metrics) = if self.extra.is_empty() && shard_rec.is_none() {
+        let (error, shadow_bytes, mut metrics) = if self.extra.is_empty() && shards.is_none() {
             // Single-tool runs stay monomorphized: `T = DrmsProfiler`, so
             // per-event dispatch is direct calls, not a vtable.
             let error = vm.run(&mut profiler).err();
@@ -256,8 +254,8 @@ impl<'p, 't> ProfileSession<'p, 't> {
         } else {
             let mut fan = MultiTool::new();
             fan.push(&mut profiler);
-            if let Some(rec) = shard_rec.as_mut() {
-                fan.push(rec);
+            if let Some(writer) = shards.as_mut() {
+                fan.push(writer);
             }
             for t in self.extra {
                 fan.push(t);
@@ -267,9 +265,8 @@ impl<'p, 't> ProfileSession<'p, 't> {
             fan.observe_metrics(&mut metrics);
             (error, fan.shadow_bytes(), metrics)
         };
-        if let Some(rec) = shard_rec {
-            let summary = rec.finish()?;
-            summary.observe_metrics(&mut metrics);
+        if let Some(writer) = shards {
+            writer.finish()?.observe_metrics(&mut metrics);
         }
         if error.is_some() {
             metrics.inc("run.aborts");

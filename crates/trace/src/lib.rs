@@ -18,7 +18,12 @@
 //!   offline analysis, read through the checked-line core in [`lines`]
 //!   that the schedule, journal and shard formats share;
 //! * [`faultspec`] — the fault-trigger grammar shared by the kernel and
-//!   host fault plans.
+//!   host fault plans;
+//! * [`shard`] — the out-of-core binary trace: a [`ShardWriter`] that
+//!   records as an [`EventSink`], per-thread shard files, and a
+//!   salvaging [`ShardSet`] loader that hands the runs back in global
+//!   order. [`BatchKind`] names the batched read/write entries of both
+//!   the VM's event batch and the shard format.
 //!
 //! The design mirrors the paper's model: the profiler is given per-thread
 //! traces of timestamped operations, which are logically merged into one
@@ -55,7 +60,7 @@ pub mod stats;
 pub mod trace;
 
 pub use codec::{from_text, from_text_lossy, to_text};
-pub use event::{Event, SyncOp, TimedEvent};
+pub use event::{BatchKind, Event, SyncOp, TimedEvent};
 pub use faultspec::{FaultSpecError, FaultTrigger};
 pub use hostio::{HostFaultPlan, HostIo};
 pub use ids::{Addr, BlockId, NameTable, RoutineId, ThreadId};
@@ -66,8 +71,8 @@ pub use obs::{Histogram, MergeError, Metrics};
 pub use replay::{replay, EventSink};
 pub use sched::{PreemptCause, SchedDecision, Schedule};
 pub use shard::{
-    SalvagedShard, ShardBatch, ShardBatchKind, ShardEvent, ShardFrame, ShardRecord, ShardSet,
-    ShardSummary, ShardWriter,
+    SalvagedShard, ShardBatch, ShardEvent, ShardFrame, ShardRecord, ShardSet, ShardSummary,
+    ShardWriter,
 };
 pub use stats::TraceStats;
 pub use trace::ThreadTrace;

@@ -7,10 +7,12 @@
 //! deliveries to one shard column by column, encodes the run as one
 //! frame straight into the shard's spill buffer, and flushes through the
 //! [`HostIo`] seam so host-fault chaos applies to every byte that
-//! reaches the disk. An offline [`ShardSet`] loads the shards back (in
-//! parallel across shards), keeps each one's verifying byte prefix plus
-//! an index of its frames, and replays the runs in their original
-//! global order into any [`EventSink`], decoding each in place — a
+//! reaches the disk. The writer is itself an [`EventSink`]: each callback
+//! encodes its own record. An offline [`ShardSet`] loads the shards back
+//! (in parallel across shards), keeps each one's verifying byte prefix
+//! plus an index of its frames, and hands the runs out in their original
+//! global order ([`ShardSet::frames_in_order`]), each decoded in place;
+//! [`deliver_event`] turns a stored event back into its callback. A
 //! write-then-replay run is byte-identical to the in-memory run it
 //! recorded.
 //!
@@ -93,7 +95,7 @@
 //! manifest (the writer crashed mid-run) a torn tail counts as one
 //! dropped frame.
 
-use crate::event::SyncOp;
+use crate::event::{BatchKind, SyncOp};
 use crate::hostio::HostIo;
 use crate::ids::{Addr, BlockId, RoutineId, ThreadId};
 use crate::lines::{fnv1a, fnv1a_extend, verify_token, FNV_OFFSET, FNV_PRIME};
@@ -135,8 +137,8 @@ const RUN_HEADER_BYTES: usize = 8 + 4 + 4 + 1 + 1;
 /// prefix is corruption, not data.
 const MAX_PAYLOAD_BYTES: usize = 1 << 26;
 
-const K_ENTRY_READ: u8 = ShardBatchKind::Read as u8;
-const K_ENTRY_WRITE: u8 = ShardBatchKind::Write as u8;
+const K_ENTRY_READ: u8 = BatchKind::Read as u8;
+const K_ENTRY_WRITE: u8 = BatchKind::Write as u8;
 const K_BATCH: u8 = 2;
 const K_THREAD_START: u8 = 3;
 const K_THREAD_EXIT: u8 = 4;
@@ -190,17 +192,6 @@ fn frame_checksum(payload: &[u8]) -> u64 {
         h ^ (h >> 32)
     });
     fnv1a_extend(hash, tail)
-}
-
-/// Kind of one batched read/write entry; the discriminant is its record
-/// kind byte.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ShardBatchKind {
-    /// A guest load.
-    Read = 0,
-    /// A guest store.
-    Write = 1,
 }
 
 /// One instrumentation event as the shard format stores it: the
@@ -288,37 +279,6 @@ fn thread_operand(thread: Option<ThreadId>) -> u32 {
 
 fn thread_of_operand(b: u32) -> Option<ThreadId> {
     b.checked_sub(1).map(ThreadId::new)
-}
-
-/// One event's record: its kind, its `a` operand if the kind takes one,
-/// and its `b` operand.
-#[inline]
-fn event_record(event: ShardEvent) -> (u8, Option<u64>, u32) {
-    match event {
-        ShardEvent::ThreadStart { parent } => (K_THREAD_START, None, thread_operand(parent)),
-        ShardEvent::ThreadExit { cost } => (K_THREAD_EXIT, Some(cost), 0),
-        ShardEvent::ThreadSwitch { from } => (K_THREAD_SWITCH, None, thread_operand(from)),
-        ShardEvent::Call { routine, cost } => (K_CALL, Some(cost), routine.index()),
-        ShardEvent::Return { routine, cost } => (K_RETURN, Some(cost), routine.index()),
-        ShardEvent::Read { addr, len } => (K_READ, Some(addr.raw()), len),
-        ShardEvent::Write { addr, len } => (K_WRITE, Some(addr.raw()), len),
-        ShardEvent::UserToKernel { addr, len } => (K_U2K, Some(addr.raw()), len),
-        ShardEvent::KernelToUser { addr, len } => (K_K2U, Some(addr.raw()), len),
-        ShardEvent::Block { routine, block } => {
-            (K_BLOCK, Some(u64::from(block.index())), routine.index())
-        }
-        ShardEvent::Sync { op } => match op {
-            SyncOp::SemWait(s) => (K_SEM_WAIT, None, s),
-            SyncOp::SemSignal(s) => (K_SEM_SIGNAL, None, s),
-            SyncOp::MutexLock(m) => (K_MUTEX_LOCK, None, m),
-            SyncOp::MutexUnlock(m) => (K_MUTEX_UNLOCK, None, m),
-            SyncOp::CondWait { cond, mutex } => (K_COND_WAIT, Some(u64::from(mutex)), cond),
-            SyncOp::CondSignal(c) => (K_COND_SIGNAL, None, c),
-            SyncOp::CondBroadcast(c) => (K_COND_BROADCAST, None, c),
-            SyncOp::Spawn { child } => (K_SPAWN, None, child.index()),
-            SyncOp::Join { child } => (K_JOIN, None, child.index()),
-        },
-    }
 }
 
 /// The event a non-batch record holds; `a` is 0 for kinds without one.
@@ -490,7 +450,7 @@ impl<'a> ShardBatch<'a> {
     /// Calls `f` on every entry, in emission order. The column widths
     /// are resolved once per batch, not once per entry.
     #[inline]
-    pub fn for_each_entry(self, mut f: impl FnMut(ShardBatchKind, Addr, u32)) {
+    pub fn for_each_entry(self, mut f: impl FnMut(BatchKind, Addr, u32)) {
         match self.addrs.width {
             1 => self.entries_with::<1>(&mut f),
             2 => self.entries_with::<2>(&mut f),
@@ -499,7 +459,7 @@ impl<'a> ShardBatch<'a> {
         }
     }
 
-    fn entries_with<const A: usize>(self, f: &mut impl FnMut(ShardBatchKind, Addr, u32)) {
+    fn entries_with<const A: usize>(self, f: &mut impl FnMut(BatchKind, Addr, u32)) {
         match self.lens.width {
             1 => self.entries_as::<A, 1>(f),
             2 => self.entries_as::<A, 2>(f),
@@ -507,17 +467,14 @@ impl<'a> ShardBatch<'a> {
         }
     }
 
-    fn entries_as<const A: usize, const B: usize>(
-        self,
-        f: &mut impl FnMut(ShardBatchKind, Addr, u32),
-    ) {
+    fn entries_as<const A: usize, const B: usize>(self, f: &mut impl FnMut(BatchKind, Addr, u32)) {
         let addrs = self.addrs.bytes.chunks_exact(A);
         let lens = self.lens.bytes.chunks_exact(B);
         for ((&kind, addr), len) in self.kinds.iter().zip(addrs).zip(lens) {
             let kind = if kind == K_ENTRY_READ {
-                ShardBatchKind::Read
+                BatchKind::Read
             } else {
-                ShardBatchKind::Write
+                BatchKind::Write
             };
             f(kind, Addr::new(le::<A>(addr)), le::<B>(len) as u32);
         }
@@ -664,7 +621,7 @@ struct Run {
 
 impl Run {
     #[inline]
-    fn push(&mut self, (kind, a, b): (u8, Option<u64>, u32)) {
+    fn push(&mut self, kind: u8, a: Option<u64>, b: u32) {
         self.kinds.push(kind);
         if let Some(a) = a {
             self.a.push(a);
@@ -672,14 +629,9 @@ impl Run {
         self.b.push(b);
     }
 
-    fn push_batch(
-        &mut self,
-        kinds: impl Iterator<Item = ShardBatchKind>,
-        addrs: &[Addr],
-        lens: &[u32],
-    ) {
-        self.push((K_BATCH, None, addrs.len() as u32));
-        self.kinds.extend(kinds.map(|k| k as u8));
+    fn push_batch(&mut self, kinds: &[BatchKind], addrs: &[Addr], lens: &[u32]) {
+        self.push(K_BATCH, None, addrs.len() as u32);
+        self.kinds.extend(kinds.iter().map(|&k| k as u8));
         self.a.extend(addrs.iter().map(|a| a.raw()));
         self.b.extend_from_slice(lens);
     }
@@ -759,8 +711,11 @@ impl ShardSummary {
 /// disks, and a crashed or faulted run leaves shards whose checksummed
 /// prefix [`ShardSet::load`] salvages.
 ///
-/// A run ends when the next delivery goes to another shard, so only one
-/// run is ever open and the writer stages it in one place.
+/// Events arrive through the writer's [`EventSink`] callbacks, each
+/// encoding its own record, and read/write batches through
+/// [`ShardWriter::record_batch`]. A run ends when the next delivery goes
+/// to another shard, so only one run is ever open and the writer stages
+/// it in one place.
 pub struct ShardWriter {
     io: HostIo,
     dir: PathBuf,
@@ -793,12 +748,14 @@ impl ShardWriter {
         self.error.as_ref()
     }
 
-    /// Records one event into `thread`'s shard. Infallible: a host-I/O
-    /// failure latches and later records are dropped.
-    pub fn record_event(&mut self, thread: ThreadId, event: ShardEvent) {
-        let record = event_record(event);
+    /// Records one event's record — its kind, its `a` operand if the
+    /// kind takes one, and its `b` operand — into `thread`'s shard.
+    /// Infallible: a host-I/O failure latches and later records are
+    /// dropped.
+    #[inline]
+    fn record(&mut self, thread: ThreadId, kind: u8, a: Option<u64>, b: u32) {
         if self.begin(thread) {
-            self.run.push(record);
+            self.run.push(kind, a, b);
             self.end_run_at_cap();
         }
     }
@@ -809,7 +766,7 @@ impl ShardWriter {
     pub fn record_batch(
         &mut self,
         thread: ThreadId,
-        kinds: impl ExactSizeIterator<Item = ShardBatchKind>,
+        kinds: &[BatchKind],
         addrs: &[Addr],
         lens: &[u32],
     ) {
@@ -953,6 +910,62 @@ impl ShardWriter {
         }
         Ok(summary)
     }
+}
+
+impl EventSink for ShardWriter {
+    fn on_thread_start(&mut self, thread: ThreadId, parent: Option<ThreadId>) {
+        self.record(thread, K_THREAD_START, None, thread_operand(parent));
+    }
+    fn on_thread_exit(&mut self, thread: ThreadId, cost: u64) {
+        self.record(thread, K_THREAD_EXIT, Some(cost), 0);
+    }
+    fn on_thread_switch(&mut self, from: Option<ThreadId>, to: ThreadId) {
+        // Stored in the *incoming* thread's shard; the global sequence
+        // number keeps its place in the merged order.
+        self.record(to, K_THREAD_SWITCH, None, thread_operand(from));
+    }
+    fn on_call(&mut self, thread: ThreadId, routine: RoutineId, cost: u64) {
+        self.record(thread, K_CALL, Some(cost), routine.index());
+    }
+    fn on_return(&mut self, thread: ThreadId, routine: RoutineId, cost: u64) {
+        self.record(thread, K_RETURN, Some(cost), routine.index());
+    }
+    fn on_read(&mut self, thread: ThreadId, addr: Addr, len: u32) {
+        self.record(thread, K_READ, Some(addr.raw()), len);
+    }
+    fn on_write(&mut self, thread: ThreadId, addr: Addr, len: u32) {
+        self.record(thread, K_WRITE, Some(addr.raw()), len);
+    }
+    fn on_user_to_kernel(&mut self, thread: ThreadId, addr: Addr, len: u32) {
+        self.record(thread, K_U2K, Some(addr.raw()), len);
+    }
+    fn on_kernel_to_user(&mut self, thread: ThreadId, addr: Addr, len: u32) {
+        self.record(thread, K_K2U, Some(addr.raw()), len);
+    }
+    fn on_sync(&mut self, thread: ThreadId, op: SyncOp) {
+        let (kind, a, b) = match op {
+            SyncOp::SemWait(s) => (K_SEM_WAIT, None, s),
+            SyncOp::SemSignal(s) => (K_SEM_SIGNAL, None, s),
+            SyncOp::MutexLock(m) => (K_MUTEX_LOCK, None, m),
+            SyncOp::MutexUnlock(m) => (K_MUTEX_UNLOCK, None, m),
+            SyncOp::CondWait { cond, mutex } => (K_COND_WAIT, Some(u64::from(mutex)), cond),
+            SyncOp::CondSignal(c) => (K_COND_SIGNAL, None, c),
+            SyncOp::CondBroadcast(c) => (K_COND_BROADCAST, None, c),
+            SyncOp::Spawn { child } => (K_SPAWN, None, child.index()),
+            SyncOp::Join { child } => (K_JOIN, None, child.index()),
+        };
+        self.record(thread, kind, a, b);
+    }
+    fn on_block(&mut self, thread: ThreadId, routine: RoutineId, block: BlockId) {
+        self.record(
+            thread,
+            K_BLOCK,
+            Some(u64::from(block.index())),
+            routine.index(),
+        );
+    }
+    // on_finish is deliberately not recorded: the offline replay
+    // finishes its sinks itself, once, after the merged stream ends.
 }
 
 /// The salvaged contents of one shard file: its verifying byte prefix
@@ -1289,27 +1302,6 @@ impl ShardSet {
             heads,
         }
     }
-
-    /// Replays the salvaged runs, in global order, into `sink` — batch
-    /// entries are unrolled one by one (observably equivalent to native
-    /// batch delivery) — then finishes the sink.
-    pub fn replay<S: EventSink + ?Sized>(&self, sink: &mut S) {
-        for frame in self.frames_in_order() {
-            let t = frame.thread;
-            for record in frame.records() {
-                match record {
-                    ShardRecord::Event(event) => deliver_event(t, event, sink),
-                    ShardRecord::Batch(batch) => {
-                        batch.for_each_entry(|kind, addr, len| match kind {
-                            ShardBatchKind::Read => sink.on_read(t, addr, len),
-                            ShardBatchKind::Write => sink.on_write(t, addr, len),
-                        })
-                    }
-                }
-            }
-        }
-        sink.on_finish();
-    }
 }
 
 /// The k-way merge of a set's shards by base `seq`: one heap pop per
@@ -1335,7 +1327,9 @@ impl<'a> Iterator for Merge<'a> {
     }
 }
 
-/// Delivers one event of `thread`'s shard to an [`EventSink`].
+/// Delivers one event of `thread`'s shard to an [`EventSink`]: the one
+/// map from a [`ShardEvent`] back to its callback, and so, into a
+/// [`ShardWriter`], the way to record a single event.
 pub fn deliver_event<S: EventSink + ?Sized>(thread: ThreadId, event: ShardEvent, sink: &mut S) {
     let t = thread;
     match event {
@@ -1413,7 +1407,7 @@ mod tests {
             .collect()
     }
 
-    fn entries(batch: ShardBatch<'_>) -> Vec<(ShardBatchKind, Addr, u32)> {
+    fn entries(batch: ShardBatch<'_>) -> Vec<(BatchKind, Addr, u32)> {
         let mut out = Vec::new();
         batch.for_each_entry(|k, a, l| out.push((k, a, l)));
         out
@@ -1425,11 +1419,11 @@ mod tests {
         let io = HostIo::real();
         let mut w = ShardWriter::create(&io, &dir, 16).unwrap();
         for &(t, e) in &sample_events() {
-            w.record_event(t, e);
+            deliver_event(t, e, &mut w);
         }
         w.record_batch(
             ThreadId::new(1),
-            [ShardBatchKind::Read, ShardBatchKind::Write].into_iter(),
+            &[BatchKind::Read, BatchKind::Write],
             &[Addr::new(0x200), Addr::new(0x1_0000_0208)],
             &[1, 70_000],
         );
@@ -1464,10 +1458,107 @@ mod tests {
         assert_eq!(
             entries(batch),
             [
-                (ShardBatchKind::Read, Addr::new(0x200), 1),
-                (ShardBatchKind::Write, Addr::new(0x1_0000_0208), 70_000),
+                (BatchKind::Read, Addr::new(0x200), 1),
+                (BatchKind::Write, Addr::new(0x1_0000_0208), 70_000),
             ]
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every writer callback — the eleven event kinds, all nine sync ops —
+    /// and a batch of both entry kinds come back from load as exactly the
+    /// stream that went in. Deliveries alternate between two shards, so
+    /// each is a frame of its own whose widths its operands pick: thread
+    /// operands up to `u32::MAX` and addresses of 2³² and more need the
+    /// widest columns, small ones the narrowest.
+    #[test]
+    fn every_callback_round_trips_through_the_writer() {
+        let dir = tmp_dir("callbacks");
+        let mut w = ShardWriter::create(&HostIo::real(), &dir, 64).unwrap();
+        // The largest storable thread: its operand, index + 1, is u32::MAX.
+        let far = ThreadId::new(u32::MAX - 1);
+        let (r, top) = (RoutineId::new(u32::MAX), Addr::new(u64::MAX));
+        let sync = |op| ShardEvent::Sync { op };
+        let events = [
+            ShardEvent::ThreadStart { parent: None },
+            ShardEvent::ThreadStart { parent: Some(far) },
+            ShardEvent::ThreadSwitch { from: None },
+            ShardEvent::ThreadSwitch { from: Some(far) },
+            ShardEvent::Call {
+                routine: r,
+                cost: u64::MAX,
+            },
+            ShardEvent::Read {
+                addr: Addr::new(1 << 32),
+                len: 0xff,
+            },
+            ShardEvent::Write {
+                addr: top,
+                len: u32::MAX,
+            },
+            ShardEvent::UserToKernel {
+                addr: Addr::new(0xffff_ffff),
+                len: 0x100,
+            },
+            ShardEvent::KernelToUser {
+                addr: Addr::new(0x100),
+                len: 0xffff,
+            },
+            ShardEvent::Block {
+                routine: RoutineId::new(0),
+                block: BlockId::new(u32::MAX),
+            },
+            sync(SyncOp::SemWait(0)),
+            sync(SyncOp::SemSignal(0xff)),
+            sync(SyncOp::MutexLock(0x100)),
+            sync(SyncOp::MutexUnlock(u32::MAX)),
+            sync(SyncOp::CondWait {
+                cond: 0x1_0000,
+                mutex: u32::MAX,
+            }),
+            sync(SyncOp::CondSignal(u32::MAX)),
+            sync(SyncOp::CondBroadcast(1)),
+            sync(SyncOp::Spawn { child: far }),
+            sync(SyncOp::Join { child: far }),
+            ShardEvent::Return {
+                routine: r,
+                cost: 0x1_0000,
+            },
+            ShardEvent::ThreadExit { cost: 1 << 40 },
+        ];
+        let shard = |i: usize| ThreadId::new(i as u32 % 2);
+        for (i, &e) in events.iter().enumerate() {
+            deliver_event(shard(i), e, &mut w);
+        }
+        let kinds = [BatchKind::Read, BatchKind::Write];
+        let (addrs, lens) = ([Addr::new(1 << 32), top], [u32::MAX, 0]);
+        w.record_batch(shard(events.len()), &kinds, &addrs, &lens);
+        w.finish().unwrap();
+
+        let set = ShardSet::load(&dir, 2).unwrap();
+        assert_eq!(set.dropped, 0);
+        let got = deliveries(&set);
+        assert_eq!(got.len(), events.len() + 1);
+        for (i, &e) in events.iter().enumerate() {
+            let want = (i as u64 + 1, shard(i), ShardRecord::Event(e));
+            assert_eq!(got[i], want, "delivery {i}");
+        }
+        let (seq, t, ShardRecord::Batch(stored)) = got[events.len()] else {
+            panic!("the last delivery is the batch");
+        };
+        assert_eq!((seq, t), (events.len() as u64 + 1, shard(events.len())));
+        let batch: Vec<_> = (0..2).map(|i| (kinds[i], addrs[i], lens[i])).collect();
+        assert_eq!(entries(stored), batch);
+        let widths: Vec<(usize, usize)> = set
+            .frames_in_order()
+            .map(|f| (f.a.width, f.b.width))
+            .collect();
+        for a in [1, 2, 4, 8] {
+            assert!(widths.iter().any(|&(w, _)| w == a), "a width {a}");
+        }
+        for b in [1, 2, 4] {
+            assert!(widths.iter().any(|&(_, w)| w == b), "b width {b}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1489,7 +1580,7 @@ mod tests {
         // Alternating threads end every run after one event.
         for (i, &(addr, len, _, _)) in cases.iter().enumerate() {
             let addr = Addr::new(addr);
-            w.record_event(ThreadId::new(i as u32 % 2), ShardEvent::Write { addr, len });
+            w.on_write(ThreadId::new(i as u32 % 2), addr, len);
         }
         w.finish().unwrap();
         let set = ShardSet::load(&dir, 1).unwrap();
@@ -1520,19 +1611,13 @@ mod tests {
         let t = ThreadId::MAIN;
         let n = RUN_RECORD_CAP as u64 + 10;
         for i in 0..n {
-            w.record_event(
-                t,
-                ShardEvent::Read {
-                    addr: Addr::new(i),
-                    len: 1,
-                },
-            );
+            w.on_read(t, Addr::new(i), 1);
         }
         // The next run holds 10 records; this batch takes it past the cap.
         let addrs: Vec<Addr> = (0..RUN_RECORD_CAP as u64).map(Addr::new).collect();
-        let kinds = addrs.iter().map(|_| ShardBatchKind::Write);
-        w.record_batch(t, kinds, &addrs, &vec![2; addrs.len()]);
-        w.record_event(t, ShardEvent::ThreadExit { cost: 5 });
+        let kinds = vec![BatchKind::Write; addrs.len()];
+        w.record_batch(t, &kinds, &addrs, &vec![2; addrs.len()]);
+        w.on_thread_exit(t, 5);
         let summary = w.finish().unwrap();
         assert_eq!(summary.frames, 3);
 
@@ -1557,7 +1642,7 @@ mod tests {
         let io = HostIo::real();
         let mut w = ShardWriter::create(&io, &dir, usize::MAX).unwrap();
         for &(t, e) in &sample_events() {
-            w.record_event(t, e);
+            deliver_event(t, e, &mut w);
         }
         w.finish().unwrap();
 
@@ -1583,7 +1668,7 @@ mod tests {
         let io = HostIo::real();
         let mut w = ShardWriter::create(&io, &dir, usize::MAX).unwrap();
         for &(t, e) in &sample_events() {
-            w.record_event(t, e);
+            deliver_event(t, e, &mut w);
         }
         w.finish().unwrap();
         std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
@@ -1608,7 +1693,7 @@ mod tests {
         let io = HostIo::real();
         let mut w = ShardWriter::create(&io, &dir, usize::MAX).unwrap();
         for &(t, e) in &sample_events() {
-            w.record_event(t, e);
+            deliver_event(t, e, &mut w);
         }
         w.finish().unwrap();
         std::fs::remove_file(dir.join("shard-1.bin")).unwrap();
@@ -1625,7 +1710,7 @@ mod tests {
         let io = HostIo::from_spec("write:enospc:once=1").unwrap();
         let mut w = ShardWriter::create(&io, &dir, 1).unwrap();
         for &(t, e) in &sample_events() {
-            w.record_event(t, e);
+            deliver_event(t, e, &mut w);
         }
         assert!(
             w.error().is_some(),
@@ -1645,7 +1730,7 @@ mod tests {
         let dir = tmp_dir(name);
         let mut w = ShardWriter::create(&HostIo::real(), &dir, usize::MAX).unwrap();
         for &(t, e) in &sample_events() {
-            w.record_event(t, e);
+            deliver_event(t, e, &mut w);
         }
         w.finish().unwrap();
         dir
@@ -1691,7 +1776,7 @@ mod tests {
         let addrs = [0x10, 0x20, 0x30, 1 << 40].map(Addr::new);
         w.record_batch(
             ThreadId::new(0),
-            [ShardBatchKind::Read; 4].into_iter(),
+            &[BatchKind::Read; 4],
             &addrs,
             &[1, 2, 4, 8],
         );
@@ -1758,14 +1843,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Records (thread, addr) for every read, batch entries included.
-    #[derive(Default)]
-    struct Reads(Vec<(ThreadId, u64)>);
-
-    impl EventSink for Reads {
-        fn on_read(&mut self, thread: ThreadId, addr: Addr, _: u32) {
-            self.0.push((thread, addr.raw()));
+    /// `(thread, addr)` of every read of a set, batch entries included,
+    /// in replay order.
+    fn reads(set: &ShardSet) -> Vec<(ThreadId, u64)> {
+        let mut out = Vec::new();
+        for frame in set.frames_in_order() {
+            let t = frame.thread;
+            for record in frame.records() {
+                match record {
+                    ShardRecord::Event(ShardEvent::Read { addr, .. }) => out.push((t, addr.raw())),
+                    ShardRecord::Batch(batch) => batch.for_each_entry(|kind, addr, _| {
+                        if kind == BatchKind::Read {
+                            out.push((t, addr.raw()));
+                        }
+                    }),
+                    ShardRecord::Event(_) => {}
+                }
+            }
         }
+        out
     }
 
     #[test]
@@ -1789,11 +1885,11 @@ mod tests {
                 let addr = Addr::new(n * 10);
                 if n.is_multiple_of(5) {
                     let next = Addr::new(n * 10 + 1);
-                    let kinds = [ShardBatchKind::Read, ShardBatchKind::Read].into_iter();
-                    w.record_batch(t, kinds, &[addr, next], &[1, 1]);
+                    let kinds = [BatchKind::Read; 2];
+                    w.record_batch(t, &kinds, &[addr, next], &[1, 1]);
                     expected.extend([(t, addr.raw()), (t, next.raw())]);
                 } else {
-                    w.record_event(t, ShardEvent::Read { addr, len: 1 });
+                    w.on_read(t, addr, 1);
                     expected.push((t, addr.raw()));
                 }
             }
@@ -1805,9 +1901,7 @@ mod tests {
         let set = ShardSet::load(&dir, 3).unwrap();
         let seqs: Vec<u64> = deliveries(&set).iter().map(|d| d.0).collect();
         assert_eq!(seqs, (1..=n).collect::<Vec<_>>());
-        let mut reads = Reads::default();
-        set.replay(&mut reads);
-        assert_eq!(reads.0, expected);
+        assert_eq!(reads(&set), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1842,11 +1936,7 @@ mod tests {
     fn a_look_alike_shard_name_is_ignored_with_a_warning() {
         let dir = write_sample("look-alike");
         let pristine = ShardSet::load(&dir, 2).unwrap();
-        let pristine_reads = {
-            let mut reads = Reads::default();
-            pristine.replay(&mut reads);
-            reads.0
-        };
+        let pristine_reads = reads(&pristine);
         for copy in ["shard-01.bin", "shard-+1.bin", "shard-x.bin"] {
             std::fs::copy(dir.join("shard-1.bin"), dir.join(copy)).unwrap();
         }
@@ -1857,9 +1947,7 @@ mod tests {
             (pristine.salvaged, 0, pristine.total)
         );
         assert_eq!(deliveries(&set), deliveries(&pristine));
-        let mut reads = Reads::default();
-        set.replay(&mut reads);
-        assert_eq!(reads.0, pristine_reads);
+        assert_eq!(reads(&set), pristine_reads);
         assert_eq!(
             set.warnings,
             [

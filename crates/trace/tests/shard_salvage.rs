@@ -14,9 +14,9 @@
 
 use drms_trace::obs::Metrics;
 use drms_trace::shard::{
-    ShardBatchKind, ShardEvent, ShardFrame, ShardRecord, ShardSet, ShardWriter, SHARD_MAGIC,
+    deliver_event, ShardEvent, ShardFrame, ShardRecord, ShardSet, ShardWriter, SHARD_MAGIC,
 };
-use drms_trace::{Addr, BlockId, HostIo, RoutineId, SyncOp, ThreadId};
+use drms_trace::{Addr, BatchKind, BlockId, HostIo, RoutineId, SyncOp, ThreadId};
 use std::path::{Path, PathBuf};
 
 fn scratch(name: &str) -> PathBuf {
@@ -38,45 +38,42 @@ fn write_sample(dir: &Path) -> (u64, u64) {
     let mut w = ShardWriter::create(&io, dir, 32).expect("create writer");
     let t = ThreadId::MAIN;
     let other = ThreadId::new(1);
-    w.record_event(t, ShardEvent::ThreadStart { parent: None });
-    w.record_event(other, ShardEvent::ThreadStart { parent: Some(t) });
+    deliver_event(t, ShardEvent::ThreadStart { parent: None }, &mut w);
+    deliver_event(other, ShardEvent::ThreadStart { parent: Some(t) }, &mut w);
     for i in 0..6u32 {
-        w.record_event(
+        deliver_event(
             t,
             ShardEvent::Call {
                 routine: RoutineId::new(i % 3),
                 cost: (u64::from(i) * 11) << (8 * i),
             },
+            &mut w,
         );
-        w.record_event(
+        deliver_event(
             t,
             ShardEvent::Read {
                 addr: Addr::new(0x1000 + u64::from(i) * 8),
                 len: 8,
             },
+            &mut w,
         );
-        w.record_event(other, ShardEvent::ThreadSwitch { from: Some(t) });
-        let kinds = (0..4).map(|j| {
-            if j % 2 == 0 {
-                ShardBatchKind::Read
-            } else {
-                ShardBatchKind::Write
-            }
-        });
+        deliver_event(other, ShardEvent::ThreadSwitch { from: Some(t) }, &mut w);
+        let kinds = [BatchKind::Read, BatchKind::Write].repeat(2);
         let addrs: Vec<Addr> = (0..4u32)
             .map(|j| Addr::new(0x2000 + u64::from(i * 4 + j)))
             .collect();
-        w.record_batch(t, kinds, &addrs, &[4 << (4 * i); 4]);
-        w.record_event(
+        w.record_batch(t, &kinds, &addrs, &[4 << (4 * i); 4]);
+        deliver_event(
             t,
             ShardEvent::Return {
                 routine: RoutineId::new(i % 3),
                 cost: u64::from(i) * 13,
             },
+            &mut w,
         );
-        w.record_event(other, ShardEvent::ThreadSwitch { from: Some(t) });
+        deliver_event(other, ShardEvent::ThreadSwitch { from: Some(t) }, &mut w);
     }
-    w.record_event(t, ShardEvent::ThreadExit { cost: 99 });
+    deliver_event(t, ShardEvent::ThreadExit { cost: 99 }, &mut w);
     let summary = w.finish().expect("finish");
     let set = ShardSet::load(dir, 1).expect("load the sample");
     let own = set.shards[0].frame_count() as u64;
@@ -297,7 +294,7 @@ fn sized(rng: &mut u64, bits: u64) -> u64 {
 #[derive(Clone, Debug, PartialEq)]
 enum Delivery {
     Event(ShardEvent),
-    Batch(Vec<(ShardBatchKind, Addr, u32)>),
+    Batch(Vec<(BatchKind, Addr, u32)>),
 }
 
 fn random_event(rng: &mut u64) -> ShardEvent {
@@ -369,9 +366,9 @@ fn random_delivery(rng: &mut u64) -> Delivery {
         (0..n)
             .map(|_| {
                 let kind = if xorshift(rng).is_multiple_of(2) {
-                    ShardBatchKind::Read
+                    BatchKind::Read
                 } else {
-                    ShardBatchKind::Write
+                    BatchKind::Write
                 };
                 (kind, Addr::new(sized(rng, 64)), sized(rng, 32) as u32)
             })

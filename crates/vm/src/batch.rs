@@ -18,16 +18,8 @@
 //! event order of per-event delivery. A batch never spans a thread
 //! switch, so one `thread` id covers all of its entries.
 
+pub use drms_trace::BatchKind;
 use drms_trace::{Addr, ThreadId};
-
-/// Kind of one batched memory event.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BatchKind {
-    /// A guest load (`on_read`).
-    Read,
-    /// A guest store (`on_write`).
-    Write,
-}
 
 /// A fixed-capacity struct-of-arrays buffer of read/write events, all
 /// belonging to one thread.

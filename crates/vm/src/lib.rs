@@ -68,7 +68,7 @@ pub use recorder::TraceRecorder;
 pub use rng::SmallRng;
 pub use shadow::ShadowCacheStats;
 pub use shadow::ShadowMemory;
-pub use shard_tool::{replay_shards_into, ShardRecorder};
+pub use shard_tool::replay_shards_into;
 pub use stats::{CostKind, DecodeMode, EventCounters, RunConfig, RunStats, SchedPolicy};
 pub use tool::{MultiTool, NullTool, Tool};
 

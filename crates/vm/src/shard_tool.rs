@@ -1,104 +1,25 @@
 //! Spilling the live event stream to on-disk shards, and replaying
 //! shards back into tools with native batch delivery.
 //!
-//! [`ShardRecorder`] is the [`Tool`] face of
-//! [`drms_trace::shard::ShardWriter`]: attach it next to a profiler
-//! (via [`MultiTool`](crate::MultiTool) or a session's extra-tool list)
-//! and every callback — including whole struct-of-arrays
-//! [`EventBatch`] flushes, persisted columnar without unrolling — is
-//! appended to the per-thread shard files. [`replay_shards_into`] is
-//! the offline other half: it walks a loaded [`ShardSet`]'s runs in
-//! global record order, decoding each in place, and delivers every
-//! stored batch through [`Tool::observe_batch`] exactly as the VM did
-//! live, so a write-then-replay run reproduces the in-memory run
-//! byte-for-byte.
+//! [`ShardWriter`] is a [`Tool`] itself: attach it next to a profiler
+//! (via [`MultiTool`](crate::MultiTool); the `drms` facade's
+//! `ProfileSession::trace_dir` does) and every callback — including
+//! whole struct-of-arrays [`EventBatch`] flushes, persisted columnar
+//! without unrolling — is appended to the per-thread shard files.
+//! [`replay_shards_into`] is the offline other half and the one shard
+//! replay: it walks a loaded [`ShardSet`]'s runs in global record order,
+//! decoding each in place, and delivers every stored batch through
+//! [`Tool::observe_batch`] exactly as the VM did live, so a
+//! write-then-replay run reproduces the in-memory run byte-for-byte.
 
-use crate::batch::{BatchKind, EventBatch};
+use crate::batch::EventBatch;
 use crate::tool::Tool;
-use drms_trace::shard::{
-    deliver_event, ShardBatchKind, ShardEvent, ShardRecord, ShardSet, ShardSummary, ShardWriter,
-};
-use drms_trace::{Addr, BlockId, EventSink, RoutineId, SyncOp, ThreadId};
-use std::io;
+use drms_trace::shard::{deliver_event, ShardRecord, ShardSet, ShardWriter};
 
-/// A [`Tool`] that appends every instrumentation event to an on-disk
-/// shard directory through a [`ShardWriter`].
-///
 /// Recording is infallible (the writer latches its first host-I/O
-/// error); call [`ShardRecorder::finish`] after the run to flush,
-/// publish the manifest, and surface any latched fault.
-pub struct ShardRecorder {
-    writer: ShardWriter,
-}
-
-impl ShardRecorder {
-    /// Wraps an open shard writer.
-    pub fn new(writer: ShardWriter) -> Self {
-        ShardRecorder { writer }
-    }
-
-    /// The first latched host-I/O error, if any.
-    pub fn error(&self) -> Option<&io::Error> {
-        self.writer.error()
-    }
-
-    /// Finishes the underlying writer: flush, fsync, atomic manifest.
-    pub fn finish(self) -> io::Result<ShardSummary> {
-        self.writer.finish()
-    }
-}
-
-impl EventSink for ShardRecorder {
-    fn on_thread_start(&mut self, thread: ThreadId, parent: Option<ThreadId>) {
-        self.writer
-            .record_event(thread, ShardEvent::ThreadStart { parent });
-    }
-    fn on_thread_exit(&mut self, thread: ThreadId, cost: u64) {
-        self.writer
-            .record_event(thread, ShardEvent::ThreadExit { cost });
-    }
-    fn on_thread_switch(&mut self, from: Option<ThreadId>, to: ThreadId) {
-        // Stored in the *incoming* thread's shard; the global sequence
-        // number keeps its place in the merged order.
-        self.writer
-            .record_event(to, ShardEvent::ThreadSwitch { from });
-    }
-    fn on_call(&mut self, thread: ThreadId, routine: RoutineId, cost: u64) {
-        self.writer
-            .record_event(thread, ShardEvent::Call { routine, cost });
-    }
-    fn on_return(&mut self, thread: ThreadId, routine: RoutineId, cost: u64) {
-        self.writer
-            .record_event(thread, ShardEvent::Return { routine, cost });
-    }
-    fn on_read(&mut self, thread: ThreadId, addr: Addr, len: u32) {
-        self.writer
-            .record_event(thread, ShardEvent::Read { addr, len });
-    }
-    fn on_write(&mut self, thread: ThreadId, addr: Addr, len: u32) {
-        self.writer
-            .record_event(thread, ShardEvent::Write { addr, len });
-    }
-    fn on_user_to_kernel(&mut self, thread: ThreadId, addr: Addr, len: u32) {
-        self.writer
-            .record_event(thread, ShardEvent::UserToKernel { addr, len });
-    }
-    fn on_kernel_to_user(&mut self, thread: ThreadId, addr: Addr, len: u32) {
-        self.writer
-            .record_event(thread, ShardEvent::KernelToUser { addr, len });
-    }
-    fn on_sync(&mut self, thread: ThreadId, op: SyncOp) {
-        self.writer.record_event(thread, ShardEvent::Sync { op });
-    }
-    fn on_block(&mut self, thread: ThreadId, routine: RoutineId, block: BlockId) {
-        self.writer
-            .record_event(thread, ShardEvent::Block { routine, block });
-    }
-    // on_finish is deliberately not recorded: the offline replay driver
-    // finishes its sinks itself, once, after the merged stream ends.
-}
-
-impl Tool for ShardRecorder {
+/// error); call [`ShardWriter::finish`] after the run to flush, publish
+/// the manifest, and surface any latched fault.
+impl Tool for ShardWriter {
     fn name(&self) -> &str {
         "shard-writer"
     }
@@ -113,19 +34,16 @@ impl Tool for ShardRecorder {
     /// open run, preserving the struct-of-arrays layout end to end.
     fn observe_batch(&mut self, batch: &EventBatch) {
         let (kinds, addrs, lens) = batch.arrays();
-        let kinds = kinds.iter().map(|k| match k {
-            BatchKind::Read => ShardBatchKind::Read,
-            BatchKind::Write => ShardBatchKind::Write,
-        });
-        self.writer.record_batch(batch.thread(), kinds, addrs, lens);
+        self.record_batch(batch.thread(), kinds, addrs, lens);
     }
 }
 
 /// Replays a loaded shard set into `tool` with the live run's delivery
-/// shape: single events arrive through their [`EventSink`] callbacks,
-/// stored batches arrive through [`Tool::observe_batch`] as one
-/// [`EventBatch`] each, reused and filled straight from the run's
-/// columns. Finishes the tool at the end.
+/// shape: single events arrive through their
+/// [`EventSink`](drms_trace::EventSink) callbacks, stored batches arrive
+/// through [`Tool::observe_batch`] as one [`EventBatch`] each, reused
+/// and filled straight from the run's columns. Finishes the tool at the
+/// end.
 pub fn replay_shards_into<T: Tool + ?Sized>(set: &ShardSet, tool: &mut T) {
     let mut batch = EventBatch::default();
     for frame in set.frames_in_order() {
@@ -136,13 +54,7 @@ pub fn replay_shards_into<T: Tool + ?Sized>(set: &ShardSet, tool: &mut T) {
                     batch.clear();
                     batch.ensure_capacity(columns.len());
                     batch.set_thread(frame.thread);
-                    columns.for_each_entry(|kind, addr, len| {
-                        let kind = match kind {
-                            ShardBatchKind::Read => BatchKind::Read,
-                            ShardBatchKind::Write => BatchKind::Write,
-                        };
-                        batch.push(kind, addr, len);
-                    });
+                    columns.for_each_entry(|kind, addr, len| batch.push(kind, addr, len));
                     tool.observe_batch(&batch);
                 }
             }
@@ -203,9 +115,7 @@ mod tests {
             ..RunConfig::default()
         };
 
-        let io = HostIo::real();
-        let writer = ShardWriter::create(&io, &dir, 64).unwrap();
-        let mut shard = ShardRecorder::new(writer);
+        let mut shard = ShardWriter::create(&HostIo::real(), &dir, 64).unwrap();
         let mut live = TraceRecorder::new();
         let mut fan = MultiTool::new();
         fan.push(&mut shard);
