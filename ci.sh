@@ -302,6 +302,14 @@ cmp target/repro/shards/pc-live.report target/repro/shards/pc-spill.report \
     --report target/repro/shards/pc-replayed.report > /dev/null
 cmp target/repro/shards/pc-live.report target/repro/shards/pc-replayed.report \
     || { echo "ci: merging two shards differs from the in-memory report" >&2; exit 1; }
+# The spill is the run's event stream, whatever tool profiles it: the
+# shards of an rms-profiled run replay to the drms run's report.
+"$aprof" --workload producer_consumer --scale 1 --tool aprof \
+    --trace-out target/repro/shards/pc-rms > /dev/null
+"$repro" replay-shards target/repro/shards/pc-rms --jobs 2 \
+    --report target/repro/shards/pc-rms.report > /dev/null
+cmp target/repro/shards/pc-live.report target/repro/shards/pc-rms.report \
+    || { echo "ci: an rms-profiled run's spill does not replay to the live report" >&2; exit 1; }
 
 # Corrupt shard: invert one byte in the middle of the spilled shard-0.bin.
 # The frame checksum must catch it, so replay-shards still exits 0, warns

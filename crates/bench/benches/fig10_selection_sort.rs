@@ -5,29 +5,40 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use drms::analysis::{best_fit, CostPlot, InputMetric, Model};
-use drms::vm::CostKind;
-use drms::workloads::sorting;
-use drms_bench::profile_with_config;
+use drms::core::ProfileReport;
+use drms::vm::{CostKind, RunConfig};
+use drms::workloads::{sorting, Workload};
+use drms::ProfileSession;
+
+/// Profiles `w` under the full drms profiler with `cost` as the measure.
+fn profile(w: &Workload, cost: CostKind) -> ProfileReport {
+    let config = RunConfig {
+        cost,
+        ..w.run_config()
+    };
+    let outcome = ProfileSession::new(&w.program).config(config).run();
+    outcome
+        .expect("valid workload")
+        .into_parts()
+        .expect("profiled run")
+        .0
+}
 
 fn bench(c: &mut Criterion) {
     let w = sorting::selection_sort_default(10);
     let mut group = c.benchmark_group("fig10");
     group.bench_function("profile_bb_cost", |b| {
-        b.iter(|| profile_with_config(&w, w.run_config()))
+        b.iter(|| profile(&w, CostKind::BasicBlocks))
     });
     group.bench_function("profile_nanos_cost", |b| {
-        let mut cfg = w.run_config();
-        cfg.cost = CostKind::SimNanos { jitter_seed: 7 };
-        b.iter(|| profile_with_config(&w, cfg.clone()))
+        b.iter(|| profile(&w, CostKind::SimNanos { jitter_seed: 7 }))
     });
     group.finish();
 
     let w = sorting::selection_sort_default(20);
     let focus = w.focus.expect("selection_sort");
-    let bb = profile_with_config(&w, w.run_config());
-    let mut cfg = w.run_config();
-    cfg.cost = CostKind::SimNanos { jitter_seed: 7 };
-    let ns = profile_with_config(&w, cfg);
+    let bb = profile(&w, CostKind::BasicBlocks);
+    let ns = profile(&w, CostKind::SimNanos { jitter_seed: 7 });
     let bb_fit = best_fit(
         &CostPlot::of(&bb.merged_routine(focus), InputMetric::Drms).points,
         0.01,

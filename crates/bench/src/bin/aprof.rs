@@ -14,7 +14,10 @@
 //!                       swim, bt331, ilbdc
 //!   --threads N         worker threads for suite workloads (default 4)
 //!   --scale S           workload scale factor (default 2)
-//!   --tool NAME         aprof-drms (default) | aprof | external-only
+//!   --tool NAME         aprof-drms (default) | aprof | external-only |
+//!                       nulgrind; the run and output options below apply
+//!                       to every tool and to --context (--sweep always
+//!                       profiles with aprof-drms)
 //!   --sweep SIZES       profile the workload once per comma-separated
 //!                       size (e.g. `--sweep 64,128,256`) through the
 //!                       crash-safe sweep supervisor and print the
@@ -30,7 +33,7 @@
 //!                       and metrics
 //!   --batch N           tool event-batch capacity (default 512);
 //!                       N=1 degenerates to per-event delivery
-//!   --jobs N            worker threads for --sweep (default 1)
+//!   --jobs N            worker threads for --sweep (default 1, >= 1)
 //!   --deadline-ms N     wall-clock budget per run (checked once per
 //!                       scheduler slice; exceeding it aborts with
 //!                       a deterministic deadline error, exit code 5);
@@ -55,7 +58,8 @@
 //!                       "seed=7,fd0:shortread:p=1/4,in:eintr:every=9";
 //!                       aborted runs still report a partial profile;
 //!                       with --sweep, injected into every cell
-//!   --context           context-sensitive profile of the focus routine
+//!   --context           context-sensitive profile of the focus routine;
+//!                       --report still dumps the routine-level report
 //!   --report FILE       dump the profile report (report_io text format)
 //!   --metrics FILE      dump the run's observability registry (event,
 //!                       scheduler, kernel, shadow-cache and per-tool
@@ -64,8 +68,9 @@
 //!                       self-consistency audit runs first and audit
 //!                       violations fail the invocation (exit 1); with
 //!                       --sweep this dumps the grid-merged registry
-//!   --trace FILE        record and dump the merged execution trace
-//!   --trace-stats       print event-stream statistics
+//!   --trace FILE        record and dump the profiled run's merged
+//!                       execution trace
+//!   --trace-stats       print the profiled run's event-stream statistics
 //!   --trace-out DIR     spill the live event stream into per-thread
 //!                       binary shards under DIR (the out-of-core trace
 //!                       pipeline); replay offline with
@@ -82,8 +87,9 @@
 //!                       (standalone mode: no --workload needed)
 //! ```
 //!
-//! Aborted runs still print whatever partial profile was collected, then
-//! exit with a distinct documented code per abort reason (see
+//! Every mode is one profiled run. Aborted runs still print whatever
+//! partial output was collected, then exit with a distinct documented
+//! code per abort reason (see
 //! [`drms_bench::run_error_exit_code`]): 3 invalid program, 4 deadlock,
 //! 5 instruction budget, 6 corrupt guest stack, 7 schedule replay
 //! missing/diverged, 8 other guest errors. 0 is success, 1 generic
@@ -92,16 +98,13 @@
 use drms::analysis::{ascii_plot, CostPlot, InputMetric};
 use drms::core::{report_io, CctProfiler, DrmsConfig, ProfileReport, RmsProfiler};
 use drms::trace::{merge_traces, Metrics, TraceStats};
-use drms::vm::{
-    disassemble, DecodeMode, FaultPlan, RunConfig, RunError, RunStats, SchedPolicy, Tool,
-    TraceRecorder, Vm,
-};
+use drms::vm::{disassemble, DecodeMode, FaultPlan, NullTool, SchedPolicy, TraceRecorder};
 use drms::workloads::{self, Workload};
-use drms::ProfileSession;
+use drms::{ProfileOutcome, ProfileSession};
 use drms_bench::artifact::atomic_write;
-use drms_bench::run_error_exit_code;
 use drms_bench::supervisor::{profile_cell, run_supervised_with, SupervisorOptions};
 use drms_bench::sweep::{focus_plot, SweepSpec};
+use drms_bench::{flag_value, run_error_exit_code};
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
@@ -141,7 +144,7 @@ struct Cli {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: aprof --workload <name> [--tool aprof-drms|aprof|external-only] [--focus ROUTINE] [--fit] [--faults SPEC] [--context] [--report FILE] [--metrics FILE] [--trace FILE] [--trace-stats] [--disasm] [--diff OLD NEW] [--threads N] [--scale S] [--policy|--sched rr|random:SEED|chaos,seed=N] [--quantum N] [--record-sched FILE] [--replay-sched FILE] [--sweep SIZES] [--decode off|fused] [--batch N] [--jobs N] [--deadline-ms N] [--max-attempts N] [--trace-out DIR] [--host-faults SPEC]");
+    eprintln!("usage: aprof --workload <name> [--tool aprof-drms|aprof|external-only|nulgrind] [--focus ROUTINE] [--fit] [--faults SPEC] [--context] [--report FILE] [--metrics FILE] [--trace FILE] [--trace-stats] [--disasm] [--diff OLD NEW] [--threads N] [--scale S] [--policy|--sched rr|random:SEED|chaos,seed=N] [--quantum N] [--record-sched FILE] [--replay-sched FILE] [--sweep SIZES] [--decode off|fused] [--batch N] [--jobs N] [--deadline-ms N] [--max-attempts N] [--trace-out DIR] [--host-faults SPEC]");
     exit(2)
 }
 
@@ -192,12 +195,7 @@ fn parse_cli() -> Cli {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {what}");
-                usage()
-            })
-        };
+        let args = &mut args;
         if matches!(
             arg.as_str(),
             "--policy" | "--sched" | "--quantum" | "--record-sched" | "--replay-sched"
@@ -205,39 +203,41 @@ fn parse_cli() -> Cli {
             cli.sched_flag = Some(arg.clone());
         }
         match arg.as_str() {
-            "--workload" => cli.workload = Some(value("--workload")),
-            "--threads" => cli.threads = value("--threads").parse().unwrap_or_else(|_| usage()),
-            "--scale" => cli.scale = value("--scale").parse().unwrap_or_else(|_| usage()),
-            "--tool" => cli.tool = value("--tool"),
+            "--workload" => cli.workload = Some(flag_value(args, "--workload NAME", usage)),
+            "--threads" => cli.threads = flag_value(args, "--threads N", usage),
+            "--scale" => cli.scale = flag_value(args, "--scale S", usage),
+            "--tool" => cli.tool = flag_value(args, "--tool NAME", usage),
             "--policy" | "--sched" => {
-                let v = value(&arg);
+                let v: String = flag_value(args, &format!("{arg} P"), usage);
                 cli.policy = parse_policy(&v).unwrap_or_else(|| {
                     eprintln!("bad policy `{v}` (rr | random:SEED | chaos,seed=N)");
                     usage()
                 });
             }
-            "--quantum" => {
-                cli.quantum = Some(value("--quantum").parse().unwrap_or_else(|_| usage()))
-            }
-            "--focus" => cli.focus = Some(value("--focus")),
+            "--quantum" => cli.quantum = Some(flag_value(args, "--quantum N", usage)),
+            "--focus" => cli.focus = Some(flag_value(args, "--focus ROUTINE", usage)),
             "--fit" => cli.fit = true,
             "--faults" => {
-                let spec = value("--faults");
+                let spec: String = flag_value(args, "--faults SPEC", usage);
                 cli.faults = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| {
                     eprintln!("--faults: {e}");
                     exit(2)
                 }));
             }
-            "--record-sched" => cli.record_sched = Some(value("--record-sched")),
-            "--replay-sched" => cli.replay_sched = Some(value("--replay-sched")),
+            "--record-sched" => {
+                cli.record_sched = Some(flag_value(args, "--record-sched FILE", usage))
+            }
+            "--replay-sched" => {
+                cli.replay_sched = Some(flag_value(args, "--replay-sched FILE", usage))
+            }
             "--context" => cli.context = true,
-            "--report" => cli.report = Some(value("--report")),
-            "--metrics" => cli.metrics = Some(value("--metrics")),
-            "--trace" => cli.trace = Some(value("--trace")),
+            "--report" => cli.report = Some(flag_value(args, "--report FILE", usage)),
+            "--metrics" => cli.metrics = Some(flag_value(args, "--metrics FILE", usage)),
+            "--trace" => cli.trace = Some(flag_value(args, "--trace FILE", usage)),
             "--trace-stats" => cli.trace_stats = true,
             "--disasm" => cli.disasm = true,
             "--sweep" => {
-                let spec = value("--sweep");
+                let spec: String = flag_value(args, "--sweep SIZES", usage);
                 let sizes: Option<Vec<i64>> =
                     spec.split(',').map(|s| s.trim().parse().ok()).collect();
                 match sizes {
@@ -249,44 +249,23 @@ fn parse_cli() -> Cli {
                 }
             }
             "--decode" => {
-                let v = value("--decode");
+                let v: String = flag_value(args, "--decode off|fused", usage);
                 cli.decode = Some(v.parse().unwrap_or_else(|e| {
                     eprintln!("--decode: {e}");
                     usage()
                 }));
             }
-            "--batch" => {
-                let n: usize = value("--batch").parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    eprintln!("--batch must be >= 1 (0 could never buffer an event)");
-                    usage()
-                }
-                cli.batch = Some(n);
-            }
-            "--jobs" => cli.jobs = value("--jobs").parse().unwrap_or_else(|_| usage()),
-            "--deadline-ms" => {
-                let ms: u64 = value("--deadline-ms").parse().unwrap_or_else(|_| usage());
-                if ms == 0 {
-                    eprintln!("--deadline-ms must be >= 1 (0 expires before the run starts)");
-                    usage()
-                }
-                cli.deadline_ms = Some(ms);
-            }
-            "--max-attempts" => {
-                cli.max_attempts = value("--max-attempts").parse().unwrap_or_else(|_| usage());
-                if cli.max_attempts == 0 {
-                    eprintln!("--max-attempts must be >= 1 (0 would never run a cell)");
-                    usage()
-                }
-            }
+            "--batch" => cli.batch = Some(flag_value(args, "--batch N", usage)),
+            "--jobs" => cli.jobs = flag_value(args, "--jobs N", usage),
+            "--deadline-ms" => cli.deadline_ms = Some(flag_value(args, "--deadline-ms N", usage)),
+            "--max-attempts" => cli.max_attempts = flag_value(args, "--max-attempts N", usage),
             "--diff" => {
-                let old = value("--diff");
-                let new = value("--diff");
-                cli.diff = Some((old, new));
+                let old = flag_value(args, "--diff OLD NEW", usage);
+                cli.diff = Some((old, flag_value(args, "--diff OLD NEW", usage)));
             }
-            "--trace-out" => cli.trace_out = Some(value("--trace-out")),
+            "--trace-out" => cli.trace_out = Some(flag_value(args, "--trace-out DIR", usage)),
             "--host-faults" => {
-                let spec = value("--host-faults");
+                let spec: String = flag_value(args, "--host-faults SPEC", usage);
                 match drms::trace::hostio::HostIo::from_spec(&spec) {
                     Ok(io) => {
                         eprintln!("aprof: CHAOS MODE — injecting host faults from `{spec}`");
@@ -423,13 +402,57 @@ fn main() {
     }
     config.record_sched = cli.record_sched.is_some();
 
-    // Optional trace capture (a separate run with identical scheduling).
-    if cli.trace.is_some() || cli.trace_stats {
-        let mut rec = TraceRecorder::new();
-        Vm::new(&w.program, config.clone())
-            .expect("valid workload")
-            .run(&mut rec)
-            .unwrap_or_else(|e| abort_exit(&w.name, &e));
+    // One profiled run: the session carries the spill and the trace
+    // recorder whichever tool profiles, so every mode honours them.
+    let mut session = ProfileSession::new(&w.program).config(config);
+    if let Some(dir) = &cli.trace_out {
+        session = session.trace_dir(dir).trace_io(cli.host_io.clone());
+    }
+    let mut recorder = (cli.trace.is_some() || cli.trace_stats).then(TraceRecorder::new);
+    if let Some(rec) = recorder.as_mut() {
+        session = session.tool(rec);
+    }
+    // Context-sensitive mode wraps the drms profiler; its inner report is
+    // the run's report.
+    let mut cct = cli.context.then(|| CctProfiler::new(DrmsConfig::full()));
+    let run = match (cct.as_mut(), cli.tool.as_str()) {
+        (Some(prof), _) => session.run_with(prof).map(|o| ProfileOutcome {
+            report: prof.inner().report().clone(),
+            ..o
+        }),
+        (None, "aprof-drms") => session.run(),
+        (None, "external-only") => session.drms(DrmsConfig::external_only()).run(),
+        (None, "aprof") => {
+            let mut p = RmsProfiler::new();
+            session.run_with(&mut p).map(|o| ProfileOutcome {
+                report: p.into_report(),
+                ..o
+            })
+        }
+        // The nulgrind analogue: no analysis at all, measuring bare
+        // VM + instrumentation-dispatch overhead.
+        (None, "null" | "nulgrind") => session.run_with(&mut NullTool),
+        (None, other) => {
+            eprintln!("unknown tool `{other}` (aprof-drms | aprof | external-only | nulgrind)");
+            exit(1)
+        }
+    };
+    // Setup failures exit with their documented code; a failed shard
+    // finalize (`--trace-out` on a faulty disk) exits 1, leaving the
+    // salvageable shard prefix on disk.
+    let outcome = run.unwrap_or_else(|e| {
+        match e {
+            drms::Error::Run(e) => {
+                eprintln!("{}: {e}", w.name);
+                exit(run_error_exit_code(&e))
+            }
+            drms::Error::Io(io_err) => eprintln!("{}: trace spill failed: {io_err}", w.name),
+            other => eprintln!("{}: {other}", w.name),
+        }
+        exit(1)
+    });
+
+    if let Some(rec) = recorder {
         let merged = merge_traces(rec.into_traces());
         if cli.trace_stats {
             println!("{}", TraceStats::of(&merged));
@@ -440,14 +463,32 @@ fn main() {
             println!("trace written to {path} ({} events)", merged.len());
         }
     }
+    if let Some(dir) = &cli.trace_out {
+        let frames = outcome.metrics.counter("trace.shard.frames");
+        let bytes = outcome.metrics.counter("trace.shard.bytes");
+        println!("trace shards written to {dir} ({frames} frames, {bytes} bytes)");
+    }
+    if let Some(path) = &cli.record_sched {
+        let sched = outcome
+            .schedule
+            .as_ref()
+            .expect("--record-sched enables recording");
+        atomic_write(Path::new(path), &drms::trace::sched::to_text(sched)).expect("write schedule");
+        println!(
+            "schedule written to {path} ({} decisions, {} forced preemptions)",
+            sched.len(),
+            sched.preemption_points()
+        );
+    }
+    if let Some(e) = &outcome.error {
+        eprintln!(
+            "{}: run aborted ({e}); reporting the partial profile",
+            w.name
+        );
+    }
 
-    // Context-sensitive mode wraps the drms profiler.
-    if cli.context {
-        let mut prof = CctProfiler::new(DrmsConfig::full());
-        Vm::new(&w.program, config)
-            .expect("valid workload")
-            .run(&mut prof)
-            .unwrap_or_else(|e| abort_exit(&w.name, &e));
+    let (report, stats) = (&outcome.report, &outcome.stats);
+    if let Some(prof) = &cct {
         let focus = cli.focus.as_deref().unwrap_or_else(|| {
             w.focus_name().unwrap_or_else(|| {
                 eprintln!("--context needs --focus or a workload with a focus routine");
@@ -470,61 +511,36 @@ fn main() {
             }
             println!();
         }
-        return;
-    }
-
-    // Standard run under the selected profiler.
-    let record = cli.record_sched.as_deref();
-    let (report, stats, abort, metrics) = match cli.tool.as_str() {
-        "aprof-drms" => run_drms_tool(&w, config, DrmsConfig::full(), &cli),
-        "external-only" => run_drms_tool(&w, config, DrmsConfig::external_only(), &cli),
-        "aprof" => {
-            let mut p = RmsProfiler::new();
-            let (stats, abort, metrics) = run_vm(&w, config, &mut p, record);
-            (p.into_report(), stats, abort, metrics)
+    } else {
+        println!(
+            "[{}] {} basic blocks, {} threads, {} syscalls, {} thread switches",
+            w.name, stats.basic_blocks, stats.threads, stats.syscalls, stats.thread_switches
+        );
+        if cli.faults.is_some() || stats.faults.injected() > 0 {
+            println!("fault injection: {}", stats.faults);
         }
-        // The nulgrind analogue: no analysis at all, measuring bare
-        // VM + instrumentation-dispatch overhead.
-        "null" | "nulgrind" => {
-            let mut p = drms::vm::NullTool;
-            let (stats, abort, metrics) = run_vm(&w, config, &mut p, record);
-            (ProfileReport::new(), stats, abort, metrics)
+        println!(
+            "dynamic input volume: {:.1}%",
+            report.dynamic_input_volume() * 100.0
+        );
+        println!(
+            "{}",
+            drms::analysis::report_summary(report, |r| w.program.routine_name(r).to_owned())
+        );
+        if let Some(focus) = cli.focus.as_deref().or(w.focus_name()) {
+            print_routine(&w, report, focus, cli.fit);
         }
-        other => {
-            eprintln!("unknown tool `{other}` (aprof-drms | aprof | external-only | nulgrind)");
-            exit(1)
-        }
-    };
-
-    println!(
-        "[{}] {} basic blocks, {} threads, {} syscalls, {} thread switches",
-        w.name, stats.basic_blocks, stats.threads, stats.syscalls, stats.thread_switches
-    );
-    if cli.faults.is_some() || stats.faults.injected() > 0 {
-        println!("fault injection: {}", stats.faults);
-    }
-    println!(
-        "dynamic input volume: {:.1}%",
-        report.dynamic_input_volume() * 100.0
-    );
-    println!(
-        "{}",
-        drms::analysis::report_summary(&report, |r| w.program.routine_name(r).to_owned())
-    );
-
-    if let Some(focus) = cli.focus.as_deref().or(w.focus_name()) {
-        print_routine(&w, &report, focus, cli.fit);
     }
 
     if let Some(path) = &cli.report {
-        atomic_write(Path::new(path), &report_io::to_text(&report)).expect("write report");
+        atomic_write(Path::new(path), &report_io::to_text(report)).expect("write report");
         println!("report written to {path} ({} profiles)", report.len());
     }
     if let Some(path) = &cli.metrics {
-        write_metrics(path, &metrics);
+        write_metrics(path, &outcome.metrics);
     }
-    if let Some(e) = abort {
-        exit(run_error_exit_code(&e));
+    if let Some(e) = &outcome.error {
+        exit(run_error_exit_code(e));
     }
 }
 
@@ -547,12 +563,6 @@ fn write_metrics(path: &str, metrics: &Metrics) {
     };
     atomic_write(Path::new(path), &rendered).expect("write metrics");
     println!("metrics written to {path} (audit passed)");
-}
-
-/// Reports a fatal guest error and exits with its documented code.
-fn abort_exit(workload: &str, e: &RunError) -> ! {
-    eprintln!("{workload}: {e}");
-    exit(run_error_exit_code(e))
 }
 
 /// Maps an aprof workload name onto a sweep family (the sweepable
@@ -590,9 +600,9 @@ fn run_size_sweep(name: &str, sizes: &[i64], cli: &Cli) {
         );
         exit(2);
     }
-    let spec = SweepSpec::new(family, sizes, cli.jobs.max(1));
+    let spec = SweepSpec::new(family, sizes, cli.jobs);
     let opts = SupervisorOptions {
-        max_attempts: cli.max_attempts.max(1),
+        max_attempts: cli.max_attempts,
         deadline: cli.deadline_ms.map(Duration::from_millis),
         faults: cli.faults.clone(),
         decode: cli.decode,
@@ -644,101 +654,6 @@ fn run_size_sweep(name: &str, sizes: &[i64], cli: &Cli) {
     if let Some(path) = cli.metrics.as_deref() {
         write_metrics(path, &result.merged_metrics());
     }
-}
-
-/// Builds and runs a VM under a statically-known `tool` (no `dyn`
-/// dispatch in the event loop), writing the recorded schedule to
-/// `record` (when given) and returning the stats plus the abort reason.
-/// Setup failures exit immediately with their documented code.
-fn run_vm<T: Tool>(
-    w: &Workload,
-    config: RunConfig,
-    tool: &mut T,
-    record: Option<&str>,
-) -> (RunStats, Option<RunError>, Metrics) {
-    let mut vm = match Vm::new(&w.program, config) {
-        Ok(vm) => vm,
-        Err(e) => abort_exit(&w.name, &e),
-    };
-    let error = vm.run(tool).err();
-    let mut metrics = vm.metrics();
-    tool.observe_metrics(&mut metrics);
-    if error.is_some() {
-        metrics.inc("run.aborts");
-    }
-    if let Some(path) = record {
-        let sched = vm
-            .take_recorded_schedule()
-            .expect("--record-sched enables recording");
-        atomic_write(Path::new(path), &drms::trace::sched::to_text(&sched))
-            .expect("write schedule");
-        println!(
-            "schedule written to {path} ({} decisions, {} forced preemptions)",
-            sched.len(),
-            sched.preemption_points()
-        );
-    }
-    (vm.stats().clone(), error, metrics)
-}
-
-/// Runs the drms profiler through [`ProfileSession`], keeping whatever
-/// profile data an aborted run produced instead of discarding it.
-/// Setup failures exit immediately with their documented code; a failed
-/// shard finalize (`--trace-out` on a faulty disk) exits 1 with the
-/// underlying host-I/O error on stderr — the salvageable shard prefix
-/// stays on disk.
-fn run_drms_tool(
-    w: &Workload,
-    config: RunConfig,
-    drms: DrmsConfig,
-    cli: &Cli,
-) -> (ProfileReport, RunStats, Option<RunError>, Metrics) {
-    let mut session = ProfileSession::new(&w.program).config(config).drms(drms);
-    if let Some(dir) = &cli.trace_out {
-        session = session
-            .trace_dir(Path::new(dir))
-            .trace_io(cli.host_io.clone());
-    }
-    let outcome = session.run().unwrap_or_else(|e| match e {
-        drms::Error::Run(e) => abort_exit(&w.name, &e),
-        drms::Error::Io(io_err) => {
-            eprintln!("{}: trace spill failed: {io_err}", w.name);
-            exit(1)
-        }
-        other => {
-            eprintln!("{}: {other}", w.name);
-            exit(1)
-        }
-    });
-    if let Some(dir) = &cli.trace_out {
-        let frames = outcome.metrics.counter("trace.shard.frames");
-        let bytes = outcome.metrics.counter("trace.shard.bytes");
-        println!("trace shards written to {dir} ({frames} frames, {bytes} bytes)");
-    }
-    if let Some(path) = cli.record_sched.as_deref() {
-        let sched = outcome
-            .schedule
-            .as_ref()
-            .expect("--record-sched enables recording");
-        atomic_write(Path::new(path), &drms::trace::sched::to_text(sched)).expect("write schedule");
-        println!(
-            "schedule written to {path} ({} decisions, {} forced preemptions)",
-            sched.len(),
-            sched.preemption_points()
-        );
-    }
-    if let Some(e) = &outcome.error {
-        eprintln!(
-            "{}: run aborted ({e}); reporting the partial profile",
-            w.name
-        );
-    }
-    (
-        outcome.report,
-        outcome.stats,
-        outcome.error,
-        outcome.metrics,
-    )
 }
 
 /// Standalone report comparison: load two report_io dumps and print the

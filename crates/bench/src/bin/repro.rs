@@ -66,10 +66,10 @@ use drms::analysis::{
     volume_curve, CostPlot, InputMetric, OverheadTable,
 };
 use drms::core::{DrmsConfig, ProfileReport};
-use drms::vm::{CostKind, SchedPolicy};
+use drms::vm::{CostKind, RunConfig, SchedPolicy};
 use drms::workloads::{self, Workload};
 use drms::ProfileSession;
-use drms_bench::{measure_suite, profile_with_config, TOOLS};
+use drms_bench::{flag_value, measure_suite, TOOLS};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -98,20 +98,6 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// The value of flag `what` (its name and operand, e.g. `--jobs N`):
-/// the next argument, parsed. A missing or malformed value is a usage
-/// error, exit 2, like every other bad invocation.
-fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, what: &str) -> T {
-    let Some(v) = args.next() else {
-        eprintln!("missing value for {what}");
-        usage()
-    };
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value `{v}` for {what}");
-        usage()
-    })
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut experiment = None;
@@ -138,48 +124,28 @@ fn main() {
     while let Some(arg) = args.next() {
         let args = &mut args;
         match arg.as_str() {
-            "--threads" => opts.threads = value(args, "--threads N"),
-            "--scale" => opts.scale = value(args, "--scale S"),
-            "--out" => opts.out = value(args, "--out DIR"),
-            "--seeds" => opts.seeds = value(args, "--seeds N"),
+            "--threads" => opts.threads = flag_value(args, "--threads N", usage),
+            "--scale" => opts.scale = flag_value(args, "--scale S", usage),
+            "--out" => opts.out = flag_value(args, "--out DIR", usage),
+            "--seeds" => opts.seeds = flag_value(args, "--seeds N", usage),
             "--quick" => opts.quick = true,
-            "--sched" => opts.sched = Some(value(args, "--sched FILE")),
-            "--jobs" => opts.jobs = value(args, "--jobs N"),
-            "--bench-out" => opts.bench_out = value(args, "--bench-out FILE"),
-            "--journal" => opts.journal = Some(value(args, "--journal FILE")),
-            "--resume" => opts.resume = Some(value(args, "--resume FILE")),
-            "--max-attempts" => {
-                opts.max_attempts = value(args, "--max-attempts N");
-                if opts.max_attempts == 0 {
-                    eprintln!("--max-attempts must be >= 1 (0 would never run a cell)");
-                    std::process::exit(2);
-                }
-            }
-            "--deadline-ms" => {
-                let ms = value(args, "--deadline-ms N");
-                if ms == 0 {
-                    eprintln!("--deadline-ms must be >= 1 (0 expires before the run starts)");
-                    std::process::exit(2);
-                }
-                opts.deadline_ms = Some(ms);
-            }
+            "--sched" => opts.sched = Some(flag_value(args, "--sched FILE", usage)),
+            "--jobs" => opts.jobs = flag_value(args, "--jobs N", usage),
+            "--bench-out" => opts.bench_out = flag_value(args, "--bench-out FILE", usage),
+            "--journal" => opts.journal = Some(flag_value(args, "--journal FILE", usage)),
+            "--resume" => opts.resume = Some(flag_value(args, "--resume FILE", usage)),
+            "--max-attempts" => opts.max_attempts = flag_value(args, "--max-attempts N", usage),
+            "--deadline-ms" => opts.deadline_ms = Some(flag_value(args, "--deadline-ms N", usage)),
             "--decode" => {
-                let v: String = value(args, "--decode off|fused");
+                let v: String = flag_value(args, "--decode off|fused", usage);
                 opts.decode = Some(v.parse().unwrap_or_else(|e| {
                     eprintln!("--decode: {e}");
                     std::process::exit(2);
                 }));
             }
-            "--batch" => {
-                let n = value(args, "--batch N");
-                if n == 0 {
-                    eprintln!("--batch must be >= 1 (0 could never buffer an event)");
-                    std::process::exit(2);
-                }
-                opts.batch = Some(n);
-            }
+            "--batch" => opts.batch = Some(flag_value(args, "--batch N", usage)),
             "--host-faults" => {
-                let spec: String = value(args, "--host-faults SPEC");
+                let spec: String = flag_value(args, "--host-faults SPEC", usage);
                 match drms::trace::hostio::HostIo::from_spec(&spec) {
                     Ok(io) => {
                         eprintln!("repro: CHAOS MODE — injecting host faults from `{spec}`");
@@ -191,8 +157,8 @@ fn main() {
                     }
                 }
             }
-            "--report" => opts.report_out = Some(value(args, "--report FILE")),
-            "--metrics" => opts.metrics_out = Some(value(args, "--metrics FILE")),
+            "--report" => opts.report_out = Some(flag_value(args, "--report FILE", usage)),
+            "--metrics" => opts.metrics_out = Some(flag_value(args, "--metrics FILE", usage)),
             other if experiment.is_none() => experiment = Some(other.to_owned()),
             // One operand after the experiment name (the shard directory
             // of `replay-shards DIR`); the dispatch arm validates it.
@@ -272,7 +238,7 @@ fn replay_shards(opts: &Options, dir: Option<&str>) {
         eprintln!("replay-shards needs the shard directory: repro replay-shards DIR");
         std::process::exit(2);
     };
-    let set = drms::trace::ShardSet::load(Path::new(dir), opts.jobs.max(1)).unwrap_or_else(|e| {
+    let set = drms::trace::ShardSet::load(Path::new(dir), opts.jobs).unwrap_or_else(|e| {
         eprintln!("{dir}: {e}");
         std::process::exit(1);
     });
@@ -469,10 +435,20 @@ fn fig6(opts: &Options) {
 fn fig10(opts: &Options) {
     let w = workloads::sorting::selection_sort_default(16 * opts.scale as i64);
     let focus = w.focus.expect("selection_sort");
-    let bb_report = profile_with_config(&w, w.run_config());
-    let mut nanos_cfg = w.run_config();
-    nanos_cfg.cost = CostKind::SimNanos { jitter_seed: 42 };
-    let ns_report = profile_with_config(&w, nanos_cfg);
+    let profile = |cost| {
+        let config = RunConfig {
+            cost,
+            ..w.run_config()
+        };
+        let outcome = ProfileSession::new(&w.program).config(config).run();
+        outcome
+            .expect("valid workload")
+            .into_parts()
+            .expect("profiled run")
+            .0
+    };
+    let bb_report = profile(CostKind::BasicBlocks);
+    let ns_report = profile(CostKind::SimNanos { jitter_seed: 42 });
     let bb = CostPlot::of(&bb_report.merged_routine(focus), InputMetric::Drms);
     let ns = CostPlot::of(&ns_report.merged_routine(focus), InputMetric::Drms);
     println!("\n=== Fig 10: selection_sort, BB counting vs timing ===");

@@ -10,8 +10,9 @@ use drms::analysis::{Measurement, OverheadTable};
 use drms::core::{DrmsConfig, DrmsProfiler, RmsProfiler};
 use drms::tools::{CallgrindTool, HelgrindTool, MemcheckTool};
 use drms::trace::Metrics;
-use drms::vm::{NullTool, RunConfig, RunError, RunStats, Tool, Vm};
+use drms::vm::{NullTool, RunError, RunStats, Tool, Vm};
 use drms::workloads::Workload;
+use std::str::FromStr;
 use std::time::Instant;
 
 /// The tool lineup of Table 1, in the paper's column order.
@@ -30,10 +31,8 @@ pub const TOOLS: [&str; 6] = [
 /// Panics if the guest program fails: harness workloads are expected to
 /// be well-formed.
 pub fn run_native(w: &Workload) -> (f64, RunStats) {
-    let mut vm = Vm::new(&w.program, w.run_config()).expect("valid workload");
-    let start = Instant::now();
-    let stats = vm.run(&mut NullTool).expect("native run");
-    (start.elapsed().as_secs_f64(), stats)
+    let (secs, _, stats) = run_tool_with(w, &mut NullTool);
+    (secs, stats)
 }
 
 /// Runs `workload` under a statically-known tool, returning `(secs,
@@ -142,18 +141,38 @@ pub fn measure_suite_observed(
     }
 }
 
-/// Runs a workload under the full drms profiler with a custom run
-/// config, returning the profile report.
-///
-/// # Panics
-/// Panics if the guest program fails.
-pub fn profile_with_config(w: &Workload, config: RunConfig) -> drms::core::ProfileReport {
-    let mut prof = DrmsProfiler::new(DrmsConfig::full());
-    Vm::new(&w.program, config)
-        .expect("valid workload")
-        .run(&mut prof)
-        .expect("profiled run");
-    prof.into_report()
+/// Why each count flag of the CLIs refuses 0.
+const AT_LEAST_ONE: [(&str, &str); 4] = [
+    ("--jobs", "0 would start no worker"),
+    ("--max-attempts", "0 would never run a cell"),
+    ("--deadline-ms", "0 expires before the run starts"),
+    ("--batch", "0 could never buffer an event"),
+];
+
+/// The value of flag `what` (its name and operand, e.g. `--jobs N`): the
+/// next argument of `args`, parsed. A missing or malformed value, or 0
+/// for a count that must be at least 1, is a usage error: the reason on
+/// stderr, then the CLI's `usage`, which exits 2.
+pub fn flag_value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    what: &str,
+    usage: fn() -> !,
+) -> T {
+    let Some(v) = args.next() else {
+        eprintln!("missing value for {what}");
+        usage()
+    };
+    let flag = what.split(' ').next().unwrap_or(what);
+    if let Some((_, why)) = AT_LEAST_ONE.iter().find(|(f, _)| *f == flag) {
+        if v.parse::<u64>() == Ok(0) {
+            eprintln!("{flag} must be >= 1 ({why})");
+            usage()
+        }
+    }
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("bad value `{v}` for {what}");
+        usage()
+    })
 }
 
 #[cfg(test)]

@@ -320,6 +320,7 @@ fn repro_flag_value_errors_exit_2_without_a_panic() {
         &["sweep", "--batch"],
         &["sweep", "--out"],
         &["fig4", "--threads", "-1"],
+        &["sweep", "--jobs", "0"],
     ] {
         let out = repro(args);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -327,4 +328,104 @@ fn repro_flag_value_errors_exit_2_without_a_panic() {
         assert!(!err.contains("panicked"), "{args:?}: {err}");
         assert!(err.contains("usage: repro"), "{args:?}: {err}");
     }
+}
+
+/// `aprof` reads flag values with the same reader as `repro`: a missing,
+/// malformed or zero count is a usage error naming the flag, never a
+/// panic or a silent clamp.
+#[test]
+fn aprof_flag_value_errors_exit_2_naming_the_flag() {
+    for (args, flag) in [
+        (
+            &["--workload", "stream_reader", "--threads", "x"][..],
+            "--threads",
+        ),
+        (&["--workload", "stream_reader", "--scale"], "--scale"),
+        (
+            &["--workload", "stream_reader", "--sweep", "8", "--jobs", "0"],
+            "--jobs",
+        ),
+    ] {
+        let out = aprof(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains("usage: aprof"), "{args:?}: {err}");
+    }
+}
+
+/// Every tool and mode is one session run, so each honours the output
+/// flags: the spill replays to the default tool's report, and the
+/// context mode's report and schedule are the default run's.
+#[test]
+fn every_tool_and_mode_honours_the_output_flags() {
+    let dir = std::env::temp_dir().join(format!("drms-cli-modes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_owned();
+    let run = |extra: &[&str]| {
+        let mut args = vec!["--workload", "producer_consumer", "--scale", "1"];
+        args.extend_from_slice(extra);
+        let out = aprof(&args);
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout(&out)
+    };
+    run(&[
+        "--report",
+        &path("default.report"),
+        "--record-sched",
+        &path("default.sched"),
+    ]);
+    let default_report = std::fs::read(path("default.report")).unwrap();
+
+    for (name, mode) in [
+        ("rms", "--tool aprof"),
+        ("null", "--tool nulgrind"),
+        ("cct", "--context"),
+    ] {
+        let shards = path(name);
+        let mut args: Vec<&str> = mode.split(' ').collect();
+        args.extend(["--trace-out", &shards]);
+        run(&args);
+        let written = std::fs::read_dir(&shards)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("shard-") && n.ends_with(".bin"))
+            .count();
+        assert!(written >= 2, "{mode}: {written} shard files");
+        let replayed = path(&format!("{name}.replayed"));
+        let out = repro(&["replay-shards", &shards, "--report", &replayed]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            std::fs::read(&replayed).unwrap() == default_report,
+            "{mode}: the spill replays to the default tool's report"
+        );
+    }
+
+    let text = run(&[
+        "--context",
+        "--report",
+        &path("cct.report"),
+        "--metrics",
+        &path("cct.metrics.json"),
+        "--record-sched",
+        &path("cct.sched"),
+    ]);
+    assert!(std::fs::read(path("cct.report")).unwrap() == default_report);
+    assert_eq!(
+        std::fs::read(path("cct.sched")).unwrap(),
+        std::fs::read(path("default.sched")).unwrap()
+    );
+    assert!(text.contains("(audit passed)"), "{text}");
+    assert!(std::fs::metadata(path("cct.metrics.json")).unwrap().len() > 0);
+    std::fs::remove_dir_all(&dir).ok();
 }

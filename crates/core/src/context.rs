@@ -355,6 +355,12 @@ impl EventSink for CctProfiler {
         }
         self.inner.on_thread_exit(thread, cost);
     }
+
+    fn on_finish(&mut self) {
+        // An aborted run leaves frames open: the routine-level report
+        // flushes them exactly as a lone drms profiler would.
+        self.inner.on_finish();
+    }
 }
 
 impl Tool for CctProfiler {
@@ -448,6 +454,23 @@ mod tests {
         // The inner routine-level report still merges them.
         let merged = prof.inner().report().merged_routine(leaf);
         assert_eq!(merged.calls, 8);
+    }
+
+    #[test]
+    fn aborted_runs_flush_the_inner_report_like_a_lone_profiler() {
+        let mut pb = ProgramBuilder::new();
+        let leaf = pb.function("leaf", 0, |f| {
+            let z = f.copy(0);
+            let _ = f.div(1, z);
+        });
+        let main = pb.function("main", 0, |f| f.call_void(leaf, &[]));
+        let program = pb.finish(main).unwrap();
+        let mut cct = CctProfiler::new(DrmsConfig::full());
+        let mut lone = DrmsProfiler::new(DrmsConfig::full());
+        assert!(run_program(&program, RunConfig::default(), &mut cct).is_err());
+        assert!(run_program(&program, RunConfig::default(), &mut lone).is_err());
+        assert_eq!(lone.report().merged_routine(leaf).calls, 1, "flushed");
+        assert_eq!(cct.inner().report(), lone.report());
     }
 
     #[test]

@@ -79,14 +79,16 @@ pub mod prelude {
 /// Outcome of a guest run that is allowed to abort: whatever profile
 /// data was collected up to the failure point, plus the failure itself.
 ///
-/// Produced by [`ProfileSession::run`]. When `error` is `Some`, the
+/// Produced by [`ProfileSession::run`] (and, with an empty report, by
+/// [`ProfileSession::run_with`]). When `error` is `Some`, the
 /// report covers every activation observed before the abort (in-flight
 /// activations are flushed at their last observed cost) and `stats`
 /// reflect the work actually executed — including any injected-fault
 /// counters.
 #[derive(Clone, Debug)]
 pub struct ProfileOutcome {
-    /// The (possibly partial) profile report.
+    /// The (possibly partial) profile report; empty after
+    /// [`ProfileSession::run_with`], whose tool keeps its own results.
     pub report: ProfileReport,
     /// Finalized statistics of the run, complete or not.
     pub stats: RunStats,

@@ -2,16 +2,17 @@
 //!
 //! [`ProfileSession`] is a builder over one configurable pipeline: pick
 //! a program, layer on run configuration, drms settings, fault plans,
-//! scheduling and extra tools, then [`run`](ProfileSession::run) it.
-//! Every run uses the partial-profile contract — a guest abort never
-//! discards the data collected before it.
+//! scheduling and extra tools, then [`run`](ProfileSession::run) it
+//! under the drms profiler, or [`run_with`](ProfileSession::run_with)
+//! any other tool. Every run uses the partial-profile contract — a
+//! guest abort never discards the data collected before it.
 //!
 //! When no extra tools are attached, the session drives the VM through
-//! the monomorphized fast path (the profiler's event handlers compile to
+//! the monomorphized fast path (the tool's event handlers compile to
 //! direct calls); attaching tools switches to a [`MultiTool`] fan-out.
 
 use crate::{Error, ProfileOutcome};
-use drms_core::{DrmsConfig, DrmsProfiler};
+use drms_core::{DrmsConfig, DrmsProfiler, ProfileReport};
 use drms_trace::shard::{ShardWriter, DEFAULT_SPILL_THRESHOLD};
 use drms_trace::HostIo;
 use drms_vm::{
@@ -83,7 +84,7 @@ impl<'p, 't> ProfileSession<'p, 't> {
     }
 
     /// Sets the drms profiler configuration (full, external-only,
-    /// static-only, renumbering limits).
+    /// static-only, renumbering limits) of [`run`](Self::run).
     pub fn drms(mut self, drms: DrmsConfig) -> Self {
         self.drms = drms;
         self
@@ -183,7 +184,7 @@ impl<'p, 't> ProfileSession<'p, 't> {
     }
 
     /// Attaches an extra tool; it observes the identical event stream as
-    /// the drms profiler, in insertion order after it.
+    /// the session's primary tool, in insertion order after it.
     pub fn tool(mut self, tool: &'t mut dyn Tool) -> Self {
         self.extra.push(tool);
         self
@@ -217,7 +218,8 @@ impl<'p, 't> ProfileSession<'p, 't> {
         self
     }
 
-    /// Runs the session.
+    /// Runs the session under the drms profiler configured by
+    /// [`drms`](Self::drms).
     ///
     /// A guest abort (watchdog, deadlock, injected fault escalation)
     /// does not discard the profile: data gathered before the failure is
@@ -230,8 +232,27 @@ impl<'p, 't> ProfileSession<'p, 't> {
     /// shard-trace finalize failure (`Error::Io`: the host faulted while
     /// persisting the spill; the shards keep a salvageable prefix) are
     /// returned as `Err`.
-    pub fn run(mut self) -> Result<ProfileOutcome, Error> {
+    pub fn run(self) -> Result<ProfileOutcome, Error> {
         let mut profiler = DrmsProfiler::new(self.drms);
+        let mut outcome = self.run_with(&mut profiler)?;
+        outcome.report = profiler.into_report();
+        Ok(outcome)
+    }
+
+    /// Runs the session with `tool` in the drms profiler's place: any
+    /// analysis (rms, nulgrind, context-sensitive drms, …) gets the
+    /// session's spill, extra tools, metrics and schedule recording.
+    ///
+    /// The outcome's `report` is empty — the tool keeps its own results
+    /// — and the [`drms`](Self::drms) setter does not apply. Everything
+    /// else is filled exactly as by [`run`](Self::run), abort and
+    /// errors included. With no extra tools and no spill the run stays
+    /// monomorphized over `T`; otherwise `tool` leads the [`MultiTool`]
+    /// fan-out, ahead of the shard writer and the extra tools.
+    ///
+    /// # Errors
+    /// As for [`run`](Self::run).
+    pub fn run_with<T: Tool>(mut self, tool: &mut T) -> Result<ProfileOutcome, Error> {
         let mut shards = self
             .trace_dir
             .take()
@@ -245,15 +266,15 @@ impl<'p, 't> ProfileSession<'p, 't> {
             vm.install_batch(std::mem::take(*buf));
         }
         let (error, shadow_bytes, mut metrics) = if self.extra.is_empty() && shards.is_none() {
-            // Single-tool runs stay monomorphized: `T = DrmsProfiler`, so
-            // per-event dispatch is direct calls, not a vtable.
-            let error = vm.run(&mut profiler).err();
+            // Single-tool runs stay monomorphized over `T`, so per-event
+            // dispatch is direct calls, not a vtable.
+            let error = vm.run(tool).err();
             let mut metrics = vm.metrics();
-            profiler.observe_metrics(&mut metrics);
-            (error, profiler.shadow_bytes(), metrics)
+            tool.observe_metrics(&mut metrics);
+            (error, tool.shadow_bytes(), metrics)
         } else {
             let mut fan = MultiTool::new();
-            fan.push(&mut profiler);
+            fan.push(tool);
             if let Some(writer) = shards.as_mut() {
                 fan.push(writer);
             }
@@ -277,7 +298,7 @@ impl<'p, 't> ProfileSession<'p, 't> {
         let stats = vm.stats().clone();
         let schedule = vm.take_recorded_schedule();
         Ok(ProfileOutcome {
-            report: profiler.into_report(),
+            report: ProfileReport::new(),
             stats,
             error,
             schedule,
@@ -324,6 +345,35 @@ mod tests {
             "extra tools report under their own names"
         );
         assert!(fan.metrics.gauge("tool.aprof-drms.shadow_bytes") > 0);
+    }
+
+    #[test]
+    fn run_with_is_run_without_the_report() {
+        let w = drms_workloads::patterns::producer_consumer(12);
+        let session = || {
+            ProfileSession::workload(&w)
+                .sched(SchedPolicy::Chaos { seed: 3 })
+                .record_sched()
+        };
+        let run = session().run().unwrap();
+        let mut drms = DrmsProfiler::new(DrmsConfig::full());
+        let with = session().run_with(&mut drms).unwrap();
+        assert!(with.report.is_empty(), "the tool keeps its own results");
+        assert_eq!(drms.into_report(), run.report);
+        assert_eq!(with.stats, run.stats);
+        assert_eq!(with.schedule, run.schedule);
+        assert!(with.schedule.is_some());
+        assert_eq!(with.metrics.to_json(), run.metrics.to_json());
+
+        let null = session().run_with(&mut NullTool).unwrap();
+        assert!(null.report.is_empty());
+        assert_eq!(null.metrics.audit(), Ok(()));
+        assert_eq!(null.metrics.gauge("tool.nulgrind.shadow_bytes"), 0);
+        assert!(null
+            .metrics
+            .to_json()
+            .contains("tool.nulgrind.shadow_bytes"));
+        assert_eq!(null.metrics.counter("vm.events.total"), null.stats.events);
     }
 
     #[test]

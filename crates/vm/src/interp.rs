@@ -1770,31 +1770,13 @@ impl fmt::Debug for Vm<'_> {
 
 /// Builds a VM and runs `program` under `config` with `tool` attached.
 ///
-/// Convenience wrapper over [`Vm::new`] + [`Vm::run`].
+/// Convenience wrapper over [`Vm::new`] + [`Vm::run`]. For a sized `T`
+/// the per-event hot loop is monomorphized: calls into the tool are
+/// direct, not `dyn Tool` vtable dispatch.
 ///
 /// # Errors
 /// Propagates any [`RunError`].
 pub fn run_program<T: Tool + ?Sized>(
-    program: &Program,
-    config: RunConfig,
-    tool: &mut T,
-) -> Result<RunStats, RunError> {
-    Vm::new(program, config)?.run(tool)
-}
-
-/// Monomorphized fast path of [`run_program`]: `T` is `Sized` and known
-/// at the call site, so the per-event hot loop compiles with direct
-/// (inlinable) calls into the tool — no `dyn Tool` vtable dispatch.
-///
-/// Callers holding a `&mut dyn Tool` should branch on the concrete tool
-/// *once* and call this with the unerased type; keep
-/// [`MultiTool`](crate::MultiTool) for fanning one event stream out to
-/// several tools.
-///
-/// # Errors
-/// Propagates any [`RunError`].
-#[inline]
-pub fn run_program_with<T: Tool>(
     program: &Program,
     config: RunConfig,
     tool: &mut T,

@@ -60,7 +60,9 @@ pub use builder::{BuildError, FnBuilder, ProgramBuilder};
 pub use decode::{DecodeStats, DecodedProgram};
 pub use disasm::{disassemble, routine_listing};
 pub use fault::{FaultCounters, FaultKind, FaultPlan, FaultRule, FaultSpecError, FaultTrigger};
-pub use interp::{run_program, run_program_with, BlockedThread, RunError, Vm, WaitTarget};
+/// [`run_program`] under the name callers use for a concrete tool type.
+pub use interp::run_program as run_program_with;
+pub use interp::{run_program, BlockedThread, RunError, Vm, WaitTarget};
 pub use ir::{BinOp, Block, Inst, Operand, Program, Reg, Routine, Terminator, ValidateError};
 pub use kernel::{Device, Direction, Kernel, KernelError, Syscall, SyscallNo, TransferCounters};
 pub use memory::Memory;
