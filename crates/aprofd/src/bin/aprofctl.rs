@@ -29,6 +29,7 @@
 //! deadline on every retry).
 
 use drms_aprofd::client::{Client, ClientError};
+use drms_bench::flag_value;
 use std::io::Read as _;
 use std::time::{Duration, Instant};
 
@@ -88,21 +89,19 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let args = &mut args;
         match arg.as_str() {
-            "--addr" => addr = args.next(),
+            "--addr" => addr = Some(flag_value(args, "--addr HOST:PORT", usage)),
             "--addr-file" => {
-                let path = args.next().unwrap_or_else(|| usage());
+                let path: String = flag_value(args, "--addr-file FILE", usage);
                 match std::fs::read_to_string(&path) {
                     Ok(text) => addr = Some(text.trim().to_string()),
                     Err(e) => fail(format!("cannot read addr file `{path}`: {e}"), 1),
                 }
             }
-            "--retries" => retries = args.next().and_then(|v| v.parse().ok()),
+            "--retries" => retries = Some(flag_value(args, "--retries N", usage)),
             "--timeout-ms" if rest.is_empty() => {
-                timeout_ms = args.next().and_then(|v| v.parse().ok());
-                if timeout_ms.is_none() {
-                    fail("--timeout-ms needs a number of milliseconds", 2);
-                }
+                timeout_ms = Some(flag_value(args, "--timeout-ms N", usage))
             }
             "--help" | "-h" => usage(),
             _ => {
@@ -116,7 +115,7 @@ fn main() {
     };
     let mut client = Client::new(addr);
     if let Some(n) = retries {
-        client.attempts = n.max(1);
+        client.attempts = n;
     }
     if let Some(ms) = timeout_ms {
         client.timeout = Duration::from_millis(ms.max(1));
@@ -155,10 +154,7 @@ fn main() {
             let id = rest.next().unwrap_or_else(|| usage());
             let mut timeout_ms = 120_000u64;
             if rest.next().as_deref() == Some("--timeout-ms") {
-                timeout_ms = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                timeout_ms = flag_value(&mut rest, "--timeout-ms N", usage);
             }
             let deadline = Instant::now() + Duration::from_millis(timeout_ms);
             loop {
@@ -190,10 +186,7 @@ fn main() {
             let id = rest.next().unwrap_or_else(|| usage());
             let mut path = format!("/jobs/{id}/report");
             if rest.next().as_deref() == Some("--since") {
-                let n: u64 = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                let n: u64 = flag_value(&mut rest, "--since N", usage);
                 path.push_str(&format!("?since={n}"));
             }
             let reply = run(&client, "GET", &path, "");

@@ -16,6 +16,7 @@
 
 use drms_aprofd::daemon::{serve, Daemon, DaemonConfig};
 use drms_aprofd::queue::QueueConfig;
+use drms_bench::flag_value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -66,16 +67,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_num(flag: &str, v: Option<String>) -> usize {
-    match v.and_then(|v| v.parse().ok()) {
-        Some(n) => n,
-        None => {
-            eprintln!("{flag} needs a number");
-            usage();
-        }
-    }
-}
-
 fn main() {
     let mut state_dir: Option<PathBuf> = None;
     let mut addr = "127.0.0.1:0".to_string();
@@ -92,31 +83,26 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let args = &mut args;
         match arg.as_str() {
-            "--state-dir" => state_dir = args.next().map(PathBuf::from),
-            "--addr" => addr = args.next().unwrap_or_else(|| usage()),
-            "--addr-file" => addr_file = args.next().map(PathBuf::from),
-            "--workers" => workers = parse_num("--workers", args.next()),
-            "--io-threads" => io_threads = parse_num("--io-threads", args.next()),
-            "--queue-cap" => queue.capacity = parse_num("--queue-cap", args.next()),
+            "--state-dir" => state_dir = Some(flag_value(args, "--state-dir DIR", usage)),
+            "--addr" => addr = flag_value(args, "--addr HOST:PORT", usage),
+            "--addr-file" => addr_file = Some(flag_value(args, "--addr-file FILE", usage)),
+            "--workers" => workers = flag_value(args, "--workers N", usage),
+            "--io-threads" => io_threads = flag_value(args, "--io-threads N", usage),
+            "--queue-cap" => queue.capacity = flag_value(args, "--queue-cap N", usage),
             "--tenant-queued" => {
-                queue.tenant_queued_cap = parse_num("--tenant-queued", args.next())
+                queue.tenant_queued_cap = flag_value(args, "--tenant-queued N", usage)
             }
             "--tenant-running" => {
-                queue.tenant_running_cap = parse_num("--tenant-running", args.next())
+                queue.tenant_running_cap = flag_value(args, "--tenant-running N", usage)
             }
-            "--max-conns" => max_connections = parse_num("--max-conns", args.next()),
-            "--read-timeout-ms" => {
-                read_timeout_ms = parse_num("--read-timeout-ms", args.next()) as u64
-            }
-            "--poll-timeout-ms" => {
-                poll_timeout_ms = parse_num("--poll-timeout-ms", args.next()) as u64
-            }
-            "--retain" => retain_count = Some(parse_num("--retain", args.next())),
-            "--retain-age-ms" => {
-                retain_age_ms = Some(parse_num("--retain-age-ms", args.next()) as u64)
-            }
-            "--host-faults" => host_faults = args.next(),
+            "--max-conns" => max_connections = flag_value(args, "--max-conns N", usage),
+            "--read-timeout-ms" => read_timeout_ms = flag_value(args, "--read-timeout-ms N", usage),
+            "--poll-timeout-ms" => poll_timeout_ms = flag_value(args, "--poll-timeout-ms N", usage),
+            "--retain" => retain_count = Some(flag_value(args, "--retain N", usage)),
+            "--retain-age-ms" => retain_age_ms = Some(flag_value(args, "--retain-age-ms N", usage)),
+            "--host-faults" => host_faults = Some(flag_value(args, "--host-faults SPEC", usage)),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag `{other}`");
@@ -128,10 +114,6 @@ fn main() {
         eprintln!("--state-dir is required");
         usage();
     };
-    if queue.capacity == 0 {
-        eprintln!("--queue-cap must be >= 1 (0 would shed every submission)");
-        std::process::exit(2);
-    }
     let host_io = match host_faults.as_deref() {
         None => drms::trace::hostio::HostIo::real(),
         Some(spec) => match drms::trace::hostio::HostIo::from_spec(spec) {

@@ -18,10 +18,10 @@
 //! acknowledged only after its spec is atomically on disk, so a
 //! `kill -9` at *any* later moment leaves either a finished job (done
 //! marker present) or a resumable one (spec present, journal salvaged
-//! by [`resume_sweep`](drms_bench::supervisor::resume_sweep), missing
-//! cells re-run). Restart scans the directory, restores the submission
-//! counter, and re-queues every unfinished job — artifacts come out
-//! byte-identical to an uninterrupted run.
+//! by [`resume_sweep`], missing cells re-run). Restart scans the
+//! directory, restores the submission counter, and re-queues every
+//! unfinished job — artifacts come out byte-identical to an
+//! uninterrupted run.
 //!
 //! Retention GC prunes finished jobs beyond [`DaemonConfig::retain_count`]
 //! / older than [`DaemonConfig::retain_age`]. Each pruned ID is first
@@ -45,9 +45,10 @@ use drms::trace::hostio::HostIo;
 use drms::trace::journal;
 use drms::trace::Metrics;
 use drms_bench::artifact::atomic_write_with;
+use drms_bench::render_error_chain;
 use drms_bench::supervisor::{
-    profile_cell, read_cells, resume_sweep, CellOutcome, JournalWriter, PreemptSignal,
-    SupervisedRun,
+    panic_message, profile_cell, read_cells, resume_sweep, CellOutcome, JournalWriter,
+    PreemptSignal, SupervisedRun,
 };
 use drms_bench::sweep::{focus_plot, FamilyBench, SweepBench, SweepCell, SweepSpec};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -582,12 +583,8 @@ impl Daemon {
                         .lock()
                         .unwrap()
                         .inc("aprofd.jobs.worker_panics");
-                    let msg = p
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "worker panicked".to_string());
-                    JobOutcome::Failed(self.fail_job(&dispatch.job, format!("panic: {msg}")))
+                    let msg = format!("panic: {}", panic_message(p));
+                    JobOutcome::Failed(self.fail_job(&dispatch.job, msg))
                 });
             let preempted = matches!(outcome, JobOutcome::Preempted);
             {
@@ -1184,17 +1181,6 @@ fn remove_job_files(state_dir: &std::path::Path, id: &str) -> bool {
         removed = true;
     }
     removed
-}
-
-/// Renders an error with its `source()` chain, one frame per line.
-fn render_error_chain(err: &dyn std::error::Error) -> String {
-    let mut out = format!("{err}\n");
-    let mut src = err.source();
-    while let Some(e) = src {
-        let _ = writeln!(out, "  caused by: {e}");
-        src = e.source();
-    }
-    out
 }
 
 /// Frees one connection slot on drop — however the handler exits,

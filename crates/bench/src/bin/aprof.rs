@@ -17,7 +17,8 @@
 //!   --tool NAME         aprof-drms (default) | aprof | external-only |
 //!                       nulgrind; the run and output options below apply
 //!                       to every tool and to --context (--sweep always
-//!                       profiles with aprof-drms)
+//!                       profiles with aprof-drms; --context refuses any
+//!                       other tool)
 //!   --sweep SIZES       profile the workload once per comma-separated
 //!                       size (e.g. `--sweep 64,128,256`) through the
 //!                       crash-safe sweep supervisor and print the
@@ -114,7 +115,7 @@ struct Cli {
     workload: Option<String>,
     threads: u32,
     scale: u32,
-    tool: String,
+    tool: ToolName,
     policy: SchedPolicy,
     /// The last scheduler option given (`--policy`, `--sched`,
     /// `--quantum`, `--record-sched`, `--replay-sched`), which `--sweep`
@@ -148,6 +149,30 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// The profiler `--tool` names, checked when the flag is read.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ToolName {
+    Drms,
+    ExternalOnly,
+    Rms,
+    Null,
+}
+
+fn parse_tool(name: &str) -> ToolName {
+    match name {
+        "aprof-drms" => ToolName::Drms,
+        "external-only" => ToolName::ExternalOnly,
+        "aprof" => ToolName::Rms,
+        // The nulgrind analogue: no analysis at all, measuring bare
+        // VM + instrumentation-dispatch overhead.
+        "null" | "nulgrind" => ToolName::Null,
+        other => {
+            eprintln!("unknown tool `{other}` (aprof-drms | aprof | external-only | nulgrind)");
+            exit(1)
+        }
+    }
+}
+
 /// Parses a scheduling policy spec: `rr`, `random:SEED`, `chaos:SEED`;
 /// the seed may also be written `,seed=N` (e.g. `chaos,seed=7`).
 fn parse_policy(spec: &str) -> Option<SchedPolicy> {
@@ -168,7 +193,7 @@ fn parse_cli() -> Cli {
         workload: None,
         threads: 4,
         scale: 2,
-        tool: "aprof-drms".to_owned(),
+        tool: ToolName::Drms,
         policy: SchedPolicy::RoundRobin,
         sched_flag: None,
         quantum: None,
@@ -206,7 +231,7 @@ fn parse_cli() -> Cli {
             "--workload" => cli.workload = Some(flag_value(args, "--workload NAME", usage)),
             "--threads" => cli.threads = flag_value(args, "--threads N", usage),
             "--scale" => cli.scale = flag_value(args, "--scale S", usage),
-            "--tool" => cli.tool = flag_value(args, "--tool NAME", usage),
+            "--tool" => cli.tool = parse_tool(&flag_value::<String>(args, "--tool NAME", usage)),
             "--policy" | "--sched" => {
                 let v: String = flag_value(args, &format!("{arg} P"), usage);
                 cli.policy = parse_policy(&v).unwrap_or_else(|| {
@@ -283,6 +308,12 @@ fn parse_cli() -> Cli {
                 usage()
             }
         }
+    }
+    if cli.context && cli.tool != ToolName::Drms {
+        eprintln!(
+            "--tool cannot be combined with --context (context mode profiles with aprof-drms)"
+        );
+        exit(2)
     }
     cli
 }
@@ -415,27 +446,21 @@ fn main() {
     // Context-sensitive mode wraps the drms profiler; its inner report is
     // the run's report.
     let mut cct = cli.context.then(|| CctProfiler::new(DrmsConfig::full()));
-    let run = match (cct.as_mut(), cli.tool.as_str()) {
+    let run = match (cct.as_mut(), cli.tool) {
         (Some(prof), _) => session.run_with(prof).map(|o| ProfileOutcome {
             report: prof.inner().report().clone(),
             ..o
         }),
-        (None, "aprof-drms") => session.run(),
-        (None, "external-only") => session.drms(DrmsConfig::external_only()).run(),
-        (None, "aprof") => {
+        (None, ToolName::Drms) => session.run(),
+        (None, ToolName::ExternalOnly) => session.drms(DrmsConfig::external_only()).run(),
+        (None, ToolName::Rms) => {
             let mut p = RmsProfiler::new();
             session.run_with(&mut p).map(|o| ProfileOutcome {
                 report: p.into_report(),
                 ..o
             })
         }
-        // The nulgrind analogue: no analysis at all, measuring bare
-        // VM + instrumentation-dispatch overhead.
-        (None, "null" | "nulgrind") => session.run_with(&mut NullTool),
-        (None, other) => {
-            eprintln!("unknown tool `{other}` (aprof-drms | aprof | external-only | nulgrind)");
-            exit(1)
-        }
+        (None, ToolName::Null) => session.run_with(&mut NullTool),
     };
     // Setup failures exit with their documented code; a failed shard
     // finalize (`--trace-out` on a faulty disk) exits 1, leaving the

@@ -69,7 +69,7 @@ use drms::core::{DrmsConfig, ProfileReport};
 use drms::vm::{CostKind, RunConfig, SchedPolicy};
 use drms::workloads::{self, Workload};
 use drms::ProfileSession;
-use drms_bench::{flag_value, measure_suite, TOOLS};
+use drms_bench::{flag_value, measure_suite, render_error_chain, TOOLS};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -1110,12 +1110,11 @@ fn sweep_bench(opts: &Options) {
                     std::process::exit(1);
                 }
                 Err(e) => {
-                    eprintln!("sweep: cannot resume family `{}`: {e}", spec.family);
-                    let mut source = std::error::Error::source(&e);
-                    while let Some(s) = source {
-                        eprintln!("  caused by: {s}");
-                        source = s.source();
-                    }
+                    eprint!(
+                        "sweep: cannot resume family `{}`: {}",
+                        spec.family,
+                        render_error_chain(&e)
+                    );
                     std::process::exit(1);
                 }
             }

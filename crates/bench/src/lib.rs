@@ -142,11 +142,13 @@ pub fn measure_suite_observed(
 }
 
 /// Why each count flag of the CLIs refuses 0.
-const AT_LEAST_ONE: [(&str, &str); 4] = [
+const AT_LEAST_ONE: [(&str, &str); 6] = [
     ("--jobs", "0 would start no worker"),
     ("--max-attempts", "0 would never run a cell"),
     ("--deadline-ms", "0 expires before the run starts"),
     ("--batch", "0 could never buffer an event"),
+    ("--retries", "0 would never send the request"),
+    ("--queue-cap", "0 would shed every submission"),
 ];
 
 /// The value of flag `what` (its name and operand, e.g. `--jobs N`): the
@@ -173,6 +175,19 @@ pub fn flag_value<T: FromStr>(
         eprintln!("bad value `{v}` for {what}");
         usage()
     })
+}
+
+/// Renders an error with its `source()` chain: the error on the first
+/// line, then one `  caused by: …` line per source.
+pub fn render_error_chain(err: &dyn std::error::Error) -> String {
+    use std::fmt::Write as _;
+    let mut out = format!("{err}\n");
+    let mut src = err.source();
+    while let Some(e) = src {
+        let _ = writeln!(out, "  caused by: {e}");
+        src = e.source();
+    }
+    out
 }
 
 #[cfg(test)]

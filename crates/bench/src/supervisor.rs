@@ -406,7 +406,9 @@ pub fn backoff_ms(base_ms: u64, cap_ms: u64, key: &str, attempt: u32) -> u64 {
     (capped / 2 + jitter).min(cap_ms)
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message a caught panic carried: its `&str` or `String` payload,
+/// or a placeholder for any other payload type.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -355,6 +355,31 @@ fn aprof_flag_value_errors_exit_2_naming_the_flag() {
     }
 }
 
+/// The tool name is checked once, before the mode is picked: an unknown
+/// name fails as it does without `--context`, and `--context` refuses
+/// any tool but the drms profiler it wraps, naming both flags.
+#[test]
+fn aprof_context_checks_the_tool_name() {
+    for (tool, code, says) in [
+        ("bogus", 1, "unknown tool `bogus`"),
+        ("aprof", 2, "--tool cannot be combined with --context"),
+        ("aprof-drms", 0, ""),
+    ] {
+        let out = aprof(&[
+            "--workload",
+            "stream_reader",
+            "--scale",
+            "1",
+            "--context",
+            "--tool",
+            tool,
+        ]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "--tool {tool}: {err}");
+        assert!(err.contains(says), "--tool {tool}: {err}");
+    }
+}
+
 /// Every tool and mode is one session run, so each honours the output
 /// flags: the spill replays to the default tool's report, and the
 /// context mode's report and schedule are the default run's.

@@ -16,7 +16,7 @@
 use crate::drms::{DrmsConfig, DrmsProfiler};
 use crate::fnv::FnvBuildHasher;
 use crate::profile::RoutineProfile;
-use drms_trace::{Addr, EventSink, RoutineId, SyncOp, ThreadId};
+use drms_trace::{Addr, RoutineId, SyncOp, ThreadId};
 use drms_vm::Tool;
 use std::collections::HashMap;
 
@@ -213,6 +213,9 @@ pub struct CctProfiler {
     /// Snapshot of (sum_rms, sum_drms) per frame to derive per-activation
     /// values from the inner profiler's routine report.
     pending: Vec<Vec<(u64, u64)>>,
+    /// Per-thread cost at the latest call or return, at which an aborted
+    /// run's open contexts are unwound.
+    last_costs: Vec<u64>,
 }
 
 impl CctProfiler {
@@ -225,6 +228,7 @@ impl CctProfiler {
             profiles: HashMap::default(),
             entry_costs: Vec::new(),
             pending: Vec::new(),
+            last_costs: Vec::new(),
         }
     }
 
@@ -268,6 +272,7 @@ impl CctProfiler {
             self.cursors.push(ContextId::ROOT);
             self.entry_costs.push(Vec::new());
             self.pending.push(Vec::new());
+            self.last_costs.push(0);
         }
         &mut self.cursors[idx]
     }
@@ -283,7 +288,7 @@ impl CctProfiler {
     }
 }
 
-impl EventSink for CctProfiler {
+impl Tool for CctProfiler {
     fn on_thread_start(&mut self, thread: ThreadId, parent: Option<ThreadId>) {
         self.cursor_mut(thread);
         self.inner.on_thread_start(thread, parent);
@@ -299,6 +304,7 @@ impl EventSink for CctProfiler {
         let idx = thread.index() as usize;
         self.cursors[idx] = child;
         self.entry_costs[idx].push(cost);
+        self.last_costs[idx] = cost;
         let sums = self.sums(routine, thread);
         self.pending[idx].push(sums);
         self.inner.on_call(thread, routine, cost);
@@ -308,6 +314,7 @@ impl EventSink for CctProfiler {
         self.inner.on_return(thread, routine, cost);
         let idx = thread.index() as usize;
         let ctx = self.cursors[idx];
+        self.last_costs[idx] = cost;
         if let (Some(entry_cost), Some((rms0, drms0))) =
             (self.entry_costs[idx].pop(), self.pending[idx].pop())
         {
@@ -357,13 +364,18 @@ impl EventSink for CctProfiler {
     }
 
     fn on_finish(&mut self) {
-        // An aborted run leaves frames open: the routine-level report
-        // flushes them exactly as a lone drms profiler would.
+        // An aborted run leaves contexts open: unwind each thread's at
+        // its last observed cost, so every activation the routine-level
+        // report flushes (exactly as a lone drms profiler would) is also
+        // keyed by its context.
+        for idx in 0..self.cursors.len() {
+            if self.cursors[idx] != ContextId::ROOT {
+                self.on_thread_exit(ThreadId::new(idx as u32), self.last_costs[idx]);
+            }
+        }
         self.inner.on_finish();
     }
-}
 
-impl Tool for CctProfiler {
     fn name(&self) -> &str {
         "aprof-drms-cct"
     }
@@ -382,7 +394,7 @@ impl Tool for CctProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drms_vm::{run_program, Operand, ProgramBuilder, RunConfig};
+    use drms_vm::{run_program, Operand, ProgramBuilder, RunConfig, SchedPolicy};
 
     #[test]
     fn tree_interning_and_paths() {
@@ -471,6 +483,61 @@ mod tests {
         assert!(run_program(&program, RunConfig::default(), &mut lone).is_err());
         assert_eq!(lone.report().merged_routine(leaf).calls, 1, "flushed");
         assert_eq!(cct.inner().report(), lone.report());
+    }
+
+    /// The lock-order-inversion pattern deadlocks under chaos seed 1
+    /// with both workers inside their routines: the contexts unwound at
+    /// the abort must account for every call the routine-level report
+    /// flushes.
+    #[test]
+    fn aborted_runs_key_every_flushed_call_by_its_context() {
+        let mut pb = ProgramBuilder::new();
+        let cells = [pb.global(1), pb.global(1)];
+        let mutexes = [pb.mutex(), pb.mutex()];
+        let worker = |pb: &mut ProgramBuilder, name, first: usize| {
+            pb.function(name, 1, |f| {
+                let n = f.param(0);
+                f.for_range(0, n, |f, i| {
+                    for k in [first, 1 - first] {
+                        f.lock(mutexes[k]);
+                        let v = f.load(cells[k].raw() as i64, 0);
+                        let v2 = f.add(v, i);
+                        f.store(cells[k].raw() as i64, 0, v2);
+                    }
+                    f.unlock(mutexes[1 - first]);
+                    f.unlock(mutexes[first]);
+                });
+                f.ret(None);
+            })
+        };
+        let ab = worker(&mut pb, "worker_ab", 0);
+        let ba = worker(&mut pb, "worker_ba", 1);
+        let main = pb.function("main", 0, |f| {
+            let t1 = f.spawn(ab, &[Operand::Imm(6)]);
+            let t2 = f.spawn(ba, &[Operand::Imm(6)]);
+            f.join(t1);
+            f.join(t2);
+            f.ret(None);
+        });
+        let program = pb.finish(main).unwrap();
+        let config = RunConfig {
+            policy: SchedPolicy::Chaos { seed: 1 },
+            ..RunConfig::default()
+        };
+        let mut prof = CctProfiler::new(DrmsConfig::full());
+        assert!(run_program(&program, config, &mut prof).is_err());
+        let report = prof.inner().report();
+        assert_eq!(report.merged_routine(ab).calls, 1, "flushed at the abort");
+        for rid in 0..program.routines().len() as u32 {
+            let routine = RoutineId::new(rid);
+            let ctx_calls: u64 = prof.contexts_of(routine).iter().map(|(_, p)| p.calls).sum();
+            assert_eq!(
+                ctx_calls,
+                report.merged_routine(routine).calls,
+                "{}",
+                program.routine_name(routine)
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! `ts_t[ℓ]`, `wts[ℓ]` and the shadow-stack entries.
 
 use crate::profile::ProfileReport;
-use drms_trace::{Addr, EventSink, Metrics, RoutineId, ThreadId};
+use drms_trace::{Addr, Metrics, RoutineId, ThreadId};
 use drms_vm::{BatchKind, EventBatch, ShadowCacheStats, ShadowMemory, Tool};
 
 /// Which write source a `wts` entry came from (provenance of induced
@@ -507,7 +507,7 @@ fn ancestor_index(stack: &[Frame], ts: u64) -> Option<usize> {
     pp.checked_sub(1)
 }
 
-impl EventSink for DrmsProfiler {
+impl Tool for DrmsProfiler {
     fn on_thread_start(&mut self, thread: ThreadId, _parent: Option<ThreadId>) {
         self.thread_mut(thread);
     }
@@ -613,9 +613,7 @@ impl EventSink for DrmsProfiler {
             self.on_thread_exit(ThreadId::new(idx as u32), cost);
         }
     }
-}
 
-impl Tool for DrmsProfiler {
     fn name(&self) -> &str {
         "aprof-drms"
     }

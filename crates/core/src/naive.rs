@@ -12,7 +12,7 @@
 //! oracle event-for-event on arbitrary interleavings.
 
 use crate::profile::ProfileReport;
-use drms_trace::{Addr, EventSink, RoutineId, ThreadId};
+use drms_trace::{Addr, RoutineId, ThreadId};
 use drms_vm::Tool;
 use std::collections::HashSet;
 
@@ -109,7 +109,7 @@ impl NaiveProfiler {
     }
 }
 
-impl EventSink for NaiveProfiler {
+impl Tool for NaiveProfiler {
     fn on_thread_start(&mut self, thread: ThreadId, _parent: Option<ThreadId>) {
         self.thread_mut(thread);
     }
@@ -170,9 +170,7 @@ impl EventSink for NaiveProfiler {
             self.on_return(thread, routine, cost);
         }
     }
-}
 
-impl Tool for NaiveProfiler {
     fn name(&self) -> &str {
         "naive-drms"
     }
@@ -249,7 +247,7 @@ mod tests {
     fn event_sink_trait_object_usable() {
         let mut p = NaiveProfiler::new();
         {
-            let sink: &mut dyn EventSink = &mut p;
+            let sink: &mut dyn Tool = &mut p;
             sink.on_call(T0, R0, 0);
             sink.on_read(T0, Addr::new(1), 3);
             sink.on_thread_exit(T0, 9);

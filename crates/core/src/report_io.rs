@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn roundtrip_real_workload_report() {
         use crate::drms::{DrmsConfig, DrmsProfiler};
-        use drms_trace::{Event, EventSink};
+        use drms_trace::{Event, Tool};
         // Drive a small synthetic trace through the profiler and check
         // that serialization preserves the collected report exactly.
         let mut prof = DrmsProfiler::new(DrmsConfig::full());

@@ -9,7 +9,7 @@
 //! for the global shadow memory it does not use.
 
 use crate::profile::ProfileReport;
-use drms_trace::{Addr, EventSink, RoutineId, ThreadId};
+use drms_trace::{Addr, RoutineId, ThreadId};
 use drms_vm::{ShadowMemory, Tool};
 
 struct Frame {
@@ -110,7 +110,7 @@ impl RmsProfiler {
     }
 }
 
-impl EventSink for RmsProfiler {
+impl Tool for RmsProfiler {
     fn on_thread_start(&mut self, thread: ThreadId, _parent: Option<ThreadId>) {
         self.thread_mut(thread);
     }
@@ -185,9 +185,7 @@ impl EventSink for RmsProfiler {
             self.on_return(thread, routine, cost);
         }
     }
-}
 
-impl Tool for RmsProfiler {
     fn name(&self) -> &str {
         "aprof"
     }

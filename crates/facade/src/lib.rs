@@ -65,8 +65,8 @@ pub mod prelude {
         RoutineProfile,
     };
     pub use drms_trace::{
-        Addr, Event, EventSink, HostFaultPlan, HostIo, Metrics, RoutineId, Schedule, ShardSet,
-        ShardWriter, ThreadId, TimedEvent,
+        Addr, Event, HostFaultPlan, HostIo, Metrics, RoutineId, Schedule, ShardSet, ShardWriter,
+        ThreadId, TimedEvent,
     };
     pub use drms_vm::{
         replay_shards_into, run_program, run_program_with, BatchKind, DecodeMode, DecodeStats,

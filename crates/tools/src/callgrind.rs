@@ -5,7 +5,7 @@
 //! traces only calls and returns (no per-access shadowing), matching the
 //! cost profile of a call-graph generator in the paper's tool comparison.
 
-use drms_trace::{EventSink, RoutineId, ThreadId};
+use drms_trace::{RoutineId, ThreadId};
 use drms_vm::Tool;
 use std::collections::HashMap;
 
@@ -97,7 +97,7 @@ impl CallgrindTool {
     }
 }
 
-impl EventSink for CallgrindTool {
+impl Tool for CallgrindTool {
     fn on_call(&mut self, thread: ThreadId, routine: RoutineId, cost: u64) {
         let stack = self.stack_mut(thread);
         let caller = stack.last().map(|f| f.routine);
@@ -140,9 +140,7 @@ impl EventSink for CallgrindTool {
             self.on_return(thread, routine, cost);
         }
     }
-}
 
-impl Tool for CallgrindTool {
     fn name(&self) -> &str {
         "callgrind"
     }

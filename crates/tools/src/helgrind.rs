@@ -11,7 +11,7 @@
 //! epoch checks plus per-sync vector-clock joins — matching its position
 //! in the paper's Table 1 (helgrind is the slowest tool measured).
 
-use drms_trace::{Addr, EventSink, SyncOp, ThreadId};
+use drms_trace::{Addr, SyncOp, ThreadId};
 use drms_vm::{ShadowMemory, Tool};
 use std::collections::HashMap;
 
@@ -270,7 +270,7 @@ enum Table {
     Cond,
 }
 
-impl EventSink for HelgrindTool {
+impl Tool for HelgrindTool {
     fn on_thread_start(&mut self, thread: ThreadId, parent: Option<ThreadId>) {
         self.vc_mut(thread);
         if let Some(p) = parent {
@@ -335,9 +335,7 @@ impl EventSink for HelgrindTool {
             }
         }
     }
-}
 
-impl Tool for HelgrindTool {
     fn name(&self) -> &str {
         "helgrind"
     }

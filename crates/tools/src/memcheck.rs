@@ -7,7 +7,7 @@
 //! shadow operation per memory access, no call/return tracing — which is
 //! what the paper's Table 1 compares against.
 
-use drms_trace::{Addr, EventSink, ThreadId};
+use drms_trace::{Addr, ThreadId};
 use drms_vm::{BatchKind, EventBatch, ShadowMemory, Tool};
 
 const UNDEFINED: u8 = 0;
@@ -71,7 +71,7 @@ impl MemcheckTool {
     }
 }
 
-impl EventSink for MemcheckTool {
+impl Tool for MemcheckTool {
     fn on_read(&mut self, _thread: ThreadId, addr: Addr, len: u32) {
         for cell in addr.range(len) {
             self.accesses += 1;
@@ -101,9 +101,7 @@ impl EventSink for MemcheckTool {
         // Writing an undefined buffer to the kernel is an error too.
         self.on_read(thread, addr, len);
     }
-}
 
-impl Tool for MemcheckTool {
     fn name(&self) -> &str {
         "memcheck"
     }

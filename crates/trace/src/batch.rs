@@ -1,7 +1,7 @@
 //! Batched tool event delivery.
 //!
-//! The decoded dispatch loop does not call the tool once per memory
-//! access. It appends read/write events into a fixed-capacity
+//! The guest VM's decoded dispatch loop does not call the tool once per
+//! memory access. It appends read/write events into a fixed-capacity
 //! struct-of-arrays [`EventBatch`] and flushes the whole batch through
 //! [`Tool::observe_batch`](crate::Tool::observe_batch) at block
 //! boundaries (or earlier, when the batch fills up or a state-changing
@@ -18,8 +18,19 @@
 //! event order of per-event delivery. A batch never spans a thread
 //! switch, so one `thread` id covers all of its entries.
 
-pub use drms_trace::BatchKind;
-use drms_trace::{Addr, ThreadId};
+use crate::ids::{Addr, ThreadId};
+
+/// Kind of one batched memory event: the entries of an [`EventBatch`]
+/// and of a shard's `BATCH` record. The discriminant is the entry's
+/// shard record kind byte.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[repr(u8)]
+pub enum BatchKind {
+    /// A guest load (`on_read`).
+    Read = 0,
+    /// A guest store (`on_write`).
+    Write = 1,
+}
 
 /// A fixed-capacity struct-of-arrays buffer of read/write events, all
 /// belonging to one thread.
@@ -32,8 +43,7 @@ use drms_trace::{Addr, ThreadId};
 ///
 /// # Example
 /// ```
-/// use drms_vm::{BatchKind, EventBatch};
-/// use drms_trace::{Addr, ThreadId};
+/// use drms_trace::{Addr, BatchKind, EventBatch, ThreadId};
 ///
 /// let mut b = EventBatch::with_capacity(4);
 /// b.set_thread(ThreadId::new(0));

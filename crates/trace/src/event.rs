@@ -53,18 +53,6 @@ impl fmt::Display for SyncOp {
     }
 }
 
-/// Kind of one batched memory event: the entries of the VM's
-/// struct-of-arrays `EventBatch` and of a shard's `BATCH` record. The
-/// discriminant is the entry's shard record kind byte.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum BatchKind {
-    /// A guest load (`on_read`).
-    Read = 0,
-    /// A guest store (`on_write`).
-    Write = 1,
-}
-
 /// One observable operation of a guest execution.
 ///
 /// The `Read`/`Write`/`UserToKernel`/`KernelToUser` variants describe a

@@ -11,19 +11,23 @@
 //! * [`merge`] — merging per-thread traces into a single totally-ordered
 //!   execution trace, breaking timestamp ties arbitrarily (Section 3 of the
 //!   paper);
-//! * [`replay()`] — feeding a merged trace back into an [`EventSink`], the
-//!   consumer-side trait implemented by profilers, with `switchThread`
-//!   notifications synthesized between events of different threads;
+//! * [`replay()`] — feeding a merged trace back into a [`Tool`], the
+//!   one event-consumer trait implemented by profilers and analysis
+//!   tools, with `switchThread` notifications synthesized between events
+//!   of different threads;
+//! * [`batch`] — the struct-of-arrays [`EventBatch`] of read/write
+//!   events that tools take through [`Tool::observe_batch`], and its
+//!   [`BatchKind`];
 //! * [`codec`] — a plain-text serialization of traces for golden tests and
 //!   offline analysis, read through the checked-line core in [`lines`]
 //!   that the schedule, journal and shard formats share;
 //! * [`faultspec`] — the fault-trigger grammar shared by the kernel and
 //!   host fault plans;
 //! * [`shard`] — the out-of-core binary trace: a [`ShardWriter`] that
-//!   records as an [`EventSink`], per-thread shard files, and a
-//!   salvaging [`ShardSet`] loader that hands the runs back in global
-//!   order. [`BatchKind`] names the batched read/write entries of both
-//!   the VM's event batch and the shard format.
+//!   records as a [`Tool`], per-thread shard files, a salvaging
+//!   [`ShardSet`] loader that hands the runs back in global order, and
+//!   [`replay_shards_into`], which delivers them to a tool the way the
+//!   live run did.
 //!
 //! The design mirrors the paper's model: the profiler is given per-thread
 //! traces of timestamped operations, which are logically merged into one
@@ -44,6 +48,7 @@
 //! assert_eq!(merged.len(), 3);
 //! ```
 
+pub mod batch;
 pub mod codec;
 pub mod event;
 pub mod faultspec;
@@ -59,8 +64,9 @@ pub mod shard;
 pub mod stats;
 pub mod trace;
 
+pub use batch::{BatchKind, EventBatch};
 pub use codec::{from_text, from_text_lossy, to_text};
-pub use event::{BatchKind, Event, SyncOp, TimedEvent};
+pub use event::{Event, SyncOp, TimedEvent};
 pub use faultspec::{FaultSpecError, FaultTrigger};
 pub use hostio::{HostFaultPlan, HostIo};
 pub use ids::{Addr, BlockId, NameTable, RoutineId, ThreadId};
@@ -68,11 +74,11 @@ pub use journal::{JournalRecord, ParseJournalError};
 pub use lines::{fnv1a, ParseLineError, Salvaged};
 pub use merge::{merge_traces, merge_traces_with_ties, TieBreaker};
 pub use obs::{Histogram, MergeError, Metrics};
-pub use replay::{replay, EventSink};
+pub use replay::{replay, Tool};
 pub use sched::{PreemptCause, SchedDecision, Schedule};
 pub use shard::{
-    SalvagedShard, ShardBatch, ShardEvent, ShardFrame, ShardRecord, ShardSet, ShardSummary,
-    ShardWriter,
+    replay_shards_into, SalvagedShard, ShardBatch, ShardEvent, ShardFrame, ShardRecord, ShardSet,
+    ShardSummary, ShardWriter,
 };
 pub use stats::TraceStats;
 pub use trace::ThreadTrace;

@@ -1,24 +1,33 @@
-//! Replaying a merged trace into an event consumer.
+//! The event-consumer interface, and replaying a merged trace into it.
 //!
-//! [`EventSink`] is the consumer-side interface of the profiling
-//! algorithms: one callback per event kind, plus `on_thread_switch`, which
-//! [`replay`] synthesizes between any two consecutive events issued by
-//! different threads — mirroring the paper's assumption that
-//! `switchThread` events are inserted in the merged trace.
+//! [`Tool`] is the analogue of a Valgrind tool plugin and the
+//! consumer-side interface of the profiling algorithms: one callback per
+//! event kind, plus `on_thread_switch`, which [`replay`] synthesizes
+//! between any two consecutive events issued by different threads —
+//! mirroring the paper's assumption that `switchThread` events are
+//! inserted in the merged trace. A tool also names itself and reports how
+//! much shadow state it allocated, which backs the paper's space overhead
+//! measurements.
 //!
 //! Live execution substrates (the guest VM) drive the same trait directly,
 //! so a profiler behaves identically online and offline; an integration
 //! test asserts this equivalence.
 
+use crate::batch::{BatchKind, EventBatch};
 use crate::event::{Event, SyncOp, TimedEvent};
 use crate::ids::{Addr, BlockId, RoutineId, ThreadId};
+use crate::obs::Metrics;
 
-/// Consumer of a totally-ordered instrumentation event stream.
+/// A dynamic-analysis tool: the consumer of a totally-ordered
+/// instrumentation event stream.
 ///
-/// All methods have empty default bodies so a consumer only overrides what
-/// it observes. `cost` arguments carry the issuing thread's cumulative cost
-/// (executed basic blocks by default) at the time of the event.
-pub trait EventSink {
+/// Every callback has an empty default body, so a tool only overrides
+/// what it observes. `cost` arguments carry the issuing thread's
+/// cumulative cost (executed basic blocks by default) at the time of the
+/// event. [`Tool::shadow_bytes`] reports host bytes spent on analysis
+/// metadata (shadow memories, shadow stacks, profile tables) and is
+/// sampled after the run for space-overhead accounting.
+pub trait Tool {
     /// A new thread begins; `parent` is `None` for the main thread.
     fn on_thread_start(&mut self, thread: ThreadId, parent: Option<ThreadId>) {
         let _ = (thread, parent);
@@ -65,20 +74,65 @@ pub trait EventSink {
     }
     /// The execution is complete; no further events will arrive.
     fn on_finish(&mut self) {}
+
+    /// Short tool name used in reports (e.g. `"aprof-drms"`).
+    fn name(&self) -> &str;
+
+    /// Host bytes currently allocated for analysis metadata.
+    fn shadow_bytes(&self) -> u64 {
+        0
+    }
+
+    /// Folds this tool's observability data into the run's metrics
+    /// registry. Called once after the run, never on the hot path.
+    ///
+    /// The default contribution is a `tool.<name>.shadow_bytes` gauge;
+    /// tools with richer internal state (shadow-memory caches, profile
+    /// tables) override this to add their own deterministic counters.
+    fn observe_metrics(&self, metrics: &mut Metrics) {
+        metrics.set_gauge(
+            format!("tool.{}.shadow_bytes", self.name()),
+            self.shadow_bytes(),
+        );
+    }
+
+    /// Delivers a batch of buffered read/write events, in emission order.
+    ///
+    /// The VM's decoded dispatch loop calls this instead of per-event
+    /// [`Tool::on_read`]/[`Tool::on_write`] when its configured event
+    /// batch holds more than one event. The default implementation
+    /// replays the batch through those per-event hooks, so existing tools
+    /// observe an identical stream; tools with a native batch path (the
+    /// drms profiler, memcheck, the shard writer) override this to
+    /// amortize per-delivery setup over the whole batch.
+    ///
+    /// Every entry belongs to [`EventBatch::thread`]; the VM flushes
+    /// before any other event kind, so overriding implementations may
+    /// assume no call/return/sync/kernel event interleaves a batch.
+    fn observe_batch(&mut self, batch: &EventBatch) {
+        let thread = batch.thread();
+        for (kind, addr, len) in batch.entries() {
+            match kind {
+                BatchKind::Read => self.on_read(thread, addr, len),
+                BatchKind::Write => self.on_write(thread, addr, len),
+            }
+        }
+    }
 }
 
 /// Replays a merged, totally-ordered event stream into `sink`, synthesizing
 /// `on_thread_switch` notifications whenever consecutive events belong to
-/// different threads, and calling [`EventSink::on_finish`] at the end.
+/// different threads, and calling [`Tool::on_finish`] at the end.
 ///
 /// # Example
 /// ```
-/// use drms_trace::{replay, EventSink, TimedEvent, Event, ThreadId, RoutineId};
+/// use drms_trace::{replay, Tool, TimedEvent, Event, ThreadId, RoutineId};
 ///
 /// #[derive(Default)]
 /// struct CallCounter(u64);
-/// impl EventSink for CallCounter {
+/// impl Tool for CallCounter {
 ///     fn on_call(&mut self, _: ThreadId, _: RoutineId, _: u64) { self.0 += 1; }
+///     fn name(&self) -> &str { "call-counter" }
 /// }
 ///
 /// let evs = vec![TimedEvent::new(1, ThreadId::MAIN, 0,
@@ -87,7 +141,7 @@ pub trait EventSink {
 /// replay(&evs, &mut sink);
 /// assert_eq!(sink.0, 1);
 /// ```
-pub fn replay<S: EventSink + ?Sized>(events: &[TimedEvent], sink: &mut S) {
+pub fn replay<S: Tool + ?Sized>(events: &[TimedEvent], sink: &mut S) {
     let mut current: Option<ThreadId> = None;
     for ev in events {
         if current != Some(ev.thread) {
@@ -99,7 +153,7 @@ pub fn replay<S: EventSink + ?Sized>(events: &[TimedEvent], sink: &mut S) {
     sink.on_finish();
 }
 
-fn dispatch<S: EventSink + ?Sized>(ev: &TimedEvent, sink: &mut S) {
+fn dispatch<S: Tool + ?Sized>(ev: &TimedEvent, sink: &mut S) {
     let t = ev.thread;
     match ev.event {
         Event::Call { routine } => sink.on_call(t, routine, ev.cost),
@@ -127,7 +181,10 @@ mod tests {
         finished: bool,
     }
 
-    impl EventSink for Recorder {
+    impl Tool for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
         fn on_thread_switch(&mut self, from: Option<ThreadId>, to: ThreadId) {
             self.switches.push((from, to));
         }

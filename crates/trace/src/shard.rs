@@ -7,14 +7,16 @@
 //! deliveries to one shard column by column, encodes the run as one
 //! frame straight into the shard's spill buffer, and flushes through the
 //! [`HostIo`] seam so host-fault chaos applies to every byte that
-//! reaches the disk. The writer is itself an [`EventSink`]: each callback
-//! encodes its own record. An offline [`ShardSet`] loads the shards back
+//! reaches the disk. The writer is itself a [`Tool`]: each callback
+//! encodes its own record, and [`Tool::observe_batch`] stages a whole
+//! [`EventBatch`] columnar. An offline [`ShardSet`] loads the shards back
 //! (in parallel across shards), keeps each one's verifying byte prefix
 //! plus an index of its frames, and hands the runs out in their original
-//! global order ([`ShardSet::frames_in_order`]), each decoded in place;
-//! [`deliver_event`] turns a stored event back into its callback. A
-//! write-then-replay run is byte-identical to the in-memory run it
-//! recorded.
+//! global order ([`ShardSet::frames_in_order`]), each decoded in place.
+//! [`replay_shards_into`] is the one shard replay: [`deliver_event`]
+//! turns each stored event back into its callback, and each stored batch
+//! reaches the tool as one [`EventBatch`] again, so a write-then-replay
+//! run is byte-identical to the in-memory run it recorded.
 //!
 //! # Format
 //!
@@ -95,12 +97,13 @@
 //! manifest (the writer crashed mid-run) a torn tail counts as one
 //! dropped frame.
 
-use crate::event::{BatchKind, SyncOp};
+use crate::batch::{BatchKind, EventBatch};
+use crate::event::SyncOp;
 use crate::hostio::HostIo;
 use crate::ids::{Addr, BlockId, RoutineId, ThreadId};
 use crate::lines::{fnv1a, fnv1a_extend, verify_token, FNV_OFFSET, FNV_PRIME};
 use crate::obs::Metrics;
-use crate::replay::EventSink;
+use crate::replay::Tool;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
@@ -195,7 +198,7 @@ fn frame_checksum(payload: &[u8]) -> u64 {
 }
 
 /// One instrumentation event as the shard format stores it: the
-/// [`EventSink`] callback vocabulary (costs included), not the merged
+/// [`Tool`] callback vocabulary (costs included), not the merged
 /// [`crate::TimedEvent`] one.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ShardEvent {
@@ -629,7 +632,8 @@ impl Run {
         self.b.push(b);
     }
 
-    fn push_batch(&mut self, kinds: &[BatchKind], addrs: &[Addr], lens: &[u32]) {
+    fn push_batch(&mut self, batch: &EventBatch) {
+        let (kinds, addrs, lens) = batch.arrays();
         self.push(K_BATCH, None, addrs.len() as u32);
         self.kinds.extend(kinds.iter().map(|&k| k as u8));
         self.a.extend(addrs.iter().map(|a| a.raw()));
@@ -711,11 +715,11 @@ impl ShardSummary {
 /// disks, and a crashed or faulted run leaves shards whose checksummed
 /// prefix [`ShardSet::load`] salvages.
 ///
-/// Events arrive through the writer's [`EventSink`] callbacks, each
-/// encoding its own record, and read/write batches through
-/// [`ShardWriter::record_batch`]. A run ends when the next delivery goes
-/// to another shard, so only one run is ever open and the writer stages
-/// it in one place.
+/// Events arrive through the writer's [`Tool`] callbacks, each encoding
+/// its own record, and read/write batches through
+/// [`Tool::observe_batch`]. A run ends when the next delivery goes to
+/// another shard, so only one run is ever open and the writer stages it
+/// in one place.
 pub struct ShardWriter {
     io: HostIo,
     dir: PathBuf,
@@ -756,26 +760,6 @@ impl ShardWriter {
     fn record(&mut self, thread: ThreadId, kind: u8, a: Option<u64>, b: u32) {
         if self.begin(thread) {
             self.run.push(kind, a, b);
-            self.end_run_at_cap();
-        }
-    }
-
-    /// Records one whole read/write batch into `thread`'s shard, in the
-    /// same columnar layout it had in memory: the three columns must be
-    /// equally long.
-    pub fn record_batch(
-        &mut self,
-        thread: ThreadId,
-        kinds: &[BatchKind],
-        addrs: &[Addr],
-        lens: &[u32],
-    ) {
-        assert!(
-            kinds.len() == addrs.len() && addrs.len() == lens.len(),
-            "batch columns differ in length"
-        );
-        if self.begin(thread) {
-            self.run.push_batch(kinds, addrs, lens);
             self.end_run_at_cap();
         }
     }
@@ -912,7 +896,12 @@ impl ShardWriter {
     }
 }
 
-impl EventSink for ShardWriter {
+/// The writer's state is bounded I/O buffering, not shadow memory, so
+/// its `shadow_bytes` is the default 0.
+impl Tool for ShardWriter {
+    fn name(&self) -> &str {
+        "shard-writer"
+    }
     fn on_thread_start(&mut self, thread: ThreadId, parent: Option<ThreadId>) {
         self.record(thread, K_THREAD_START, None, thread_operand(parent));
     }
@@ -965,7 +954,16 @@ impl EventSink for ShardWriter {
         );
     }
     // on_finish is deliberately not recorded: the offline replay
-    // finishes its sinks itself, once, after the merged stream ends.
+    // finishes its tools itself, once, after the merged stream ends.
+
+    /// Native batch path: the whole batch is staged columnar into the
+    /// open run, preserving the struct-of-arrays layout end to end.
+    fn observe_batch(&mut self, batch: &EventBatch) {
+        if self.begin(batch.thread()) {
+            self.run.push_batch(batch);
+            self.end_run_at_cap();
+        }
+    }
 }
 
 /// The salvaged contents of one shard file: its verifying byte prefix
@@ -1327,10 +1325,10 @@ impl<'a> Iterator for Merge<'a> {
     }
 }
 
-/// Delivers one event of `thread`'s shard to an [`EventSink`]: the one
-/// map from a [`ShardEvent`] back to its callback, and so, into a
+/// Delivers one event of `thread`'s shard to a [`Tool`]: the one map
+/// from a [`ShardEvent`] back to its callback, and so, into a
 /// [`ShardWriter`], the way to record a single event.
-pub fn deliver_event<S: EventSink + ?Sized>(thread: ThreadId, event: ShardEvent, sink: &mut S) {
+pub fn deliver_event<S: Tool + ?Sized>(thread: ThreadId, event: ShardEvent, sink: &mut S) {
     let t = thread;
     match event {
         ShardEvent::ThreadStart { parent } => sink.on_thread_start(t, parent),
@@ -1345,6 +1343,30 @@ pub fn deliver_event<S: EventSink + ?Sized>(thread: ThreadId, event: ShardEvent,
         ShardEvent::Sync { op } => sink.on_sync(t, op),
         ShardEvent::Block { routine, block } => sink.on_block(t, routine, block),
     }
+}
+
+/// Replays a loaded shard set into `tool` with the live run's delivery
+/// shape: single events arrive through their callbacks
+/// ([`deliver_event`]), stored batches arrive through
+/// [`Tool::observe_batch`] as one [`EventBatch`] each, reused and filled
+/// straight from the run's columns. Finishes the tool at the end.
+pub fn replay_shards_into<T: Tool + ?Sized>(set: &ShardSet, tool: &mut T) {
+    let mut batch = EventBatch::default();
+    for frame in set.frames_in_order() {
+        for record in frame.records() {
+            match record {
+                ShardRecord::Event(event) => deliver_event(frame.thread, event, tool),
+                ShardRecord::Batch(columns) => {
+                    batch.clear();
+                    batch.ensure_capacity(columns.len());
+                    batch.set_thread(frame.thread);
+                    columns.for_each_entry(|kind, addr, len| batch.push(kind, addr, len));
+                    tool.observe_batch(&batch);
+                }
+            }
+        }
+    }
+    tool.on_finish();
 }
 
 #[cfg(test)]
@@ -1413,6 +1435,16 @@ mod tests {
         out
     }
 
+    /// `thread`'s batch of the entries the three columns hold.
+    fn batch(thread: ThreadId, kinds: &[BatchKind], addrs: &[Addr], lens: &[u32]) -> EventBatch {
+        let mut b = EventBatch::with_capacity(kinds.len());
+        b.set_thread(thread);
+        for ((&k, &a), &l) in kinds.iter().zip(addrs).zip(lens) {
+            b.push(k, a, l);
+        }
+        b
+    }
+
     #[test]
     fn write_load_replay_roundtrip_in_global_order() {
         let dir = tmp_dir("roundtrip");
@@ -1421,12 +1453,12 @@ mod tests {
         for &(t, e) in &sample_events() {
             deliver_event(t, e, &mut w);
         }
-        w.record_batch(
+        w.observe_batch(&batch(
             ThreadId::new(1),
             &[BatchKind::Read, BatchKind::Write],
             &[Addr::new(0x200), Addr::new(0x1_0000_0208)],
             &[1, 70_000],
-        );
+        ));
         let summary = w.finish().unwrap();
         // One frame per run: t0 1–3, t1 4–6, t0 7–8, t1's batch 9.
         assert_eq!(summary.frames, 4);
@@ -1532,7 +1564,7 @@ mod tests {
         }
         let kinds = [BatchKind::Read, BatchKind::Write];
         let (addrs, lens) = ([Addr::new(1 << 32), top], [u32::MAX, 0]);
-        w.record_batch(shard(events.len()), &kinds, &addrs, &lens);
+        w.observe_batch(&batch(shard(events.len()), &kinds, &addrs, &lens));
         w.finish().unwrap();
 
         let set = ShardSet::load(&dir, 2).unwrap();
@@ -1616,7 +1648,7 @@ mod tests {
         // The next run holds 10 records; this batch takes it past the cap.
         let addrs: Vec<Addr> = (0..RUN_RECORD_CAP as u64).map(Addr::new).collect();
         let kinds = vec![BatchKind::Write; addrs.len()];
-        w.record_batch(t, &kinds, &addrs, &vec![2; addrs.len()]);
+        w.observe_batch(&batch(t, &kinds, &addrs, &vec![2; addrs.len()]));
         w.on_thread_exit(t, 5);
         let summary = w.finish().unwrap();
         assert_eq!(summary.frames, 3);
@@ -1774,12 +1806,12 @@ mod tests {
         let dir = tmp_dir("top-bits");
         let mut w = ShardWriter::create(&HostIo::real(), &dir, 64).unwrap();
         let addrs = [0x10, 0x20, 0x30, 1 << 40].map(Addr::new);
-        w.record_batch(
+        w.observe_batch(&batch(
             ThreadId::new(0),
             &[BatchKind::Read; 4],
             &addrs,
             &[1, 2, 4, 8],
-        );
+        ));
         w.finish().unwrap();
         let victim = dir.join("shard-0.bin");
         let pristine = std::fs::read(&victim).unwrap();
@@ -1886,7 +1918,7 @@ mod tests {
                 if n.is_multiple_of(5) {
                     let next = Addr::new(n * 10 + 1);
                     let kinds = [BatchKind::Read; 2];
-                    w.record_batch(t, &kinds, &[addr, next], &[1, 1]);
+                    w.observe_batch(&batch(t, &kinds, &[addr, next], &[1, 1]));
                     expected.extend([(t, addr.raw()), (t, next.raw())]);
                 } else {
                     w.on_read(t, addr, 1);

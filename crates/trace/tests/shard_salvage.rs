@@ -16,7 +16,7 @@ use drms_trace::obs::Metrics;
 use drms_trace::shard::{
     deliver_event, ShardEvent, ShardFrame, ShardRecord, ShardSet, ShardWriter, SHARD_MAGIC,
 };
-use drms_trace::{Addr, BatchKind, BlockId, HostIo, RoutineId, SyncOp, ThreadId};
+use drms_trace::{Addr, BatchKind, BlockId, EventBatch, HostIo, RoutineId, SyncOp, ThreadId, Tool};
 use std::path::{Path, PathBuf};
 
 fn scratch(name: &str) -> PathBuf {
@@ -58,11 +58,13 @@ fn write_sample(dir: &Path) -> (u64, u64) {
             &mut w,
         );
         deliver_event(other, ShardEvent::ThreadSwitch { from: Some(t) }, &mut w);
-        let kinds = [BatchKind::Read, BatchKind::Write].repeat(2);
-        let addrs: Vec<Addr> = (0..4u32)
-            .map(|j| Addr::new(0x2000 + u64::from(i * 4 + j)))
-            .collect();
-        w.record_batch(t, &kinds, &addrs, &[4 << (4 * i); 4]);
+        let mut batch = EventBatch::with_capacity(4);
+        batch.set_thread(t);
+        for j in 0..4u32 {
+            let kind = [BatchKind::Read, BatchKind::Write][j as usize % 2];
+            batch.push(kind, Addr::new(0x2000 + u64::from(i * 4 + j)), 4 << (4 * i));
+        }
+        w.observe_batch(&batch);
         deliver_event(
             t,
             ShardEvent::Return {

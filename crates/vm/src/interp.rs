@@ -7,7 +7,6 @@
 //! [`Tool`] in a single total order, which is exactly the merged trace the
 //! paper's profiling algorithm consumes.
 
-use crate::batch::{BatchKind, EventBatch};
 use crate::decode::{BinHalf, DecodedOp, DecodedProgram};
 use crate::ir::{Inst, Operand, Program, Reg, Terminator, ValidateError};
 use crate::kernel::{Direction, Kernel, KernelError, Syscall};
@@ -16,9 +15,11 @@ use crate::rng::SmallRng;
 use crate::sched::{Scheduler, StepKind, SLICE_STEP_BOUNDS};
 use crate::shadow::ADDRESS_LIMIT;
 use crate::stats::{CostKind, DecodeMode, RunConfig, RunStats, SchedPolicy};
-use crate::tool::Tool;
 use drms_trace::sched::PreemptCause;
-use drms_trace::{Addr, BlockId, Histogram, Metrics, RoutineId, Schedule, SyncOp, ThreadId};
+use drms_trace::{
+    Addr, BatchKind, BlockId, EventBatch, Histogram, Metrics, RoutineId, Schedule, SyncOp,
+    ThreadId, Tool,
+};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -2215,12 +2216,10 @@ mod tests {
         struct FinishProbe {
             finished: bool,
         }
-        impl drms_trace::EventSink for FinishProbe {
+        impl Tool for FinishProbe {
             fn on_finish(&mut self) {
                 self.finished = true;
             }
-        }
-        impl Tool for FinishProbe {
             fn name(&self) -> &str {
                 "finish-probe"
             }
@@ -2256,12 +2255,10 @@ mod tests {
         struct K2uProbe {
             cells: Vec<u32>,
         }
-        impl drms_trace::EventSink for K2uProbe {
+        impl Tool for K2uProbe {
             fn on_kernel_to_user(&mut self, _t: ThreadId, _addr: Addr, len: u32) {
                 self.cells.push(len);
             }
-        }
-        impl Tool for K2uProbe {
             fn name(&self) -> &str {
                 "k2u-probe"
             }

@@ -38,7 +38,6 @@
 //! assert!(stats.basic_blocks > 10);
 //! ```
 
-pub mod batch;
 pub mod builder;
 pub mod decode;
 pub mod disasm;
@@ -51,11 +50,9 @@ pub mod recorder;
 pub mod rng;
 pub mod sched;
 pub mod shadow;
-pub mod shard_tool;
 pub mod stats;
 pub mod tool;
 
-pub use batch::{BatchKind, EventBatch};
 pub use builder::{BuildError, FnBuilder, ProgramBuilder};
 pub use decode::{DecodeStats, DecodedProgram};
 pub use disasm::{disassemble, routine_listing};
@@ -70,9 +67,10 @@ pub use recorder::TraceRecorder;
 pub use rng::SmallRng;
 pub use shadow::ShadowCacheStats;
 pub use shadow::ShadowMemory;
-pub use shard_tool::replay_shards_into;
 pub use stats::{CostKind, DecodeMode, EventCounters, RunConfig, RunStats, SchedPolicy};
-pub use tool::{MultiTool, NullTool, Tool};
+pub use tool::{MultiTool, NullTool};
+
+pub use drms_trace::{replay_shards_into, BatchKind, EventBatch, Tool};
 
 // Schedule model re-exports, so VM users need not depend on the trace
 // crate directly to record or replay schedules.

@@ -7,8 +7,7 @@
 //! notifications, which carry no information) — the equivalence the
 //! paper's offline trace-merging formulation relies on.
 
-use crate::tool::Tool;
-use drms_trace::{Addr, BlockId, Event, EventSink, RoutineId, SyncOp, ThreadId, ThreadTrace};
+use drms_trace::{Addr, BlockId, Event, RoutineId, SyncOp, ThreadId, ThreadTrace, Tool};
 
 /// A tool that records every event into per-thread traces.
 ///
@@ -76,7 +75,11 @@ impl TraceRecorder {
     }
 }
 
-impl EventSink for TraceRecorder {
+impl Tool for TraceRecorder {
+    fn name(&self) -> &str {
+        "trace-recorder"
+    }
+
     fn on_thread_start(&mut self, thread: ThreadId, parent: Option<ThreadId>) {
         self.record(thread, Some(0), Event::ThreadStart { parent });
     }
@@ -106,12 +109,6 @@ impl EventSink for TraceRecorder {
     }
     fn on_block(&mut self, thread: ThreadId, routine: RoutineId, block: BlockId) {
         self.record(thread, None, Event::Block { routine, block });
-    }
-}
-
-impl Tool for TraceRecorder {
-    fn name(&self) -> &str {
-        "trace-recorder"
     }
 
     fn shadow_bytes(&self) -> u64 {

@@ -67,7 +67,7 @@ pub struct ShadowMemory<T> {
     /// boxed and never move once materialized (only `clear` frees them),
     /// so the pointer stays valid for the structure's lifetime between
     /// clears. `writable` records whether the pointer was derived from a
-    /// mutable borrow (in `set`); pointers cached by `get` carry
+    /// mutable borrow (in `slot_mut`); pointers cached by `get` carry
     /// read-only provenance and are never written through.
     last: Cell<Option<(u64, NonNull<T>, bool)>>,
     /// Last-leaf fast-path hits (`Cell`: `get` counts through `&self`).
@@ -226,44 +226,7 @@ impl<T: Copy + Default> ShadowMemory<T> {
     /// take a one-comparison fast path.
     #[inline]
     pub fn set(&mut self, addr: Addr, value: T) {
-        self.lookups.set(self.lookups.get() + 1);
-        if let Some((tag, ptr, true)) = self.last.get() {
-            if tag == Self::leaf_tag(addr) {
-                self.hits.set(self.hits.get() + 1);
-                let leaf = (addr.raw() & (LEAF_CELLS as u64 - 1)) as usize;
-                // SAFETY: same invariant as in `get`, plus
-                // `writable == true` means the pointer was derived from a
-                // mutable borrow; `&mut self` grants exclusive access to
-                // the leaf it refers to.
-                unsafe { *ptr.as_ptr().add(leaf) = value };
-                return;
-            }
-        }
-        self.misses.set(self.misses.get() + 1);
-        let (l1, l2, leaf) = Self::split(addr);
-        if self.root.len() <= l1 {
-            self.root.resize_with(l1 + 1, || None);
-        }
-        let level2 = self.root[l1].get_or_insert_with(|| Box::new(Level2::new()));
-        let chunk = match &mut level2.leaves[l2] {
-            Some(c) => c,
-            slot @ None => {
-                self.leaf_count += 1;
-                self.leaf_allocs += 1;
-                slot.insert(
-                    vec![T::default(); LEAF_CELLS]
-                        .into_boxed_slice()
-                        .try_into()
-                        .unwrap_or_else(|_| unreachable!()),
-                )
-            }
-        };
-        chunk[leaf] = value;
-        self.last.set(Some((
-            Self::leaf_tag(addr),
-            NonNull::from(&mut chunk[0]),
-            true,
-        )));
+        *self.slot_mut(addr) = value;
     }
 
     /// A mutable reference to the shadow cell of `addr`, materializing
@@ -279,10 +242,10 @@ impl<T: Copy + Default> ShadowMemory<T> {
             if tag == Self::leaf_tag(addr) {
                 self.hits.set(self.hits.get() + 1);
                 let leaf = (addr.raw() & (LEAF_CELLS as u64 - 1)) as usize;
-                // SAFETY: same invariant as in `set`: the pointer was
-                // derived from a mutable borrow of a live leaf chunk and
-                // `&mut self` grants exclusive access for the returned
-                // lifetime.
+                // SAFETY: same invariant as in `get`, plus
+                // `writable == true` means the pointer was derived from a
+                // mutable borrow of a live leaf chunk; `&mut self` grants
+                // exclusive access for the returned lifetime.
                 return unsafe { &mut *ptr.as_ptr().add(leaf) };
             }
         }

@@ -333,7 +333,7 @@ mod tests {
         let by_kind_sum: u64 = c.by_kind().iter().map(|(_, v)| v).sum();
         assert_eq!(c.total(), by_kind_sum);
         assert_eq!(c.total(), 66);
-        assert_eq!(c.by_kind().len(), 11, "one entry per EventSink callback");
+        assert_eq!(c.by_kind().len(), 11, "one entry per Tool callback");
     }
 
     #[test]

@@ -1,64 +1,8 @@
-//! The instrumentation-tool interface.
-//!
-//! A [`Tool`] is the analogue of a Valgrind tool plugin: it consumes the
-//! instrumentation event stream (the [`EventSink`] callbacks) and reports
-//! how much shadow state it allocated, which backs the paper's space
-//! overhead measurements.
+//! The tools the VM itself provides: [`NullTool`], which observes
+//! nothing, and [`MultiTool`], which fans one event stream out to several
+//! [`Tool`]s.
 
-use crate::batch::{BatchKind, EventBatch};
-use drms_trace::{EventSink, Metrics};
-
-/// A dynamic-analysis tool attached to a guest execution.
-///
-/// Implementors receive every instrumentation event through their
-/// [`EventSink`] methods. [`Tool::shadow_bytes`] reports host bytes spent
-/// on analysis metadata (shadow memories, shadow stacks, profile tables)
-/// and is sampled after the run for space-overhead accounting.
-pub trait Tool: EventSink {
-    /// Short tool name used in reports (e.g. `"aprof-drms"`).
-    fn name(&self) -> &str;
-
-    /// Host bytes currently allocated for analysis metadata.
-    fn shadow_bytes(&self) -> u64 {
-        0
-    }
-
-    /// Folds this tool's observability data into the run's metrics
-    /// registry. Called once after the run, never on the hot path.
-    ///
-    /// The default contribution is a `tool.<name>.shadow_bytes` gauge;
-    /// tools with richer internal state (shadow-memory caches, profile
-    /// tables) override this to add their own deterministic counters.
-    fn observe_metrics(&self, metrics: &mut Metrics) {
-        metrics.set_gauge(
-            format!("tool.{}.shadow_bytes", self.name()),
-            self.shadow_bytes(),
-        );
-    }
-
-    /// Delivers a batch of buffered read/write events, in emission order.
-    ///
-    /// The decoded dispatch loop calls this instead of per-event
-    /// [`EventSink::on_read`]/[`EventSink::on_write`] when
-    /// [`RunConfig::event_batch`](crate::RunConfig::event_batch) > 1. The
-    /// default implementation replays the batch through those per-event
-    /// hooks, so existing tools observe an identical stream; tools with a
-    /// native batch path (the drms profiler, memcheck) override this to
-    /// amortize per-delivery setup over the whole batch.
-    ///
-    /// Every entry belongs to [`EventBatch::thread`]; the VM flushes
-    /// before any other event kind, so overriding implementations may
-    /// assume no call/return/sync/kernel event interleaves a batch.
-    fn observe_batch(&mut self, batch: &EventBatch) {
-        let thread = batch.thread();
-        for (kind, addr, len) in batch.entries() {
-            match kind {
-                BatchKind::Read => self.on_read(thread, addr, len),
-                BatchKind::Write => self.on_write(thread, addr, len),
-            }
-        }
-    }
-}
+use drms_trace::{EventBatch, Metrics, Tool};
 
 /// The `nulgrind` analogue: subscribes to the event stream and does
 /// nothing, measuring the bare instrumentation-dispatch overhead.
@@ -72,8 +16,6 @@ pub trait Tool: EventSink {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct NullTool;
-
-impl EventSink for NullTool {}
 
 impl Tool for NullTool {
     fn name(&self) -> &str {
@@ -128,34 +70,33 @@ impl std::fmt::Debug for MultiTool<'_> {
     }
 }
 
+/// Emits one fan-out body per callback inside `MultiTool`'s `impl`.
 macro_rules! fan_out {
     ($($method:ident ( $($arg:ident : $ty:ty),* );)*) => {
-        impl EventSink for MultiTool<'_> {
-            $(fn $method(&mut self, $($arg: $ty),*) {
-                for t in self.tools.iter_mut() {
-                    t.$method($($arg),*);
-                }
-            })*
-        }
+        $(fn $method(&mut self, $($arg: $ty),*) {
+            for t in self.tools.iter_mut() {
+                t.$method($($arg),*);
+            }
+        })*
     };
 }
 
-fan_out! {
-    on_thread_start(thread: drms_trace::ThreadId, parent: Option<drms_trace::ThreadId>);
-    on_thread_exit(thread: drms_trace::ThreadId, cost: u64);
-    on_thread_switch(from: Option<drms_trace::ThreadId>, to: drms_trace::ThreadId);
-    on_call(thread: drms_trace::ThreadId, routine: drms_trace::RoutineId, cost: u64);
-    on_return(thread: drms_trace::ThreadId, routine: drms_trace::RoutineId, cost: u64);
-    on_read(thread: drms_trace::ThreadId, addr: drms_trace::Addr, len: u32);
-    on_write(thread: drms_trace::ThreadId, addr: drms_trace::Addr, len: u32);
-    on_user_to_kernel(thread: drms_trace::ThreadId, addr: drms_trace::Addr, len: u32);
-    on_kernel_to_user(thread: drms_trace::ThreadId, addr: drms_trace::Addr, len: u32);
-    on_sync(thread: drms_trace::ThreadId, op: drms_trace::SyncOp);
-    on_block(thread: drms_trace::ThreadId, routine: drms_trace::RoutineId, block: drms_trace::BlockId);
-    on_finish();
-}
-
 impl Tool for MultiTool<'_> {
+    fan_out! {
+        on_thread_start(thread: drms_trace::ThreadId, parent: Option<drms_trace::ThreadId>);
+        on_thread_exit(thread: drms_trace::ThreadId, cost: u64);
+        on_thread_switch(from: Option<drms_trace::ThreadId>, to: drms_trace::ThreadId);
+        on_call(thread: drms_trace::ThreadId, routine: drms_trace::RoutineId, cost: u64);
+        on_return(thread: drms_trace::ThreadId, routine: drms_trace::RoutineId, cost: u64);
+        on_read(thread: drms_trace::ThreadId, addr: drms_trace::Addr, len: u32);
+        on_write(thread: drms_trace::ThreadId, addr: drms_trace::Addr, len: u32);
+        on_user_to_kernel(thread: drms_trace::ThreadId, addr: drms_trace::Addr, len: u32);
+        on_kernel_to_user(thread: drms_trace::ThreadId, addr: drms_trace::Addr, len: u32);
+        on_sync(thread: drms_trace::ThreadId, op: drms_trace::SyncOp);
+        on_block(thread: drms_trace::ThreadId, routine: drms_trace::RoutineId, block: drms_trace::BlockId);
+        on_finish();
+    }
+
     fn name(&self) -> &str {
         "multi"
     }
@@ -191,15 +132,13 @@ mod tests {
         calls: u64,
         finished: bool,
     }
-    impl EventSink for Counter {
+    impl Tool for Counter {
         fn on_call(&mut self, _: ThreadId, _: RoutineId, _: u64) {
             self.calls += 1;
         }
         fn on_finish(&mut self) {
             self.finished = true;
         }
-    }
-    impl Tool for Counter {
         fn name(&self) -> &str {
             "counter"
         }
@@ -232,19 +171,17 @@ mod tests {
 
     #[test]
     fn default_observe_batch_replays_per_event() {
-        use drms_trace::Addr;
+        use drms_trace::{Addr, BatchKind};
 
         #[derive(Default)]
         struct Log(Vec<(bool, u64, u32)>);
-        impl EventSink for Log {
+        impl Tool for Log {
             fn on_read(&mut self, _: ThreadId, addr: Addr, len: u32) {
                 self.0.push((false, addr.raw(), len));
             }
             fn on_write(&mut self, _: ThreadId, addr: Addr, len: u32) {
                 self.0.push((true, addr.raw(), len));
             }
-        }
-        impl Tool for Log {
             fn name(&self) -> &str {
                 "log"
             }

@@ -139,15 +139,13 @@ fn drms_dominates_rms_on_every_profile() {
 
 #[test]
 fn block_tracing_mode_delivers_block_events() {
-    use drms::trace::{BlockId, EventSink, RoutineId, ThreadId};
+    use drms::trace::{BlockId, RoutineId, ThreadId};
     #[derive(Default)]
     struct BlockCounter(u64);
-    impl EventSink for BlockCounter {
+    impl drms::vm::Tool for BlockCounter {
         fn on_block(&mut self, _: ThreadId, _: RoutineId, _: BlockId) {
             self.0 += 1;
         }
-    }
-    impl drms::vm::Tool for BlockCounter {
         fn name(&self) -> &str {
             "block-counter"
         }

@@ -3,7 +3,8 @@
 //! environment has no network access, so no external fuzzing crate):
 //!
 //! * the read/write timestamping algorithm agrees with the naive
-//!   set-based oracle (Figure 7 vs Figure 8) on arbitrary interleavings;
+//!   set-based oracle (Figure 7 vs Figure 8) on arbitrary interleavings,
+//!   delivered per event and in read/write batches of random capacity;
 //! * timestamp renumbering never changes profiles;
 //! * `drms ≥ rms` on every activation (paper Inequality 1);
 //! * the trace codec round-trips arbitrary traces;
@@ -16,8 +17,8 @@
 use drms::analysis::{CostPlot, InputMetric};
 use drms::core::{DrmsConfig, DrmsProfiler, NaiveProfiler, RmsProfiler};
 use drms::trace::{
-    codec, merge_traces, merge_traces_with_ties, replay, Addr, Event, RoutineId, ThreadId,
-    ThreadTrace, TieBreaker, TimedEvent,
+    codec, merge_traces, merge_traces_with_ties, replay, Addr, BatchKind, Event, EventBatch,
+    RoutineId, ThreadId, ThreadTrace, TieBreaker, TimedEvent, Tool,
 };
 use drms::vm::{FaultPlan, SmallRng};
 
@@ -163,6 +164,90 @@ fn timestamping_matches_naive_oracle() {
                 "drms mismatch at {r}/{t}, case {case}"
             );
             assert_eq!(&p.by_rms, &q.by_rms, "rms mismatch at {r}/{t}, case {case}");
+        }
+    }
+}
+
+/// Replays `events` the way the VM's decoded loop delivers them: each
+/// thread's consecutive reads and writes reach `tool` through
+/// `observe_batch`, in batches of up to `capacity` entries flushed when
+/// full, before any other event, before each thread switch (synthesized
+/// as [`replay`] does) and at the end.
+fn replay_batched<T: Tool>(events: &[TimedEvent], capacity: usize, tool: &mut T) {
+    let mut batch = EventBatch::with_capacity(capacity);
+    let mut current = None;
+    for ev in events {
+        let (t, cost) = (ev.thread, ev.cost);
+        let entry = match ev.event {
+            Event::Read { addr, len } => Some((BatchKind::Read, addr, len)),
+            Event::Write { addr, len } => Some((BatchKind::Write, addr, len)),
+            _ => None,
+        };
+        if !batch.is_empty() && (current != Some(t) || entry.is_none() || batch.is_full()) {
+            tool.observe_batch(&batch);
+            batch.clear();
+        }
+        if current != Some(t) {
+            tool.on_thread_switch(current, t);
+            current = Some(t);
+        }
+        match (entry, ev.event) {
+            (Some((kind, addr, len)), _) => {
+                if batch.is_empty() {
+                    batch.set_thread(t);
+                }
+                batch.push(kind, addr, len);
+            }
+            (None, Event::Call { routine }) => tool.on_call(t, routine, cost),
+            (None, Event::Return { routine }) => tool.on_return(t, routine, cost),
+            (None, Event::UserToKernel { addr, len }) => tool.on_user_to_kernel(t, addr, len),
+            (None, Event::KernelToUser { addr, len }) => tool.on_kernel_to_user(t, addr, len),
+            (None, Event::ThreadStart { parent }) => tool.on_thread_start(t, parent),
+            (None, Event::ThreadExit) => tool.on_thread_exit(t, cost),
+            (None, Event::Sync { op }) => tool.on_sync(t, op),
+            (None, Event::Block { routine, block }) => tool.on_block(t, routine, block),
+            (None, Event::Read { .. } | Event::Write { .. }) => unreachable!("batched above"),
+        }
+    }
+    if !batch.is_empty() {
+        tool.observe_batch(&batch);
+    }
+    tool.on_finish();
+}
+
+/// The fast profiler's native batch path against the naive oracle
+/// (which unrolls each batch through its per-event hooks): batch
+/// boundaries, at any capacity, never change a profile.
+#[test]
+fn batched_timestamping_matches_naive_oracle() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0xBA7C ^ case);
+        let merged = merge_traces(random_interleaving(&mut rng));
+        let capacity = rng.gen_range(1usize..65);
+        let mut per_event = DrmsProfiler::new(DrmsConfig::full());
+        replay(&merged, &mut per_event);
+        let mut fast = DrmsProfiler::new(DrmsConfig::full());
+        replay_batched(&merged, capacity, &mut fast);
+        let mut oracle = NaiveProfiler::new();
+        replay_batched(&merged, capacity, &mut oracle);
+        let a = fast.into_report();
+        let b = oracle.into_report();
+        assert_eq!(
+            a,
+            per_event.into_report(),
+            "case {case}, capacity {capacity}"
+        );
+        assert_eq!(a.len(), b.len(), "case {case}");
+        for (&(r, t), p) in a.iter() {
+            let q = b.get(r, t).expect("oracle has the same profiles");
+            assert_eq!(
+                &p.by_drms, &q.by_drms,
+                "drms mismatch at {r}/{t}, case {case}, capacity {capacity}"
+            );
+            assert_eq!(
+                &p.by_rms, &q.by_rms,
+                "rms mismatch at {r}/{t}, case {case}, capacity {capacity}"
+            );
         }
     }
 }
