@@ -452,14 +452,29 @@ ka_ok=$(grep -c "HTTP/1.1 200" target/repro/aprofd/ka.out) || ka_ok=0
 "$aprofctl" --addr-file target/repro/aprofd/addr-ka shutdown > /dev/null
 wait "$daemon_ka"
 
-# Benchmark smoke gate: perfbench is a separate package that calls the
+# Benchmark smoke gates: perfbench is a separate package that calls the
 # supervisor, journal and decoder APIs, so nothing else compiles it.
-# One short traced out-of-core run must build and fail no operation;
-# its ladder checks the daemon's bench.json against a direct
-# run_supervised_with of the same spec.
-perfbench_last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload out_of_core --seed 1 --seconds 1 --trace 1 | tail -n 1)
-echo "$perfbench_last" | grep -q '"failed": 0,' \
-    || { echo "ci: perfbench smoke run failed: ${perfbench_last:0:200}" >&2; exit 1; }
+# One short run per workload must build and fail no operation; every
+# run checks its cells against the reference interpreter.
+# * out_of_core, traced: its ladder checks the daemon's bench.json
+#   against a direct run_supervised_with of the same spec.
+# * hot_loop, traced: the decoded block loop on a real workload. Its
+#   vm.decode.fused must exceed 1, the single site the decoder fused
+#   before compare+branch and op+move, so the fused idioms provably
+#   reach the benchmark's hot loop.
+# * induced_input: also checks the naive Fig. 7 oracle.
+for run in out_of_core:1 hot_loop:1 induced_input:0; do
+    workload=${run%:*}
+    perfbench_last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace "${run#*:}" | tail -n 1)
+    echo "$perfbench_last" | grep -q '"failed": 0,' \
+        || { echo "ci: perfbench $workload smoke run failed: ${perfbench_last:0:200}" >&2; exit 1; }
+    if [ "$workload" = hot_loop ]; then
+        fused=$(echo "$perfbench_last" \
+            | sed -n 's/.*"vm\.decode\.fused": {"value": \([0-9.]*\).*/\1/p')
+        awk -v f="${fused:-0}" 'BEGIN { exit !(f > 1) }' \
+            || { echo "ci: hot_loop vm.decode.fused is ${fused:-missing}, want > 1" >&2; exit 1; }
+    fi
+done
 
 echo "ci: all green"

@@ -1210,16 +1210,32 @@ struct AcceptQueue {
 /// unbounded thread per socket. Refuses new submissions while draining
 /// and returns once no job is mid-run, after joining the io pool. Both
 /// the `aprofd` binary and the in-process tests run this.
+///
+/// # Errors
+/// [`std::io::ErrorKind::InvalidInput`], before any thread starts, when
+/// `io_threads` or `max_connections` is 0: no connection could ever be
+/// handled. Otherwise the listener's own errors.
 pub fn serve(daemon: Arc<Daemon>, listener: TcpListener) -> std::io::Result<()> {
+    for (name, count) in [
+        ("io_threads", daemon.cfg.io_threads),
+        ("max_connections", daemon.cfg.max_connections),
+    ] {
+        if count == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{name} must be >= 1: 0 would never handle a connection"),
+            ));
+        }
+    }
     listener.set_nonblocking(true)?;
     let slots = Arc::new(AtomicUsize::new(0));
-    let max_connections = daemon.cfg.max_connections.max(1);
+    let max_connections = daemon.cfg.max_connections;
     let accept = Arc::new(AcceptQueue {
         queue: Mutex::new(VecDeque::new()),
         cv: Condvar::new(),
         stop: AtomicBool::new(false),
     });
-    let io_pool: Vec<_> = (0..daemon.cfg.io_threads.max(1))
+    let io_pool: Vec<_> = (0..daemon.cfg.io_threads)
         .map(|_| {
             let d = Arc::clone(&daemon);
             let q = Arc::clone(&accept);
@@ -1373,5 +1389,36 @@ fn handle_connection(daemon: &Daemon, stream: TcpStream) {
         // framing is unreliable past this point.
         let _ = crate::http::write_response(&mut write_half, &response, false);
         return;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_refuses_zero_io_threads_or_connections() {
+        for (io_threads, max_connections) in [(0, 64), (4, 0)] {
+            let dir = std::env::temp_dir().join(format!(
+                "drms-aprofd-zero-{io_threads}-{max_connections}-{}",
+                std::process::id()
+            ));
+            let daemon = Daemon::new(DaemonConfig {
+                io_threads,
+                max_connections,
+                ..DaemonConfig::new(dir.clone())
+            })
+            .expect("daemon");
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let err = serve(daemon, listener).expect_err("a zero count is refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            let name = if io_threads == 0 {
+                "io_threads"
+            } else {
+                "max_connections"
+            };
+            assert!(err.to_string().contains(name), "{err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -31,6 +31,26 @@ fn flag_value_errors_exit_2_naming_the_flag() {
             &["--state-dir", state_arg, "--queue-cap", "0"],
             "--queue-cap",
         ),
+        (
+            daemon,
+            &["--state-dir", state_arg, "--tenant-queued", "0"],
+            "--tenant-queued",
+        ),
+        (
+            daemon,
+            &["--state-dir", state_arg, "--tenant-running", "0"],
+            "--tenant-running",
+        ),
+        (
+            daemon,
+            &["--state-dir", state_arg, "--io-threads", "0"],
+            "--io-threads",
+        ),
+        (
+            daemon,
+            &["--state-dir", state_arg, "--max-conns", "0"],
+            "--max-conns",
+        ),
     ] {
         let out = Command::new(bin).args(args).output().expect("spawn");
         let err = String::from_utf8_lossy(&out.stderr);

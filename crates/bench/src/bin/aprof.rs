@@ -16,8 +16,8 @@
 //!   --scale S           workload scale factor (default 2)
 //!   --tool NAME         aprof-drms (default) | aprof | external-only |
 //!                       nulgrind; the run and output options below apply
-//!                       to every tool and to --context (--sweep always
-//!                       profiles with aprof-drms; --context refuses any
+//!                       to every tool and to --context (--sweep and
+//!                       --context profile with aprof-drms and refuse any
 //!                       other tool)
 //!   --sweep SIZES       profile the workload once per comma-separated
 //!                       size (e.g. `--sweep 64,128,256`) through the
@@ -313,6 +313,10 @@ fn parse_cli() -> Cli {
         eprintln!(
             "--tool cannot be combined with --context (context mode profiles with aprof-drms)"
         );
+        exit(2)
+    }
+    if cli.sweep.is_some() && cli.tool != ToolName::Drms {
+        eprintln!("--tool cannot be combined with --sweep (sweep cells profile with aprof-drms)");
         exit(2)
     }
     cli

@@ -142,13 +142,17 @@ pub fn measure_suite_observed(
 }
 
 /// Why each count flag of the CLIs refuses 0.
-const AT_LEAST_ONE: [(&str, &str); 6] = [
+const AT_LEAST_ONE: [(&str, &str); 10] = [
     ("--jobs", "0 would start no worker"),
     ("--max-attempts", "0 would never run a cell"),
     ("--deadline-ms", "0 expires before the run starts"),
     ("--batch", "0 could never buffer an event"),
     ("--retries", "0 would never send the request"),
     ("--queue-cap", "0 would shed every submission"),
+    ("--tenant-queued", "0 would shed every submission"),
+    ("--tenant-running", "0 would never run a job"),
+    ("--io-threads", "0 would never handle a connection"),
+    ("--max-conns", "0 would shed every connection"),
 ];
 
 /// The value of flag `what` (its name and operand, e.g. `--jobs N`): the

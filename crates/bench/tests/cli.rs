@@ -380,6 +380,30 @@ fn aprof_context_checks_the_tool_name() {
     }
 }
 
+/// `--sweep` profiles every cell with the drms profiler, so it refuses
+/// any other tool the way `--context` does; an unknown name still fails
+/// as an unknown name.
+#[test]
+fn aprof_sweep_checks_the_tool_name() {
+    for (tool, code, says) in [
+        ("bogus", 1, "unknown tool `bogus`"),
+        ("aprof", 2, "--tool cannot be combined with --sweep"),
+        ("aprof-drms", 0, ""),
+    ] {
+        let out = aprof(&[
+            "--workload",
+            "stream_reader",
+            "--sweep",
+            "8",
+            "--tool",
+            tool,
+        ]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "--tool {tool}: {err}");
+        assert!(err.contains(says), "--tool {tool}: {err}");
+    }
+}
+
 /// Every tool and mode is one session run, so each honours the output
 /// flags: the spill replays to the default tool's report, and the
 /// context mode's report and schedule are the default run's.

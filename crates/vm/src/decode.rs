@@ -1,157 +1,151 @@
-//! One-time pre-decode of guest programs into flat, dispatch-friendly
-//! basic blocks.
+//! One-time pre-decode of guest programs into a flat, register-form
+//! image the block-dispatch loop runs.
 //!
 //! The reference interpreter re-examines each [`Inst`] on every
-//! execution: a wide `match` over eighteen variants, most of which never
-//! occur in a hot loop. The decode pass flattens every block into a
-//! [`DecodedOp`] array once, before the run:
+//! execution: a wide `match` over eighteen variants, an `Imm`/`Reg`
+//! branch per operand, and a budget check before every instruction. The
+//! decode pass does that work once, before the run:
 //!
-//! * the plain, loop-dominating operations (`Mov`/`Bin`/`Load`/`Store`/
-//!   `Alloc`/`Rand`) become dedicated variants the dispatch loop handles
-//!   inline, with `Mov` split by operand kind so the loop never
-//!   re-inspects an [`Operand`] it could have resolved at decode time;
-//! * everything that can block, spawn, trap to the kernel or otherwise
-//!   end a scheduling quantum becomes [`DecodedOp::Slow`], a back-pointer
-//!   into the original block so the reference `exec_inst` path handles it
-//!   unchanged — slow ops are rare by construction, so they pay the old
-//!   price while the hot path pays the new one;
-//! * the hottest adjacent pairs in the sweep families' inner loops
-//!   (`Bin;Bin` for index arithmetic + compare, `Bin;Load` for address
-//!   computation + load, `Load;Bin` for load + accumulate) are fused
-//!   into superinstructions, halving dispatch overhead where the
-//!   interpreter spends most of its time.
+//! * **Register operands.** Every operand of a [`DecodedOp`] is a frame
+//!   register index. Each routine's distinct immediates become
+//!   *constant registers* placed after its own registers; a frame of a
+//!   decoded run starts from the routine's register template (zeros,
+//!   then [`DecodedProgram::constants`]), so the dispatch loop never
+//!   inspects an [`Operand`]. The reference stepper never reads past the
+//!   routine's own registers, so the extra slots are invisible to it. A
+//!   routine whose registers plus constants would not fit a [`Reg`]
+//!   decodes to [`DecodedOp::Slow`] ops throughout.
+//! * **Terminators in the op stream.** A block's terminator is its last
+//!   op, so the loop runs a whole block — and chains into the next —
+//!   without leaving the op stream.
+//! * **Slow ops.** Everything that can block, spawn, sync, trap to the
+//!   kernel or pop a frame (`Ret`) is a [`DecodedOp::Slow`] the
+//!   reference stepper executes from the source instruction.
+//! * **Two fused idioms**, the ones the builder emits for every loop and
+//!   every `assign` (DESIGN.md has the dynamic pair table behind the
+//!   choice): *compare+branch* ([`DecodedOp::BinBranch`]), a `Bin` whose
+//!   result is the block's `Branch` condition, and *op+move*
+//!   ([`DecodedOp::BinMov`]), `t = a op b; v = t`. `Div` and `Rem` never
+//!   fuse, so a fused op cannot fail. A fused op still counts as two
+//!   instructions and two scheduler steps.
 //!
-//! Decoded blocks keep the original block indices (a fused pair never
-//! crosses a block boundary), so jump targets, `Frame::block` values and
-//! every block-cost counter are identical across dispatch modes. Only the
-//! intra-block instruction index changes meaning: it counts decoded
-//! slots, and [`DecodedOp::Slow`] carries the original index it stands
-//! for. Decoding never changes observable behavior — see the
-//! differential suite in `tests/dispatch_equivalence.rs`.
+//! The image is a few flat arrays: one op *slot* per source instruction
+//! (terminators included), the first slot of every block, and the
+//! per-routine constants. A fused op sits in its first instruction's
+//! slot and the next slot keeps the unfused second instruction, so the
+//! block loop skips it while a frame resuming between the two halves
+//! runs it on its own. A slot's index is therefore its source position:
+//! the number of instructions between two ops is a subtraction, and a
+//! frame's `ip` means the same under both steppers (slot = the block's
+//! first slot + `ip`). Decoding never changes observable behavior — see
+//! the differential suite in `tests/dispatch_equivalence.rs`.
 
-use crate::ir::{BinOp, Inst, Operand, Program, Reg, Terminator};
+use crate::ir::{BinOp, Block, Inst, Operand, Program, Reg, Routine, Terminator};
 use crate::stats::DecodeMode;
 use drms_trace::RoutineId;
 use std::sync::Arc;
 
-/// One half of a fused superinstruction: a complete `Bin` operation.
+/// A pre-decoded op. Operands are frame registers; block targets are
+/// block indices within the routine.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct BinHalf {
-    /// The operation.
-    pub op: BinOp,
-    /// Destination register.
-    pub dst: Reg,
-    /// Left operand.
-    pub lhs: Operand,
-    /// Right operand.
-    pub rhs: Operand,
-}
-
-/// A pre-decoded instruction slot.
-///
-/// Plain variants mirror the corresponding [`Inst`] arms; fused variants
-/// pack two adjacent plain instructions into one dispatch; [`Slow`] defers
-/// to the reference interpreter for everything else.
-///
-/// [`Slow`]: DecodedOp::Slow
-#[derive(Clone, Debug, PartialEq)]
 pub enum DecodedOp {
-    /// `dst = imm` — a `Mov` whose source resolved at decode time.
-    MovImm {
-        /// Destination register.
-        dst: Reg,
-        /// The constant.
-        imm: i64,
-    },
-    /// `dst = regs[src]`.
-    MovReg {
+    /// `dst = src`.
+    Mov {
         /// Destination register.
         dst: Reg,
         /// Source register.
         src: Reg,
     },
-    /// `dst = lhs op rhs`.
-    Bin(BinHalf),
+    /// `dst = a op b`.
+    Bin {
+        /// The operation.
+        op: BinOp,
+        /// Destination register.
+        dst: Reg,
+        /// Left operand.
+        a: Reg,
+        /// Right operand.
+        b: Reg,
+    },
     /// `dst = memory[base + offset]`; emits a `read` event.
     Load {
         /// Destination register.
         dst: Reg,
-        /// Base address operand.
-        base: Operand,
-        /// Offset operand.
-        offset: Operand,
+        /// Base address register.
+        base: Reg,
+        /// Offset register.
+        offset: Reg,
     },
     /// `memory[base + offset] = src`; emits a `write` event.
     Store {
-        /// Base address operand.
-        base: Operand,
-        /// Offset operand.
-        offset: Operand,
-        /// Value operand.
-        src: Operand,
+        /// Base address register.
+        base: Reg,
+        /// Offset register.
+        offset: Reg,
+        /// Value register.
+        src: Reg,
     },
     /// Bump-allocates `cells` memory cells into `dst`.
     Alloc {
         /// Destination register.
         dst: Reg,
-        /// Cell-count operand.
-        cells: Operand,
+        /// Cell-count register.
+        cells: Reg,
     },
     /// `dst = uniform [0, bound)` from the thread RNG.
     Rand {
         /// Destination register.
         dst: Reg,
-        /// Bound operand.
-        bound: Operand,
+        /// Bound register.
+        bound: Reg,
     },
-    /// Fused `Bin; Bin` (index arithmetic + compare/accumulate).
-    BinBin(BinHalf, BinHalf),
-    /// Fused `Bin; Load` (address computation + load).
-    BinLoad {
-        /// First half.
-        a: BinHalf,
-        /// Load destination.
+    /// Fused op+move: `t = a op b; v = t`. Writes both registers.
+    BinMov {
+        /// The operation (never `Div` or `Rem`).
+        op: BinOp,
+        /// The `Bin`'s destination.
+        t: Reg,
+        /// Left operand.
+        a: Reg,
+        /// Right operand.
+        b: Reg,
+        /// The `Mov`'s destination.
+        v: Reg,
+    },
+    /// Fused compare+branch: `dst = a op b`, then the block's `Branch`
+    /// on `dst != 0`. The block's terminator op.
+    BinBranch {
+        /// The operation (never `Div` or `Rem`).
+        op: BinOp,
+        /// Destination register, the branch condition.
         dst: Reg,
-        /// Load base operand.
-        base: Operand,
-        /// Load offset operand.
-        offset: Operand,
+        /// Left operand.
+        a: Reg,
+        /// Right operand.
+        b: Reg,
+        /// Block taken when `dst != 0`.
+        then_block: u32,
+        /// Block taken otherwise.
+        else_block: u32,
     },
-    /// Fused `Load; Bin` (load + accumulate).
-    LoadBin {
-        /// Load destination.
-        dst: Reg,
-        /// Load base operand.
-        base: Operand,
-        /// Load offset operand.
-        offset: Operand,
-        /// Second half.
-        b: BinHalf,
+    /// Unconditional jump terminator.
+    Jump {
+        /// Target block.
+        target: u32,
     },
-    /// Anything that can block, spawn, sync or trap: executed by the
-    /// reference `exec_inst` path. Carries the index of the original
-    /// instruction within its (undecoded) block.
-    Slow {
-        /// Index into the original block's `insts`.
-        ip: u32,
+    /// Two-way branch terminator on `cond != 0`.
+    Branch {
+        /// Condition register.
+        cond: Reg,
+        /// Block taken when `cond != 0`.
+        then_block: u32,
+        /// Block taken otherwise.
+        else_block: u32,
     },
-}
-
-/// A pre-decoded basic block: decoded slots plus the (unchanged)
-/// terminator.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DecodedBlock {
-    /// Decoded instruction slots.
-    pub ops: Vec<DecodedOp>,
-    /// Control transfer ending the block; identical to the source block's.
-    pub term: Terminator,
-}
-
-/// All decoded blocks of one routine, at the original block indices.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DecodedRoutine {
-    /// Blocks, indexed exactly like the source routine's.
-    pub blocks: Vec<DecodedBlock>,
+    /// Executed by the reference stepper from the source instruction (or
+    /// terminator) at this op's position: anything that can block, spawn,
+    /// sync, trap or return.
+    Slow,
 }
 
 /// Decode-time statistics, for observability and the `--decode` A/B
@@ -168,63 +162,84 @@ pub struct DecodeStats {
     pub routines: u64,
     /// Basic blocks decoded.
     pub blocks: u64,
-    /// Decoded slots emitted (fused pairs count once).
-    pub ops: u64,
-    /// Source instructions covered (fused pairs count twice).
+    /// Op slots emitted: one per source instruction, terminators
+    /// included.
     pub instructions: u64,
-    /// Slots deferring to the reference interpreter.
+    /// [`DecodedOp::Slow`] slots, `Ret` terminators included.
     pub slow_ops: u64,
-    /// `Bin;Bin` superinstructions formed.
-    pub fused_bin_bin: u64,
-    /// `Bin;Load` superinstructions formed.
-    pub fused_bin_load: u64,
-    /// `Load;Bin` superinstructions formed.
-    pub fused_load_bin: u64,
+    /// Compare+branch pairs fused ([`DecodedOp::BinBranch`]).
+    pub fused_bin_branch: u64,
+    /// Op+move pairs fused ([`DecodedOp::BinMov`]).
+    pub fused_bin_mov: u64,
 }
 
 impl DecodeStats {
     /// Total superinstructions formed.
     pub fn fused(&self) -> u64 {
-        self.fused_bin_bin + self.fused_bin_load + self.fused_load_bin
+        self.fused_bin_branch + self.fused_bin_mov
     }
 }
 
-/// A guest program flattened for the fast dispatch loop.
+/// A guest program flattened for the block-dispatch loop.
 ///
 /// Built once by [`DecodedProgram::decode`] and shared across runs (the
 /// sweep shares one per `(family, size)` cell via [`Arc`]); the VM holds
-/// it next to the source [`Program`], whose `Slow` instructions and
+/// it next to the source [`Program`], whose slow instructions and
 /// routine metadata it still references.
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
-    routines: Vec<DecodedRoutine>,
+    /// One slot per source instruction, every routine's blocks in
+    /// order; a block's terminator is its last slot.
+    ops: Vec<DecodedOp>,
+    /// First slot of every block, routine after routine; one sentinel.
+    starts: Vec<u32>,
+    /// Index into `starts` of each routine's first block; one sentinel.
+    routine_blocks: Vec<u32>,
+    /// Every routine's constant registers, routine after routine.
+    consts: Vec<i64>,
+    /// Index into `consts` of each routine's first constant; one
+    /// sentinel.
+    routine_consts: Vec<u32>,
     stats: DecodeStats,
 }
 
 impl DecodedProgram {
-    /// Flattens `program` for fast dispatch, fusing superinstructions.
-    /// Every decode is a [`DecodeMode::Fused`] decode: callers gate on
-    /// [`DecodeMode::Off`] *before* deciding to decode at all, so `mode`
-    /// does not change the image.
+    /// Flattens `program` for the block-dispatch loop, fusing the two
+    /// idioms. Every decode is a [`DecodeMode::Fused`] decode: callers
+    /// gate on [`DecodeMode::Off`] *before* deciding to decode at all,
+    /// so `mode` does not change the image.
     pub fn decode(program: &Program, _mode: DecodeMode) -> Arc<DecodedProgram> {
-        let mut stats = DecodeStats::default();
-        let routines = program
-            .routines()
+        let routines = program.routines();
+        let blocks: usize = routines.iter().map(|r| r.blocks.len()).sum();
+        let slots: usize = routines
             .iter()
-            .map(|r| {
-                stats.routines += 1;
-                let blocks = r
-                    .blocks
-                    .iter()
-                    .map(|b| {
-                        stats.blocks += 1;
-                        decode_block(&b.insts, b.term.clone(), &mut stats)
-                    })
-                    .collect();
-                DecodedRoutine { blocks }
-            })
-            .collect();
-        Arc::new(DecodedProgram { routines, stats })
+            .flat_map(|r| &r.blocks)
+            .map(|b| b.insts.len() + 1)
+            .sum();
+        let mut d = Decoder {
+            ops: Vec::with_capacity(slots),
+            starts: Vec::with_capacity(blocks + 1),
+            stats: DecodeStats::default(),
+        };
+        let mut consts = Vec::new();
+        let mut routine_blocks = Vec::with_capacity(routines.len() + 1);
+        let mut routine_consts = Vec::with_capacity(routines.len() + 1);
+        for r in routines {
+            routine_blocks.push(d.starts.len() as u32);
+            routine_consts.push(consts.len() as u32);
+            d.routine(r, &mut consts);
+        }
+        routine_blocks.push(d.starts.len() as u32);
+        routine_consts.push(consts.len() as u32);
+        d.starts.push(d.ops.len() as u32);
+        Arc::new(DecodedProgram {
+            ops: d.ops,
+            starts: d.starts,
+            routine_blocks,
+            consts,
+            routine_consts,
+            stats: d.stats,
+        })
     }
 
     /// Decode-time statistics.
@@ -232,105 +247,234 @@ impl DecodedProgram {
         self.stats
     }
 
-    /// The decoded routines, indexed by [`RoutineId`].
-    pub fn routines(&self) -> &[DecodedRoutine] {
-        &self.routines
-    }
-
-    /// Returns a decoded routine by id.
+    /// The constant registers of routine `id`, which follow its own
+    /// registers in every frame of a decoded run.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
-    pub fn routine(&self, id: RoutineId) -> &DecodedRoutine {
-        &self.routines[id.index() as usize]
+    pub fn constants(&self, id: RoutineId) -> &[i64] {
+        let r = id.index() as usize;
+        &self.consts[self.routine_consts[r] as usize..self.routine_consts[r + 1] as usize]
+    }
+
+    /// The program's op slots, and routine `id`'s block starts:
+    /// `starts[b]` is block `b`'s first slot and `starts[b + 1]` one past
+    /// its terminator.
+    #[inline]
+    pub(crate) fn code(&self, id: RoutineId) -> (&[DecodedOp], &[u32]) {
+        let r = id.index() as usize;
+        let (lo, hi) = (
+            self.routine_blocks[r] as usize,
+            self.routine_blocks[r + 1] as usize,
+        );
+        // The next routine's first entry (or the sentinel) closes this
+        // routine's last block.
+        (&self.ops, &self.starts[lo..=hi])
     }
 
     /// Whether this decoded image structurally matches `program`: same
     /// routine count and per-routine block count. A cheap sanity check
     /// for callers injecting a shared pre-decoded program.
     pub fn matches(&self, program: &Program) -> bool {
-        self.routines.len() == program.routines().len()
+        self.routine_blocks.len() == program.routines().len() + 1
             && self
-                .routines
-                .iter()
+                .routine_blocks
+                .windows(2)
                 .zip(program.routines())
-                .all(|(d, s)| d.blocks.len() == s.blocks.len())
+                .all(|(w, r)| (w[1] - w[0]) as usize == r.blocks.len())
     }
 }
 
-/// Converts one plain instruction, or `None` if it must stay slow.
-fn decode_plain(inst: &Inst) -> Option<DecodedOp> {
-    Some(match *inst {
-        Inst::Mov { dst, src } => match src {
-            Operand::Imm(imm) => DecodedOp::MovImm { dst, imm },
-            Operand::Reg(src) => DecodedOp::MovReg { dst, src },
+/// The slot and block arrays under construction.
+struct Decoder {
+    ops: Vec<DecodedOp>,
+    starts: Vec<u32>,
+    stats: DecodeStats,
+}
+
+/// The register file of the routine being decoded: its own registers,
+/// then one constant register per distinct immediate.
+struct Regs<'a> {
+    own: u16,
+    consts: &'a mut Vec<i64>,
+    first: usize,
+}
+
+impl Regs<'_> {
+    /// The register holding `op`, or `None` when a constant register
+    /// would not fit a [`Reg`].
+    fn of(&mut self, op: Operand) -> Option<Reg> {
+        match op {
+            Operand::Reg(r) => Some(r),
+            Operand::Imm(v) => {
+                let routine = &self.consts[self.first..];
+                let i = match routine.iter().position(|&c| c == v) {
+                    Some(i) => i,
+                    None => {
+                        let i = routine.len();
+                        self.consts.push(v);
+                        i
+                    }
+                };
+                Reg::try_from(usize::from(self.own) + i).ok()
+            }
+        }
+    }
+}
+
+/// `Div` and `Rem` can fail, so they never fuse.
+fn fusable(op: BinOp) -> bool {
+    !matches!(op, BinOp::Div | BinOp::Rem)
+}
+
+impl Decoder {
+    fn push(&mut self, op: DecodedOp) {
+        self.ops.push(op);
+        self.stats.instructions += 1;
+        if op == DecodedOp::Slow {
+            self.stats.slow_ops += 1;
+        }
+    }
+
+    /// Decodes one routine into register form, appending its constants
+    /// to `consts`; if they overflow the register space, re-emits it as
+    /// slow ops with no constants.
+    fn routine(&mut self, r: &Routine, consts: &mut Vec<i64>) {
+        self.stats.routines += 1;
+        self.stats.blocks += r.blocks.len() as u64;
+        let (ops, starts, first, stats) =
+            (self.ops.len(), self.starts.len(), consts.len(), self.stats);
+        let mut regs = Regs {
+            own: r.regs,
+            consts,
+            first,
+        };
+        if r.blocks
+            .iter()
+            .try_for_each(|b| self.block(b, &mut regs))
+            .is_some()
+        {
+            return;
+        }
+        self.ops.truncate(ops);
+        self.starts.truncate(starts);
+        consts.truncate(first);
+        self.stats = stats;
+        for b in &r.blocks {
+            self.starts.push(self.ops.len() as u32);
+            for _ in 0..=b.insts.len() {
+                self.push(DecodedOp::Slow);
+            }
+        }
+    }
+
+    /// Emits one slot per instruction of `block`, then its terminator's;
+    /// a fused op replaces its first instruction's slot.
+    fn block(&mut self, block: &Block, regs: &mut Regs<'_>) -> Option<()> {
+        self.starts.push(self.ops.len() as u32);
+        let insts = &block.insts;
+        let term = terminator(&block.term, regs)?;
+        for (i, inst) in insts.iter().enumerate() {
+            let mut op = plain(inst, regs)?;
+            if let DecodedOp::Bin { op: bin, dst, a, b } = op {
+                if fusable(bin) {
+                    match (insts.get(i + 1), term) {
+                        // op+move: `t = a op b; v = t`.
+                        (Some(Inst::Mov { dst: v, src }), _) if *src == Operand::Reg(dst) => {
+                            op = DecodedOp::BinMov {
+                                op: bin,
+                                t: dst,
+                                a,
+                                b,
+                                v: *v,
+                            };
+                            self.stats.fused_bin_mov += 1;
+                        }
+                        // compare+branch: the block's last `Bin`
+                        // computes its `Branch` condition.
+                        (
+                            None,
+                            DecodedOp::Branch {
+                                cond,
+                                then_block,
+                                else_block,
+                            },
+                        ) if cond == dst => {
+                            op = DecodedOp::BinBranch {
+                                op: bin,
+                                dst,
+                                a,
+                                b,
+                                then_block,
+                                else_block,
+                            };
+                            self.stats.fused_bin_branch += 1;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            self.push(op);
+        }
+        self.push(term);
+        Some(())
+    }
+}
+
+/// The op of a terminator: `Jump` and `Branch` in register form, `Ret`
+/// on the reference stepper.
+fn terminator(term: &Terminator, regs: &mut Regs<'_>) -> Option<DecodedOp> {
+    Some(match *term {
+        Terminator::Jump(target) => DecodedOp::Jump {
+            target: target.index(),
         },
-        Inst::Bin { op, dst, lhs, rhs } => DecodedOp::Bin(BinHalf { op, dst, lhs, rhs }),
-        Inst::Load { dst, base, offset } => DecodedOp::Load { dst, base, offset },
-        Inst::Store { base, offset, src } => DecodedOp::Store { base, offset, src },
-        Inst::Alloc { dst, cells } => DecodedOp::Alloc { dst, cells },
-        Inst::Rand { dst, bound } => DecodedOp::Rand { dst, bound },
-        _ => return None,
+        Terminator::Branch {
+            cond,
+            then_block,
+            else_block,
+        } => DecodedOp::Branch {
+            cond: regs.of(cond)?,
+            then_block: then_block.index(),
+            else_block: else_block.index(),
+        },
+        Terminator::Ret(_) => DecodedOp::Slow,
     })
 }
 
-/// Fuses two adjacent decoded plain ops, when they form one of the
-/// profitable pairs.
-fn fuse_pair(a: &DecodedOp, b: &DecodedOp) -> Option<DecodedOp> {
-    match (a, b) {
-        (DecodedOp::Bin(x), DecodedOp::Bin(y)) => Some(DecodedOp::BinBin(*x, *y)),
-        (DecodedOp::Bin(x), DecodedOp::Load { dst, base, offset }) => Some(DecodedOp::BinLoad {
-            a: *x,
-            dst: *dst,
-            base: *base,
-            offset: *offset,
-        }),
-        (DecodedOp::Load { dst, base, offset }, DecodedOp::Bin(y)) => Some(DecodedOp::LoadBin {
-            dst: *dst,
-            base: *base,
-            offset: *offset,
-            b: *y,
-        }),
-        _ => None,
-    }
-}
-
-fn decode_block(insts: &[Inst], term: Terminator, stats: &mut DecodeStats) -> DecodedBlock {
-    let mut ops = Vec::with_capacity(insts.len());
-    let mut i = 0usize;
-    while i < insts.len() {
-        let Some(a) = decode_plain(&insts[i]) else {
-            stats.ops += 1;
-            stats.instructions += 1;
-            stats.slow_ops += 1;
-            ops.push(DecodedOp::Slow { ip: i as u32 });
-            i += 1;
-            continue;
-        };
-        if let Some(fused) = insts
-            .get(i + 1)
-            .and_then(decode_plain)
-            .and_then(|b| fuse_pair(&a, &b))
-        {
-            match fused {
-                DecodedOp::BinBin(..) => stats.fused_bin_bin += 1,
-                DecodedOp::BinLoad { .. } => stats.fused_bin_load += 1,
-                DecodedOp::LoadBin { .. } => stats.fused_load_bin += 1,
-                _ => unreachable!(),
-            }
-            stats.ops += 1;
-            stats.instructions += 2;
-            ops.push(fused);
-            i += 2;
-            continue;
-        }
-        stats.ops += 1;
-        stats.instructions += 1;
-        ops.push(a);
-        i += 1;
-    }
-    ops.shrink_to_fit();
-    DecodedBlock { ops, term }
+/// Converts one instruction: a plain op in register form, or
+/// [`DecodedOp::Slow`]. `None` if a constant register does not fit.
+fn plain(inst: &Inst, regs: &mut Regs<'_>) -> Option<DecodedOp> {
+    Some(match *inst {
+        Inst::Mov { dst, src } => DecodedOp::Mov {
+            dst,
+            src: regs.of(src)?,
+        },
+        Inst::Bin { op, dst, lhs, rhs } => DecodedOp::Bin {
+            op,
+            dst,
+            a: regs.of(lhs)?,
+            b: regs.of(rhs)?,
+        },
+        Inst::Load { dst, base, offset } => DecodedOp::Load {
+            dst,
+            base: regs.of(base)?,
+            offset: regs.of(offset)?,
+        },
+        Inst::Store { base, offset, src } => DecodedOp::Store {
+            base: regs.of(base)?,
+            offset: regs.of(offset)?,
+            src: regs.of(src)?,
+        },
+        Inst::Alloc { dst, cells } => DecodedOp::Alloc {
+            dst,
+            cells: regs.of(cells)?,
+        },
+        Inst::Rand { dst, bound } => DecodedOp::Rand {
+            dst,
+            bound: regs.of(bound)?,
+        },
+        _ => DecodedOp::Slow,
+    })
 }
 
 #[cfg(test)]
@@ -355,6 +499,19 @@ mod tests {
         pb.finish(main).unwrap()
     }
 
+    impl DecodedProgram {
+        /// The op slots of one block: slot `i` stands for source
+        /// instruction `i`, and the last slot for the terminator.
+        fn block_ops(&self, routine: RoutineId, block: usize) -> &[DecodedOp] {
+            let (ops, starts) = self.code(routine);
+            &ops[starts[block] as usize..starts[block + 1] as usize]
+        }
+    }
+
+    fn entry_ops<'d>(d: &'d DecodedProgram, p: &Program) -> &'d [DecodedOp] {
+        d.block_ops(p.main(), p.routine(p.main()).entry.index() as usize)
+    }
+
     #[test]
     fn decoding_covers_every_block_and_instruction() {
         let p = sum_loop_program();
@@ -368,10 +525,19 @@ mod tests {
             .routines()
             .iter()
             .flat_map(|r| &r.blocks)
-            .map(|b| b.insts.len())
+            .map(|b| b.insts.len() + 1)
             .sum();
-        assert_eq!(s.instructions, src_insts as u64, "every inst is covered");
-        assert_eq!(s.ops + s.fused(), s.instructions, "a fused slot covers two");
+        assert_eq!(s.instructions, src_insts as u64, "a slot per instruction");
+        for (i, b) in p.routine(p.main()).blocks.iter().enumerate() {
+            let ops = d.block_ops(p.main(), i);
+            assert_eq!(ops.len(), b.insts.len() + 1, "block {i}");
+            let term = ops[b.insts.len()];
+            match b.term {
+                Terminator::Jump(_) => assert!(matches!(term, DecodedOp::Jump { .. })),
+                Terminator::Branch { .. } => assert!(matches!(term, DecodedOp::Branch { .. })),
+                Terminator::Ret(_) => assert_eq!(term, DecodedOp::Slow),
+            }
+        }
     }
 
     #[test]
@@ -379,11 +545,46 @@ mod tests {
         let p = sum_loop_program();
         let d = DecodedProgram::decode(&p, DecodeMode::Fused);
         let s = d.stats();
-        assert!(s.fused() > 0, "the sum loop has fusable pairs: {s:?}");
-        assert_eq!(s.ops + s.fused(), s.instructions);
-        // The loop body loads then accumulates: expect at least a
-        // Load;Bin or Bin;Load pairing.
-        assert!(s.fused_load_bin + s.fused_bin_load > 0, "{s:?}");
+        // The loop head tests `i < 8` and branches; the body ends with
+        // `s = acc + v; acc = s` and the increment `n = i + 1; i = n`.
+        assert_eq!(s.fused_bin_branch, 1, "{s:?}");
+        assert_eq!(s.fused_bin_mov, 2, "{s:?}");
+        assert_eq!(s.fused(), 3);
+    }
+
+    #[test]
+    fn a_fused_op_leaves_its_second_half_in_the_next_slot() {
+        let p = sum_loop_program();
+        let d = DecodedProgram::decode(&p, DecodeMode::Fused);
+        let mut seen = 0;
+        for (i, b) in p.routine(p.main()).blocks.iter().enumerate() {
+            let ops = d.block_ops(p.main(), i);
+            for (k, op) in ops.iter().enumerate() {
+                match *op {
+                    DecodedOp::BinMov { t, v, .. } => {
+                        assert_eq!(ops[k + 1], DecodedOp::Mov { dst: v, src: t });
+                        seen += 1;
+                    }
+                    DecodedOp::BinBranch {
+                        dst,
+                        then_block,
+                        else_block,
+                        ..
+                    } => {
+                        assert_eq!(k + 1, b.insts.len(), "the terminator follows");
+                        let branch = DecodedOp::Branch {
+                            cond: dst,
+                            then_block,
+                            else_block,
+                        };
+                        assert_eq!(ops[k + 1], branch);
+                        seen += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(seen, d.stats().fused());
     }
 
     #[test]
@@ -394,29 +595,27 @@ mod tests {
         let main = pb.declare("main", 0);
         pb.define(main, |f| {
             let a = f.copy(1); // Mov           — plain, slot 0
-            f.call(callee, &[]); // Call        — slow, source ip 1
-            let b = f.add(a, a); // Bin         — plain
-            f.assign(a, b); // Mov              — plain
-            f.ret(None);
+            f.call(callee, &[]); // Call        — slow, slot 1
+            let b = f.add(a, a); // Bin         — fused with the Mov
+            f.assign(a, b); // Mov
+            f.ret(None); // Ret                 — slow, slot 4
         });
         let p = pb.finish(main).unwrap();
         let d = DecodedProgram::decode(&p, DecodeMode::Fused);
-        let entry = &d.routine(p.main()).blocks[p.routine(p.main()).entry.index() as usize];
-        let slow: Vec<_> = entry
-            .ops
+        let slow: Vec<usize> = entry_ops(&d, &p)
             .iter()
-            .filter_map(|op| match op {
-                DecodedOp::Slow { ip } => Some(*ip),
-                _ => None,
-            })
+            .enumerate()
+            .filter(|(_, op)| **op == DecodedOp::Slow)
+            .map(|(k, _)| k)
             .collect();
-        assert_eq!(slow.len(), 1);
+        assert_eq!(slow, [1, 4]);
         let src = &p.routine(p.main()).blocks[p.routine(p.main()).entry.index() as usize];
         assert!(
-            matches!(src.insts[slow[0] as usize], Inst::Call { .. }),
-            "the Slow slot indexes the original Call"
+            matches!(src.insts[slow[0]], Inst::Call { .. }),
+            "the Slow slot is the original Call's"
         );
-        assert!(d.stats().slow_ops >= 1);
+        assert_eq!(slow[1], src.insts.len(), "and the Ret's");
+        assert_eq!(d.stats().slow_ops, 3, "two Rets and the Call");
     }
 
     #[test]
@@ -428,44 +627,82 @@ mod tests {
         pb.define(main, |f| {
             let a = f.copy(1);
             let b = f.add(a, a); // Bin
-            f.call(callee, &[]); // Call (slow) separates the two Bins
-            let c = f.add(b, b); // Bin
-            f.assign(a, c);
+            f.call(callee, &[]); // Call (slow) separates the Bin and the Mov
+            f.assign(a, b);
             f.ret(None);
         });
         let p = pb.finish(main).unwrap();
         let d = DecodedProgram::decode(&p, DecodeMode::Fused);
-        let entry = &d.routine(p.main()).blocks[p.routine(p.main()).entry.index() as usize];
+        let ops = entry_ops(&d, &p);
         assert!(
-            !entry
-                .ops
-                .iter()
-                .any(|op| matches!(op, DecodedOp::BinBin(..))),
-            "Bin;Call;Bin must not fuse across the call: {:?}",
-            entry.ops
+            !ops.iter().any(|op| matches!(op, DecodedOp::BinMov { .. })),
+            "Bin;Call;Mov must not fuse across the call: {ops:?}"
         );
+        assert_eq!(d.stats().fused(), 0);
     }
 
     #[test]
-    fn mov_splits_by_operand_kind() {
+    fn immediates_read_constant_registers_after_the_routines_own() {
         let mut pb = ProgramBuilder::new();
         let main = pb.declare("main", 0);
         pb.define(main, |f| {
-            let a = f.copy(7); // Mov imm
+            let a = f.copy(7); // Mov of an immediate
             let b = f.copy(0);
-            f.assign(b, a); // Mov reg
+            f.assign(b, a); // Mov of a register
+            let _ = f.add(a, 7); // 7 again: the same constant register
             f.ret(None);
         });
         let p = pb.finish(main).unwrap();
         let d = DecodedProgram::decode(&p, DecodeMode::Fused);
-        let entry = &d.routine(p.main()).blocks[p.routine(p.main()).entry.index() as usize];
-        assert!(entry
-            .ops
-            .iter()
-            .any(|o| matches!(o, DecodedOp::MovImm { .. })));
-        assert!(entry
-            .ops
-            .iter()
-            .any(|o| matches!(o, DecodedOp::MovReg { .. })));
+        let own = p.routine(p.main()).regs;
+        assert_eq!(d.constants(p.main()), [7, 0]);
+        let ops = entry_ops(&d, &p);
+        assert_eq!(ops[0], DecodedOp::Mov { dst: 0, src: own });
+        assert_eq!(
+            ops[1],
+            DecodedOp::Mov {
+                dst: 1,
+                src: own + 1
+            }
+        );
+        assert_eq!(ops[2], DecodedOp::Mov { dst: 1, src: 0 });
+        assert!(matches!(ops[3], DecodedOp::Bin { a: 0, b, .. } if b == own));
+    }
+
+    #[test]
+    fn div_and_rem_never_fuse() {
+        let mut pb = ProgramBuilder::new();
+        let main = pb.declare("main", 0);
+        pb.define(main, |f| {
+            let a = f.copy(9);
+            let q = f.div(a, 3);
+            f.assign(a, q);
+            let r = f.rem(a, 2);
+            f.if_then(r, |f| f.assign(a, 0));
+            f.ret(None);
+        });
+        let p = pb.finish(main).unwrap();
+        let d = DecodedProgram::decode(&p, DecodeMode::Fused);
+        assert_eq!(d.stats().fused(), 0, "{:?}", entry_ops(&d, &p));
+    }
+
+    #[test]
+    fn a_routine_out_of_register_space_decodes_slow() {
+        let mut pb = ProgramBuilder::new();
+        let main = pb.declare("main", 0);
+        pb.define(main, |f| {
+            let a = f.copy(0);
+            // Own registers up to 65534 (the adds take the last two);
+            // constant 0 then lands on 65535, constant 1 past it.
+            while f.fresh() < u16::MAX - 3 {}
+            let _ = f.add(a, 1);
+            let _ = f.add(a, 2);
+            f.ret(None);
+        });
+        let p = pb.finish(main).unwrap();
+        let d = DecodedProgram::decode(&p, DecodeMode::Fused);
+        assert!(d.constants(p.main()).is_empty());
+        assert!(entry_ops(&d, &p).iter().all(|op| *op == DecodedOp::Slow));
+        assert_eq!(d.stats().instructions, d.stats().slow_ops);
     }
 }

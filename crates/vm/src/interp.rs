@@ -7,14 +7,14 @@
 //! [`Tool`] in a single total order, which is exactly the merged trace the
 //! paper's profiling algorithm consumes.
 
-use crate::decode::{BinHalf, DecodedOp, DecodedProgram};
-use crate::ir::{Inst, Operand, Program, Reg, Terminator, ValidateError};
+use crate::decode::{DecodedOp, DecodedProgram};
+use crate::ir::{BinOp, Inst, Operand, Program, Reg, Terminator, ValidateError};
 use crate::kernel::{Direction, Kernel, KernelError, Syscall};
 use crate::memory::Memory;
 use crate::rng::SmallRng;
 use crate::sched::{Scheduler, StepKind, SLICE_STEP_BOUNDS};
 use crate::shadow::ADDRESS_LIMIT;
-use crate::stats::{CostKind, DecodeMode, RunConfig, RunStats, SchedPolicy};
+use crate::stats::{CostKind, DecodeMode, EventCounters, RunConfig, RunStats, SchedPolicy};
 use drms_trace::sched::PreemptCause;
 use drms_trace::{
     Addr, BatchKind, BlockId, EventBatch, Histogram, Metrics, RoutineId, Schedule, SyncOp,
@@ -579,6 +579,7 @@ impl<'p> Vm<'p> {
             SchedPolicy::Replay { .. } => None,
             _ => self.decoded.clone(),
         };
+        let sim = matches!(self.config.cost, CostKind::SimNanos { .. });
         self.spawn_thread(self.program.main(), Vec::new(), None, tool);
         let mut current: Option<usize> = None;
         let mut runnable: Vec<bool> = Vec::new();
@@ -618,10 +619,13 @@ impl<'p> Vm<'p> {
             }
             self.sched.begin_slice(next);
             loop {
-                // Both steppers check the instruction budget before
-                // every instruction they execute.
+                // The reference stepper checks the instruction budget
+                // before every instruction, the decoded one before every
+                // block it runs, falling back to the reference for a
+                // block the budget does not cover.
                 let step = match &decoded {
-                    Some(d) => self.step_decoded(next, d, tool)?,
+                    Some(d) if sim => self.step_decoded::<T, true>(next, d, tool)?,
+                    Some(d) => self.step_decoded::<T, false>(next, d, tool)?,
                     None => self.step(next, tool)?,
                 };
                 let forced = self.sched.note_step(step.kind());
@@ -651,15 +655,23 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Executes decoded ops of thread `t` until the current basic block
-    /// ends (terminator), a slow op needs the reference path, or an
-    /// error aborts the run — then performs that final step and returns
-    /// it. Every plain constituent executed along the way is accounted
-    /// exactly as the reference stepper would: budget check first, then
-    /// `stats.instructions += 1`, then effects; read/write events are
-    /// buffered into the batch (tallied in `stats` at emission time)
-    /// and flushed before any other tool callback.
-    fn step_decoded<T: Tool + ?Sized>(
+    /// Runs thread `t` on the decoded image, a block at a time, until a
+    /// step the reference stepper must take, then takes that one step
+    /// through [`Vm::step`] and returns it.
+    ///
+    /// Bookkeeping happens at block boundaries only. On entering or
+    /// resuming a block the loop checks once that the instruction
+    /// budget covers the rest of it, terminator included; the ops then
+    /// run without per-op checks or counters. A slot stands for one
+    /// source instruction, so instruction, plain-step and block-step
+    /// counts are slot distances, added when the loop leaves: at a slow
+    /// op, at the quantum's final block step, at a block the budget does
+    /// not cover (the reference stepper then runs it one checked
+    /// instruction at a time, so the watchdog fires exactly where it
+    /// would), or at a guest error, whose failing instruction is counted
+    /// but not stepped, like the reference. `SIM` selects the
+    /// [`CostKind::SimNanos`] jitter model at compile time.
+    fn step_decoded<T: Tool + ?Sized, const SIM: bool>(
         &mut self,
         t: usize,
         decoded: &DecodedProgram,
@@ -670,30 +682,32 @@ impl<'p> Vm<'p> {
                 limit: self.config.max_instructions,
             });
         }
-        let (pending, routine_id, block_idx) = {
+        let (pending, routine_id, block_idx, ip) = {
             let frame = self.frame(t)?;
-            (frame.pending_entry, frame.routine, frame.block)
+            (frame.pending_entry, frame.routine, frame.block, frame.ip)
         };
         if pending {
             self.enter_block(t, block_idx, tool)?;
             return Ok(Step::BlockEntered);
         }
-        let mut block_idx = block_idx;
-        let droutine = decoded.routine(routine_id);
-        let mut dblock = &droutine.blocks[block_idx];
-        let mut ops = &dblock.ops[..];
+        let (ops, starts) = decoded.code(routine_id);
+        // A block's slot `ip` is source instruction `ip`; a slow one goes
+        // straight to the reference stepper.
+        let mut k = starts[block_idx] as usize + ip;
+        if matches!(ops[k], DecodedOp::Slow) {
+            return self.step(t, tool);
+        }
 
-        // Split borrows: the plain-op loop touches disjoint parts of the
-        // VM (registers, memory, stats, the event batch), hoisted out of
-        // `&mut self` so the compiler keeps them in registers.
-        let max_instructions = self.config.max_instructions;
-        let sim_nanos = matches!(self.config.cost, CostKind::SimNanos { .. });
         let trace_blocks = self.config.trace_blocks;
-        // Jump/Branch terminators are executed inline ("chained") while
-        // the slice has block budget to spare; the slice's final block
-        // step always goes through the per-step scheduler path so
-        // quantum preemption decisions stay with `note_step`.
+        // Jump/Branch terminators are chained inline while the slice has
+        // block budget to spare; the slice's final block step always
+        // goes through the reference stepper so quantum preemption
+        // decisions stay with `note_step`.
         let chain_budget = self.sched.blocks_remaining();
+        let budget_left = self.config.max_instructions - self.stats.instructions;
+        // Split borrows: the loop touches disjoint parts of the VM
+        // (registers, memory, stats, the event batch), hoisted out of
+        // `&mut self` so the compiler keeps them in registers.
         let Vm {
             threads,
             mem,
@@ -719,288 +733,169 @@ impl<'p> Vm<'p> {
             // any thread switch flushes before its switch event.
             batch.set_thread(id);
         }
-        let mut ip = frame.ip;
-        // Plain constituents successfully executed in this run; bulk
-        // accounted to the scheduler on exit. The constituent that
-        // *errors* is counted in `stats.instructions` but not here —
-        // the reference loop never `note_step`s a failed step either.
-        let mut plain: u32 = 0;
-        // Jump/Branch terminators executed inline (block steps).
-        let mut chained: u32 = 0;
-        // Instructions executed by this call (failing one included),
-        // held in a register and materialized into `stats.instructions`
-        // once on exit; the watchdog compares against the headroom
-        // computed up front so the hot loop never touches `stats`.
+        let regs = &mut frame.regs[..];
+        let mut block = block_idx;
+        // Instructions completed in this call, and the Jump/Branch
+        // terminators among them (block steps); every other completed
+        // instruction is a plain step.
         let mut done: u64 = 0;
-        let budget_left = max_instructions - stats.instructions;
-        let leave = 'blocks: loop {
-            if ip >= ops.len() {
-                // Terminator. Chain a Jump/Branch inline if the slice
-                // still has block budget beyond this step; everything
-                // else (Ret, the quantum's final block) leaves the fast
-                // loop and runs on the reference path.
-                if chained + 1 >= chain_budget {
-                    break Leave::Term;
-                }
-                let target = match dblock.term {
-                    Terminator::Jump(b) => b.index() as usize,
-                    Terminator::Branch {
+        let mut chained: u32 = 0;
+        // The slot the current block was entered or resumed at.
+        let mut base;
+        // Leaves with the slot to resume at, and the error if the
+        // instruction there failed.
+        let (stop, err) = 'blocks: loop {
+            base = k;
+            let end = starts[block + 1] as usize;
+            if done + (end - base) as u64 > budget_left {
+                break (base, None);
+            }
+            // The target block of a chained terminator.
+            let target = loop {
+                match ops[k] {
+                    DecodedOp::Mov { dst, src } => {
+                        regs[dst as usize] = regs[src as usize];
+                        if SIM {
+                            add_sim_nanos(jitter, nanos, 1);
+                        }
+                    }
+                    DecodedOp::Bin { op, dst, a, b } => {
+                        match op.apply(regs[a as usize], regs[b as usize]) {
+                            Some(v) => regs[dst as usize] = v,
+                            None => {
+                                let e = RunError::DivisionByZero {
+                                    routine: routine_id,
+                                };
+                                break 'blocks (k, Some(e));
+                            }
+                        }
+                        if SIM {
+                            add_sim_nanos(jitter, nanos, 1);
+                        }
+                    }
+                    DecodedOp::Load { dst, base, offset } => {
+                        let a = regs[base as usize].wrapping_add(regs[offset as usize]);
+                        let counts = &mut stats.events_by_kind;
+                        match buffer_access(a, BatchKind::Read, batch, counts, tool) {
+                            Ok(addr) => regs[dst as usize] = mem.load(addr),
+                            Err(e) => break 'blocks (k, Some(e)),
+                        }
+                        if SIM {
+                            add_sim_nanos(jitter, nanos, 3);
+                        }
+                    }
+                    DecodedOp::Store { base, offset, src } => {
+                        let a = regs[base as usize].wrapping_add(regs[offset as usize]);
+                        let counts = &mut stats.events_by_kind;
+                        match buffer_access(a, BatchKind::Write, batch, counts, tool) {
+                            Ok(addr) => mem.store(addr, regs[src as usize]),
+                            Err(e) => break 'blocks (k, Some(e)),
+                        }
+                        if SIM {
+                            add_sim_nanos(jitter, nanos, 3);
+                        }
+                    }
+                    DecodedOp::Alloc { dst, cells } => {
+                        let n = regs[cells as usize].max(0) as u64;
+                        regs[dst as usize] = mem.alloc(n).raw() as i64;
+                        if SIM {
+                            add_sim_nanos(jitter, nanos, 4);
+                        }
+                    }
+                    DecodedOp::Rand { dst, bound } => {
+                        let b = regs[bound as usize].max(1);
+                        regs[dst as usize] = rng.gen_range(0..b);
+                        if SIM {
+                            add_sim_nanos(jitter, nanos, 2);
+                        }
+                    }
+                    DecodedOp::BinMov { op, t, a, b, v } => {
+                        let x = fused_apply(op, regs[a as usize], regs[b as usize]);
+                        regs[t as usize] = x;
+                        regs[v as usize] = x;
+                        if SIM {
+                            add_sim_nanos(jitter, nanos, 1);
+                            add_sim_nanos(jitter, nanos, 1);
+                        }
+                        // Skip the second half's own slot.
+                        k += 1;
+                    }
+                    DecodedOp::BinBranch {
+                        op,
+                        dst,
+                        a,
+                        b,
+                        then_block,
+                        else_block,
+                    } => {
+                        let x = fused_apply(op, regs[a as usize], regs[b as usize]);
+                        regs[dst as usize] = x;
+                        if SIM {
+                            add_sim_nanos(jitter, nanos, 1);
+                        }
+                        if chained + 1 >= chain_budget {
+                            // The quantum's final block step: the compare
+                            // ran here, the branch in the next slot goes
+                            // through the reference stepper.
+                            break 'blocks (k + 1, None);
+                        }
+                        break if x != 0 { then_block } else { else_block };
+                    }
+                    DecodedOp::Jump { target } => {
+                        if chained + 1 >= chain_budget {
+                            break 'blocks (k, None);
+                        }
+                        break target;
+                    }
+                    DecodedOp::Branch {
                         cond,
                         then_block,
                         else_block,
                     } => {
-                        if ev(&frame.regs, cond) != 0 {
-                            then_block.index() as usize
-                        } else {
-                            else_block.index() as usize
+                        if chained + 1 >= chain_budget {
+                            break 'blocks (k, None);
                         }
+                        break if regs[cond as usize] != 0 {
+                            then_block
+                        } else {
+                            else_block
+                        };
                     }
-                    Terminator::Ret(_) => break Leave::Term,
-                };
-                if done >= budget_left {
-                    break Leave::Err(RunError::InstructionLimit {
-                        limit: max_instructions,
-                    });
+                    DecodedOp::Slow => break 'blocks (k, None),
                 }
-                done += 1;
-                if sim_nanos {
-                    // Jump cost, then block-entry cost — the same two
-                    // draws, in the same order, as the reference path.
-                    add_sim_nanos(jitter, nanos, 1);
-                    add_sim_nanos(jitter, nanos, 2);
-                }
-                *blocks += 1;
-                chained += 1;
-                block_idx = target;
-                ip = 0;
-                if trace_blocks {
-                    stats.events_by_kind.block += 1;
-                    flush_batch_to(batch, tool);
-                    tool.on_block(id, routine_id, BlockId::new(target as u32));
-                }
-                dblock = &droutine.blocks[block_idx];
-                ops = &dblock.ops[..];
-                continue 'blocks;
+                k += 1;
+            };
+            done += (end - base) as u64;
+            chained += 1;
+            if SIM {
+                // Jump cost, then block-entry cost — the same two draws,
+                // in the same order, as the reference path.
+                add_sim_nanos(jitter, nanos, 1);
+                add_sim_nanos(jitter, nanos, 2);
             }
-            if done >= budget_left {
-                break Leave::Err(RunError::InstructionLimit {
-                    limit: max_instructions,
-                });
+            *blocks += 1;
+            block = target as usize;
+            k = starts[block] as usize;
+            if trace_blocks {
+                stats.events_by_kind.block += 1;
+                flush_batch_to(batch, &mut stats.events_by_kind, tool);
+                tool.on_block(id, routine_id, BlockId::new(target));
             }
-            match &ops[ip] {
-                DecodedOp::MovImm { dst, imm } => {
-                    done += 1;
-                    frame.regs[*dst as usize] = *imm;
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 1);
-                    }
-                }
-                DecodedOp::MovReg { dst, src } => {
-                    done += 1;
-                    frame.regs[*dst as usize] = frame.regs[*src as usize];
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 1);
-                    }
-                }
-                DecodedOp::Bin(h) => {
-                    done += 1;
-                    if let Err(e) = exec_bin_half(&mut frame.regs, h, routine_id) {
-                        break Leave::Err(e);
-                    }
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 1);
-                    }
-                }
-                DecodedOp::Load { dst, base, offset } => {
-                    done += 1;
-                    match exec_load(
-                        &mut frame.regs,
-                        *dst,
-                        *base,
-                        *offset,
-                        mem,
-                        stats,
-                        batch,
-                        tool,
-                    ) {
-                        Ok(()) => {}
-                        Err(e) => break Leave::Err(e),
-                    }
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 3);
-                    }
-                }
-                DecodedOp::Store { base, offset, src } => {
-                    done += 1;
-                    let a = ev(&frame.regs, *base).wrapping_add(ev(&frame.regs, *offset));
-                    if a <= 0 || (a as u64) >= ADDRESS_LIMIT {
-                        break Leave::Err(RunError::BadAddress { value: a });
-                    }
-                    let addr = Addr::new(a as u64);
-                    let v = ev(&frame.regs, *src);
-                    stats.events_by_kind.write += 1;
-                    if batch.is_full() {
-                        flush_batch_to(batch, tool);
-                    }
-                    batch.push(BatchKind::Write, addr, 1);
-                    mem.store(addr, v);
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 3);
-                    }
-                }
-                DecodedOp::Alloc { dst, cells } => {
-                    done += 1;
-                    let n = ev(&frame.regs, *cells).max(0) as u64;
-                    let base = mem.alloc(n);
-                    frame.regs[*dst as usize] = base.raw() as i64;
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 4);
-                    }
-                }
-                DecodedOp::Rand { dst, bound } => {
-                    done += 1;
-                    let b = ev(&frame.regs, *bound).max(1);
-                    frame.regs[*dst as usize] = rng.gen_range(0..b);
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 2);
-                    }
-                }
-                DecodedOp::BinBin(a, b) => {
-                    done += 1;
-                    if let Err(e) = exec_bin_half(&mut frame.regs, a, routine_id) {
-                        break Leave::Err(e);
-                    }
-                    plain += 1;
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 1);
-                    }
-                    // The watchdog fires between fused halves exactly as
-                    // it would between the two unfused instructions.
-                    if done >= budget_left {
-                        break Leave::Err(RunError::InstructionLimit {
-                            limit: max_instructions,
-                        });
-                    }
-                    done += 1;
-                    if let Err(e) = exec_bin_half(&mut frame.regs, b, routine_id) {
-                        break Leave::Err(e);
-                    }
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 1);
-                    }
-                }
-                DecodedOp::BinLoad {
-                    a,
-                    dst,
-                    base,
-                    offset,
-                } => {
-                    done += 1;
-                    if let Err(e) = exec_bin_half(&mut frame.regs, a, routine_id) {
-                        break Leave::Err(e);
-                    }
-                    plain += 1;
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 1);
-                    }
-                    if done >= budget_left {
-                        break Leave::Err(RunError::InstructionLimit {
-                            limit: max_instructions,
-                        });
-                    }
-                    done += 1;
-                    match exec_load(
-                        &mut frame.regs,
-                        *dst,
-                        *base,
-                        *offset,
-                        mem,
-                        stats,
-                        batch,
-                        tool,
-                    ) {
-                        Ok(()) => {}
-                        Err(e) => break Leave::Err(e),
-                    }
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 3);
-                    }
-                }
-                DecodedOp::LoadBin {
-                    dst,
-                    base,
-                    offset,
-                    b,
-                } => {
-                    done += 1;
-                    match exec_load(
-                        &mut frame.regs,
-                        *dst,
-                        *base,
-                        *offset,
-                        mem,
-                        stats,
-                        batch,
-                        tool,
-                    ) {
-                        Ok(()) => {}
-                        Err(e) => break Leave::Err(e),
-                    }
-                    plain += 1;
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 3);
-                    }
-                    if done >= budget_left {
-                        break Leave::Err(RunError::InstructionLimit {
-                            limit: max_instructions,
-                        });
-                    }
-                    done += 1;
-                    if let Err(e) = exec_bin_half(&mut frame.regs, b, routine_id) {
-                        break Leave::Err(e);
-                    }
-                    if sim_nanos {
-                        add_sim_nanos(jitter, nanos, 1);
-                    }
-                }
-                DecodedOp::Slow { ip: orig } => break Leave::Slow(*orig),
-            }
-            plain += 1;
-            ip += 1;
         };
-        frame.ip = ip;
-        frame.block = block_idx;
-        stats.instructions += done;
-        self.sched.note_plain_steps(plain);
+        // Everything from the last block boundary up to the stop is
+        // complete; a failing instruction is counted but not stepped.
+        done += (stop - base) as u64;
+        frame.ip = stop - starts[block] as usize;
+        frame.block = block;
+        stats.instructions += done + u64::from(err.is_some());
+        self.sched
+            .note_plain_steps((done - u64::from(chained)) as u32);
         if chained > 0 {
             self.sched.note_block_steps(chained);
         }
-        match leave {
-            Leave::Err(e) => Err(e),
-            Leave::Term => {
-                if self.stats.instructions >= self.config.max_instructions {
-                    return Err(RunError::InstructionLimit {
-                        limit: self.config.max_instructions,
-                    });
-                }
-                self.stats.instructions += 1;
-                self.exec_terminator(t, &dblock.term, tool)
-            }
-            Leave::Slow(orig) => {
-                if self.stats.instructions >= self.config.max_instructions {
-                    return Err(RunError::InstructionLimit {
-                        limit: self.config.max_instructions,
-                    });
-                }
-                self.stats.instructions += 1;
-                // Copying the `&'p Program` reference out of `self`
-                // unties the instruction borrow from `&mut self`.
-                let program: &'p Program = self.program;
-                let inst = &program.routine(routine_id).blocks[block_idx].insts[orig as usize];
-                // `exec_inst` advances `frame.ip` by one on completion —
-                // one decoded slot, exactly what a Slow op occupies.
-                self.exec_inst(t, inst, tool)
-            }
+        match err {
+            Some(e) => Err(e),
+            None => self.step(t, tool),
         }
     }
 
@@ -1009,7 +904,7 @@ impl<'p> Vm<'p> {
     /// per-event total order.
     #[inline]
     fn flush_batch<T: Tool + ?Sized>(&mut self, tool: &mut T) {
-        flush_batch_to(&mut self.batch, tool);
+        flush_batch_to(&mut self.batch, &mut self.stats.events_by_kind, tool);
     }
 
     /// The schedule recorded by this run, when
@@ -1062,12 +957,11 @@ impl<'p> Vm<'p> {
     ) -> usize {
         let idx = self.threads.len();
         let id = ThreadId::new(idx as u32);
-        let r = self.program.routine(routine);
-        let mut regs = vec![0i64; r.regs as usize];
-        regs[..args.len()].copy_from_slice(&args);
+        let mut regs = Vec::new();
+        self.init_regs(&mut regs, routine, &args);
         let frame = Frame {
             routine,
-            block: r.entry.index() as usize,
+            block: self.program.routine(routine).entry.index() as usize,
             ip: 0,
             regs,
             ret_dst: None,
@@ -1095,6 +989,18 @@ impl<'p> Vm<'p> {
         tool.on_thread_start(id, parent_id);
         tool.on_call(id, routine, 0);
         idx
+    }
+
+    /// Fills `regs` with routine `routine`'s initial register file:
+    /// zeros, then — while a decoded image is in use — the routine's
+    /// constant registers, then `args` over its parameters.
+    fn init_regs(&self, regs: &mut Vec<i64>, routine: RoutineId, args: &[i64]) {
+        regs.clear();
+        regs.resize(self.program.routine(routine).regs as usize, 0);
+        if let Some(d) = &self.decoded {
+            regs.extend_from_slice(d.constants(routine));
+        }
+        regs[..args.len()].copy_from_slice(args);
     }
 
     /// The innermost live frame of thread `t`.
@@ -1341,6 +1247,9 @@ impl<'p> Vm<'p> {
                 let addr = self.addr_of(self.eval(t, base)?, self.eval(t, offset)?)?;
                 let id = self.threads[t].id;
                 self.stats.events_by_kind.read += 1;
+                // Batched reads and writes precede this one: the decoded
+                // stepper hands loads to this path near the watchdog.
+                self.flush_batch(tool);
                 tool.on_read(id, addr, 1);
                 let v = self.mem.load(addr);
                 self.set_reg(t, dst, v)?;
@@ -1353,6 +1262,7 @@ impl<'p> Vm<'p> {
                 let v = self.eval(t, src)?;
                 let id = self.threads[t].id;
                 self.stats.events_by_kind.write += 1;
+                self.flush_batch(tool);
                 tool.on_write(id, addr, 1);
                 self.mem.store(addr, v);
                 self.add_inst_cost(t, 3);
@@ -1383,8 +1293,7 @@ impl<'p> Vm<'p> {
                         }
                     }
                 }
-                let callee = self.program.routine(routine);
-                let entry = callee.entry.index() as usize;
+                let entry = self.program.routine(routine).entry.index() as usize;
                 let mut frame = self.frame_pool.pop().unwrap_or_else(|| Frame {
                     routine,
                     block: entry,
@@ -1398,9 +1307,7 @@ impl<'p> Vm<'p> {
                 frame.ip = 0;
                 frame.ret_dst = dst;
                 frame.pending_entry = false;
-                frame.regs.clear();
-                frame.regs.resize(callee.regs as usize, 0);
-                frame.regs[..vals.len()].copy_from_slice(&vals);
+                self.init_regs(&mut frame.regs, routine, &vals);
                 self.call_scratch = vals;
                 self.advance(t)?; // resume after the call on return
                 let id = self.threads[t].id;
@@ -1678,68 +1585,32 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Why the decoded plain-op loop stopped.
-enum Leave {
-    /// The block's ops are exhausted: execute the terminator.
-    Term,
-    /// A slow op at the given *source* instruction index needs the
-    /// reference path.
-    Slow(u32),
-    /// An error aborts the run (the failing constituent is already
-    /// counted in `stats.instructions`, like the reference loop).
-    Err(RunError),
-}
-
-/// Register/immediate operand read against a live frame — the decoded
-/// loop's counterpart of [`Vm::eval`], with the frame already borrowed.
+/// Checks the address `a` of a decoded load or store and buffers its
+/// event, flushing a full batch first.
 #[inline(always)]
-fn ev(regs: &[i64], op: Operand) -> i64 {
-    match op {
-        Operand::Imm(v) => v,
-        Operand::Reg(r) => regs[r as usize],
-    }
-}
-
-/// One `Bin` constituent: evaluate, apply, write back.
-#[inline(always)]
-fn exec_bin_half(regs: &mut [i64], h: &BinHalf, routine: RoutineId) -> Result<(), RunError> {
-    let a = ev(regs, h.lhs);
-    let b = ev(regs, h.rhs);
-    let v =
-        h.op.apply(a, b)
-            .ok_or(RunError::DivisionByZero { routine })?;
-    regs[h.dst as usize] = v;
-    Ok(())
-}
-
-/// One `Load` constituent: address check, event emission into the
-/// batch, memory read, register write-back. Event tallies land in
-/// `stats` at emission time so `RunStats` equality holds regardless of
-/// when the batch is flushed.
-#[allow(clippy::too_many_arguments)] // hot-path: split borrows, not a context struct
-#[inline(always)]
-fn exec_load<T: Tool + ?Sized>(
-    regs: &mut [i64],
-    dst: Reg,
-    base: Operand,
-    offset: Operand,
-    mem: &mut Memory,
-    stats: &mut RunStats,
+fn buffer_access<T: Tool + ?Sized>(
+    a: i64,
+    kind: BatchKind,
     batch: &mut EventBatch,
+    counts: &mut EventCounters,
     tool: &mut T,
-) -> Result<(), RunError> {
-    let a = ev(regs, base).wrapping_add(ev(regs, offset));
+) -> Result<Addr, RunError> {
     if a <= 0 || (a as u64) >= ADDRESS_LIMIT {
         return Err(RunError::BadAddress { value: a });
     }
     let addr = Addr::new(a as u64);
-    stats.events_by_kind.read += 1;
     if batch.is_full() {
-        flush_batch_to(batch, tool);
+        flush_batch_to(batch, counts, tool);
     }
-    batch.push(BatchKind::Read, addr, 1);
-    regs[dst as usize] = mem.load(addr);
-    Ok(())
+    batch.push(kind, addr, 1);
+    Ok(addr)
+}
+
+/// A fused op's `Bin` half. Decode never fuses `Div` or `Rem`, the only
+/// operations that can fail, so the fallback value is never taken.
+#[inline(always)]
+fn fused_apply(op: BinOp, a: i64, b: i64) -> i64 {
+    op.apply(a, b).unwrap_or(0)
 }
 
 /// The [`Vm::add_inst_cost`] jitter model, with the thread's RNG and
@@ -1751,10 +1622,20 @@ fn add_sim_nanos(jitter: &mut SmallRng, nanos: &mut u64, inst_kind_cost: u64) {
     *nanos += inst_kind_cost + j + spike;
 }
 
-/// Delivers and clears a non-empty batch.
+/// Delivers and clears a non-empty batch, tallying its reads and
+/// writes into `counts` — the decoded loop's only per-kind event
+/// tally, so every path that reads [`RunStats`] flushes first.
 #[inline]
-fn flush_batch_to<T: Tool + ?Sized>(batch: &mut EventBatch, tool: &mut T) {
+fn flush_batch_to<T: Tool + ?Sized>(
+    batch: &mut EventBatch,
+    counts: &mut EventCounters,
+    tool: &mut T,
+) {
     if !batch.is_empty() {
+        let (kinds, _, _) = batch.arrays();
+        let writes = kinds.iter().filter(|&&k| k == BatchKind::Write).count();
+        counts.write += writes as u64;
+        counts.read += (kinds.len() - writes) as u64;
         tool.observe_batch(batch);
         batch.clear();
     }

@@ -86,6 +86,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Applies the operation. Returns `None` on division/remainder by zero.
+    #[inline]
     pub fn apply(self, a: i64, b: i64) -> Option<i64> {
         Some(match self {
             BinOp::Add => a.wrapping_add(b),

@@ -34,12 +34,12 @@ pub enum DecodeMode {
     /// Interpret the [`Program`](crate::Program) IR directly, one
     /// instruction per dispatch — the reference stepper.
     Off,
-    /// Pre-decode every routine into flat
-    /// [`DecodedProgram`](crate::DecodedProgram) blocks (operands
-    /// resolved, jump targets as block indices, the hottest adjacent
-    /// opcode pairs `Bin;Bin`, `Bin;Load`, `Load;Bin` fused into
-    /// superinstructions) and run the tight block-dispatch loop over
-    /// them. The default.
+    /// Pre-decode every routine into a flat, register-form
+    /// [`DecodedProgram`](crate::DecodedProgram) (every operand a frame
+    /// register, immediates in constant registers, terminators in the
+    /// op stream, the builder's compare+branch and op+move idioms fused)
+    /// and run it a block at a time, with budget checks and counters at
+    /// block boundaries only. The default.
     #[default]
     Fused,
 }
